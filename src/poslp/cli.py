@@ -157,10 +157,11 @@ def cmd_check(args):
 def cmd_gain(args):
     sys_in = sysmodel.read_system(args.system)
     policy = policy_from(args)
-    lp = gains.l1_lp(sys_in, policy) if args.norm == "l1" else gains.linf_lp(sys_in, policy)
+    build, solve = ((gains.l1_lp, gains.l1_gain) if args.norm == "l1"
+                    else (gains.linf_lp, gains.linf_gain))
+    lp = build(sys_in, policy)
     maybe_dump(args, lp)
-    res = gains.l1_gain(sys_in, policy) if args.norm == "l1" \
-        else gains.linf_gain(sys_in, policy)
+    res = solve(sys_in, policy, lp=lp)
     doc = {
         "status": "optimal",
         "norm": args.norm,
@@ -179,8 +180,9 @@ def cmd_synth(args):
     sys_in = sysmodel.read_system(args.system)
     policy = policy_from(args)
     spec = load_spec(args.zeros, args.bounds)
-    maybe_dump(args, synthesis.synthesis_lp(sys_in, spec, policy))
-    res = synthesis.stabilize_linf(sys_in, spec, policy)
+    lp = synthesis.synthesis_lp(sys_in, spec, policy)
+    maybe_dump(args, lp)
+    res = synthesis.stabilize_linf(sys_in, spec, policy, lp=lp)
     cl = synthesis.closed_loop(sys_in, res.K)
     cl_gain = sysmodel.oracle_gains(cl, policy, tol=1e-9)[1]
     doc = {
@@ -342,8 +344,9 @@ def _reproduce_poly3(args, policy, which):
     assemble = robust.robust_l1 if which == "l1" else robust.robust_linf
     res_const = robust.solve_robust(assemble(obj, ilc.FreeConstant(), policy))
     res_sat = robust.solve_robust(assemble(obj, ilc.FreePolynomial(2), policy), b=2)
-    sweep = max(sysmodel.oracle_gains(psys.frozen_at([d]))[0 if which == "l1" else 1]
-                for d in np.arange(0.0, 1.0005, 0.001))
+    a, _, c, _, e, f = psys.frozen_stack(np.arange(0.0, 1.0005, 0.001)[:, None])
+    norms = sysmodel.gain_norms(sysmodel.static_gains(a, c, e, f))
+    sweep = float(np.max(norms[0 if which == "l1" else 1]))
     rows = [
         {"scaling": "constant", "gamma": res_const.gamma,
          "reference": POLY3_REFERENCE[(which, "const")]},

@@ -34,42 +34,38 @@ class GainResult:
     iterations: int
 
 
-def l1_lp(sys, policy=None):
-    """The strictified L1-gain LP; variables [lambda_0..lambda_{n-1}, gamma]."""
-    policy = policy or StrictnessPolicy()
-    n, p = sys.n, sys.p
-    b = LpBuilder()
-    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+def add_l1_rows(b, lam, gamma, sys, policy, prefix=""):
+    """Add the strictified L1 rows of `sys` to the LpBuilder `b`:
+    lambda^T A + 1^T C <= -eps and lambda^T E - gamma 1^T + 1^T F <= -eps."""
+    n = sys.n
     csum = sys.C.sum(axis=0)
     fsum = sys.F.sum(axis=0)
     for j in range(n):
         b.add_row({lam[i]: sys.A[i, j] for i in range(n)}, "<=",
-                  -policy.epsilon - csum[j], f"st{j}")
-    for j in range(p):
+                  -policy.epsilon - csum[j], f"{prefix}st{j}")
+    for j in range(sys.p):
         coeffs = {lam[i]: sys.E[i, j] for i in range(n)}
         coeffs[gamma] = -1.0
-        b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"pf{j}")
+        b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"{prefix}pf{j}")
+
+
+def _l1_program(sys, policy):
+    policy = policy or StrictnessPolicy()
+    b = LpBuilder()
+    lam = b.add_vars("lam", sys.n, lower=policy.lambda_floor)
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    add_l1_rows(b, lam, gamma, sys, policy)
     return b.build()
+
+
+def l1_lp(sys, policy=None):
+    """The strictified L1-gain LP; variables [lambda_0..lambda_{n-1}, gamma]."""
+    return _l1_program(sys, policy)
 
 
 def linf_lp(sys, policy=None):
-    """The strictified Linf-gain LP; same variables, transposed row pattern."""
-    policy = policy or StrictnessPolicy()
-    n, q = sys.n, sys.q
-    b = LpBuilder()
-    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    esum = sys.E.sum(axis=1)
-    fsum = sys.F.sum(axis=1)
-    for j in range(n):
-        b.add_row({lam[i]: sys.A[j, i] for i in range(n)}, "<=",
-                  -policy.epsilon - esum[j], f"st{j}")
-    for j in range(q):
-        coeffs = {lam[i]: sys.C[j, i] for i in range(n)}
-        coeffs[gamma] = -1.0
-        b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"pf{j}")
-    return b.build()
+    """The strictified Linf-gain LP: the L1 program of the transposed system."""
+    return _l1_program(sysmodel.transpose_system(sys), policy)
 
 
 def _static_gain_unchecked(sys):
@@ -99,15 +95,18 @@ def _run(sys, lp, which, policy):
                       iterations=sol.iterations)
 
 
-def l1_gain(sys, policy=None):
-    """Minimal certified gamma with ||z||_L1 <= gamma ||w||_L1, plus witness."""
+def l1_gain(sys, policy=None, lp=None):
+    """Minimal certified gamma with ||z||_L1 <= gamma ||w||_L1, plus witness.
+
+    ``lp`` is `l1_lp(sys, policy)` when the caller has built it already."""
     policy = policy or StrictnessPolicy()
-    return _run(sys, l1_lp(sys, policy), "l1", policy)
+    return _run(sys, l1_lp(sys, policy) if lp is None else lp, "l1", policy)
 
 
-def linf_gain(sys, policy=None):
+def linf_gain(sys, policy=None, lp=None):
     """Minimal certified gamma with ||z||_Linf <= gamma ||w||_Linf.
 
-    Equals the L1-gain of the transposed system."""
+    Equals the L1-gain of the transposed system.  ``lp`` is
+    `linf_lp(sys, policy)` when the caller has built it already."""
     policy = policy or StrictnessPolicy()
-    return _run(sys, linf_lp(sys, policy), "linf", policy)
+    return _run(sys, linf_lp(sys, policy) if lp is None else lp, "linf", policy)

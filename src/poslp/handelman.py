@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialCapError, DegreeError, DimensionError
+from .errors import CombinatorialCapError, DegreeError
 from .lpcore import LpBuilder
-from .poly import Poly, monomials
+from .poly import Poly, monomials, poly_mul
 
 PRODUCT_CAP = 10_000
 
@@ -81,18 +81,8 @@ def product_poly(basis, exponents):
     out = Poly.constant(1.0, basis.nparams)
     for form, e in zip(basis.forms, exponents):
         for _ in range(int(e)):
-            fp = form.as_poly()
-            out = _scalar_mul(out, fp)
+            out = poly_mul(out, form.as_poly())
     return out
-
-
-def _scalar_mul(p, q):
-    terms = {}
-    for a, ca in p.terms.items():
-        for b, cb in q.terms.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            terms[key] = terms.get(key, 0.0) + float(ca) * float(cb)
-    return Poly(p.nparams, (), {k: np.asarray(v) for k, v in terms.items()})
 
 
 @dataclass(frozen=True, eq=False)

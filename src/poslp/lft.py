@@ -146,38 +146,31 @@ def close_at(lft, delta):
     return close_with_matrix(lft, lft.delta_structure.eval(delta))
 
 
-def _per_parameter_degrees(psys):
-    """Per-parameter chain lengths; rejects cross-parameter monomials."""
-    big = psys.nparams
-    for polyname in ("A", "C", "E", "F"):
-        for alpha in getattr(psys, polyname).terms:
-            if sum(1 for a in alpha if a > 0) > 1:
-                raise ModelError(
-                    "canonical LFT construction needs per-parameter (separable) "
-                    f"dependence; {polyname} has cross term {alpha}")
-    state_deg = [max(psys.A.degree_in(k), psys.C.degree_in(k)) for k in range(big)]
-    input_deg = [max(psys.E.degree_in(k), psys.F.degree_in(k)) for k in range(big)]
-    return state_deg, input_deg
-
-
 def _coeff_power(poly, k, j):
     alpha = tuple(j if i == k else 0 for i in range(poly.nparams))
     return poly.coeff(alpha)
 
 
-def channel_layout(psys):
-    """Ordered channel blocks [(param, kind, power, offset, width), ...]."""
-    state_deg, input_deg = _per_parameter_degrees(psys)
-    n, p = psys.n, psys.p
+def channel_layout(psys, state=("A", "C"), inputs=("E", "F"), input_width=None,
+                   user="canonical LFT construction"):
+    """Ordered channel blocks [(param, kind, power, offset, width), ...]: per
+    parameter, a state chain (width n) as long as the highest power of the
+    `state` matrices and an input chain (width p unless `input_width`) as
+    long as that of the `inputs`; cross-parameter monomials are rejected."""
+    for name in state + inputs:
+        for alpha in getattr(psys, name).terms:
+            if sum(1 for a in alpha if a > 0) > 1:
+                raise ModelError(f"{user} needs per-parameter (separable) "
+                                 f"dependence; {name} has cross term {alpha}")
+    chains = (("state", state, psys.n),
+              ("input", inputs, psys.p if input_width is None else input_width))
     blocks = []
     offset = 0
     for k in range(psys.nparams):
-        for j in range(1, state_deg[k] + 1):
-            blocks.append((k, "state", j, offset, n))
-            offset += n
-        for j in range(1, input_deg[k] + 1):
-            blocks.append((k, "input", j, offset, p))
-            offset += p
+        for kind, names, width in chains:
+            for j in range(1, max(getattr(psys, m).degree_in(k) for m in names) + 1):
+                blocks.append((k, kind, j, offset, width))
+                offset += width
     return blocks, offset
 
 

@@ -25,7 +25,9 @@ class StrictnessPolicy:
 
     ``expr < 0`` becomes ``expr <= -epsilon``; ``x > 0`` becomes
     ``x >= lambda_floor``.  Both margins bias computed gains upward, never
-    downward, and are echoed in every report.
+    downward, and are echoed in every report.  The frozen-parameter oracle
+    (`sysmodel.frozen_oracle`) needs neither: its Hurwitz test -A^{-1} >= 0
+    has only the rounding tolerance `sysmodel.MMATRIX_TOL`.
     """
 
     epsilon: float = 1e-7

@@ -50,12 +50,8 @@ def is_nonnegative(m, tol=0.0):
 def metzler_violations(m, tol=0.0):
     """Indices and values of off-diagonal entries below -tol."""
     m = as_matrix(m)
-    bad = []
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if i != j and m[i, j] < -tol:
-                bad.append(((i, j), float(m[i, j])))
-    return bad
+    idx = np.argwhere((m < -tol) & ~np.eye(*m.shape, dtype=bool))
+    return [((int(i), int(j)), float(m[i, j])) for i, j in idx]
 
 
 def nonneg_violations(m, tol=0.0):
@@ -84,13 +80,38 @@ def solve(a, b):
         cond = float(np.linalg.cond(a, 1))
     except np.linalg.LinAlgError:
         cond = np.inf
-    if not np.isfinite(cond) or 1.0 / cond < RCOND_FLOOR:
-        raise SingularMatrixError(
-            f"matrix is singular or ill-conditioned (cond_1 ~ {cond:.3e})",
-            condition=cond,
-        )
+    if ill_conditioned(cond):
+        raise_singular(cond)
     return np.linalg.solve(a, bb)
 
 
-def ones(n):
-    return np.ones(n)
+def inverse_stack(a):
+    """Inverses of the square stack a (G, n, n); NaN where one is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape, np.nan)
+        return np.concatenate([inverse_stack(a[g:g + 1]) for g in range(len(a))])
+
+
+def cond_1(a, inv):
+    """`np.linalg.cond(a, 1)` of the stack a (G, n, n) from its inverses."""
+    def norm_1(x):
+        return np.add.reduce(np.abs(x), axis=-2).max(axis=-1, initial=0)
+    cond = norm_1(a) * norm_1(inv)
+    return np.where(np.isnan(cond) & ~np.isnan(a).any(axis=(-2, -1)), np.inf, cond)
+
+
+def ill_conditioned(cond):
+    """Where 1/cond_1 falls below ``RCOND_FLOOR`` (or cond is not finite)."""
+    with np.errstate(divide="ignore"):
+        return ~np.isfinite(cond) | (1.0 / cond < RCOND_FLOOR)
+
+
+def raise_singular(cond):
+    cond = float(cond)
+    raise SingularMatrixError(
+        f"matrix is singular or ill-conditioned (cond_1 ~ {cond:.3e})",
+        condition=cond,
+    )

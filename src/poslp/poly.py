@@ -86,6 +86,28 @@ class Poly:
             out = out + scale * coeff
         return out
 
+    def eval_many(self, points):
+        """Stack of `eval` at every row of the (G, N) array `points`, shape
+        (G,) + shape; bit for bit what the `eval` loop returns."""
+        return self._eval_stack(_point_stack(points, self.nparams), {})
+
+    def _eval_stack(self, pts, powers):
+        # term by term in dict order with eval's scalar `x ** a` (numpy's
+        # vectorised power differs from it in the last bit); `powers` caches
+        # the columns x_k ** a across the polynomials of one stack
+        out = np.zeros((pts.shape[0],) + self.shape)
+        expand = (slice(None),) + (None,) * len(self.shape)
+        for alpha, coeff in self.terms.items():
+            scale = np.ones(pts.shape[0])
+            for k, a in enumerate(alpha):
+                if a:
+                    if (k, a) not in powers:
+                        col = pts[:, k]
+                        powers[k, a] = col if a == 1 else np.array([x ** a for x in col])
+                    scale = scale * powers[k, a]
+            out = out + scale[expand] * coeff
+        return out
+
     def transpose(self):
         if len(self.shape) != 2:
             raise DimensionError("transpose needs matrix coefficients")
@@ -122,8 +144,11 @@ def poly_eval(p, delta):
     return p.eval(delta)
 
 
-def poly_add(p, q):
-    return p + q
+def _point_stack(points, nparams):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != nparams:
+        raise DimensionError(f"points must be a (G, {nparams}) array, got {pts.shape}")
+    return pts
 
 
 def poly_scale(p, s):
@@ -267,6 +292,14 @@ class PolynomialLtiSystem:
         return PositiveLtiSystem(
             A=self.A.eval(delta), B=self.B.eval(delta), C=self.C.eval(delta),
             D=self.D.eval(delta), E=self.E.eval(delta), F=self.F.eval(delta))
+
+    def frozen_stack(self, points):
+        """(A, B, C, D, E, F), each a (G, rows, cols) stack of the matrices
+        at the G rows of `points`; equal to `frozen_at` point by point."""
+        pts = _point_stack(points, self.nparams)
+        powers = {}
+        return tuple(poly._eval_stack(pts, powers)
+                     for poly in (self.A, self.B, self.C, self.D, self.E, self.F))
 
 
 def polynomial_system(a_terms, c_terms, e_terms, f_terms, b_terms=None, d_terms=None,

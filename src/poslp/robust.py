@@ -15,6 +15,7 @@ variable block of synthesis programs; they never meet in one namespace.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError,
                      DimensionError, InfeasibleError, ModelError, StabilityError,
                      WellPosednessError)
-from .lft import LftSystem, TransposedLft, close_at
+from .gains import add_l1_rows
+from .lft import (TransposedLft, _block_delta, _coeff_power, _wellposed_points,
+                  channel_layout, close_at)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 
@@ -55,18 +58,6 @@ class RobustLinearProgram:
     lambda_floor: float
     conservative: bool
     which: str
-
-    def linear_lp(self):
-        """The purely linear part (the whole program when no uncertainty
-        channel is present)."""
-        b = LpBuilder()
-        for j, name in enumerate(self.var_names):
-            lo, up = self.var_lower[j], self.var_upper[j]
-            b.add_var(name, None if np.isneginf(lo) else lo,
-                      None if np.isposinf(up) else up, self.objective[j])
-        for coeffs, rel, rhs, name in self.linear_rows:
-            b.add_row(dict(enumerate(coeffs)), rel, rhs, name)
-        return b.build()
 
 
 class _Assembler:
@@ -101,28 +92,23 @@ class _Assembler:
                       if a != zero and (any(v != 0.0 for v in c.values()) or k != 0.0)}
         if not nontrivial:
             c, k = terms.get(zero, ({}, 0.0))
-            dense = np.zeros(len(self.names))
-            for j, v in c.items():
-                dense[j] += v
-            self.linear.append((dense, "<=", -k, name))
+            self.linear.append((self.dense(c), "<=", -k, name))
         else:
-            dense_terms = {}
-            for a, (c, k) in terms.items():
-                dense = np.zeros(len(self.names))
-                for j, v in c.items():
-                    dense[j] += v
-                dense_terms[a] = (dense, k)
-            self.poly.append(PolyRow(name=name, terms=dense_terms))
+            self.poly.append(PolyRow(name=name, terms={
+                a: (self.dense(c), k) for a, (c, k) in terms.items()}))
+
+    def dense(self, coeffs):
+        dense = np.zeros(len(self.names))
+        for j, v in coeffs.items():
+            dense[j] += v
+        return dense
 
     def ge0(self, name, terms, strict=False):
         neg = {a: ({j: -v for j, v in c.items()}, -k) for a, (c, k) in terms.items()}
         self.le0(name, neg, strict)
 
     def eq0(self, name, coeffs, rhs=0.0):
-        dense = np.zeros(len(self.names))
-        for j, v in coeffs.items():
-            dense[j] += v
-        self.linear.append((dense, "==", float(rhs), name))
+        self.linear.append((self.dense(coeffs), "==", float(rhs), name))
 
     def finish(self):
         n = len(self.names)
@@ -145,11 +131,6 @@ class _Assembler:
             conservative=self.conservative, which=self.which)
 
 
-def _sample_points(domain):
-    per_axis = {1: 11, 2: 7}.get(domain.nparams, 3)
-    return domain.grid(per_axis)
-
-
 def _validate_positive_lft(lft):
     """Loop-signal nonnegativity patterns plus closed-loop positivity on a
     sample of the box; entrywise negativity of E0/F10 is fine."""
@@ -158,7 +139,7 @@ def _validate_positive_lft(lft):
             raise ClassificationError(f"positive LFT needs {name} >= 0")
     if lft.delta_structure is None:
         raise ModelError("parametric analysis needs a Delta(delta) structure")
-    for point in _sample_points(lft.domain):
+    for point in _wellposed_points(lft.domain):
         if not numlin.is_nonnegative(lft.delta_structure.eval(point), tol=1e-12):
             raise ClassificationError(f"Delta(delta) has negative entries at {point}")
         report = sysmodel.classify(close_at(lft, point), tol=1e-9)
@@ -450,26 +431,9 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
     lam = b.add_vars("lam", n, lower=policy.lambda_floor)
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     for vi, sysv in enumerate(frozen):
-        if which == "l1":
-            csum = sysv.C.sum(axis=0)
-            fsum = sysv.F.sum(axis=0)
-            for j in range(n):
-                b.add_row({lam[i]: sysv.A[i, j] for i in range(n)}, "<=",
-                          -policy.epsilon - csum[j], f"v{vi}_st{j}")
-            for j in range(sysv.p):
-                coeffs = {lam[i]: sysv.E[i, j] for i in range(n)}
-                coeffs[gamma] = -1.0
-                b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"v{vi}_pf{j}")
-        else:
-            esum = sysv.E.sum(axis=1)
-            fsum = sysv.F.sum(axis=1)
-            for j in range(n):
-                b.add_row({lam[i]: sysv.A[j, i] for i in range(n)}, "<=",
-                          -policy.epsilon - esum[j], f"v{vi}_st{j}")
-            for j in range(sysv.q):
-                coeffs = {lam[i]: sysv.C[j, i] for i in range(n)}
-                coeffs[gamma] = -1.0
-                b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"v{vi}_pf{j}")
+        if which == "linf":
+            sysv = sysmodel.transpose_system(sysv)
+        add_l1_rows(b, lam, gamma, sysv, policy, f"v{vi}_")
     sol = solve_lp(b.build())
     if sol.status != "optimal":
         raise InfeasibleError(f"vertex program {sol.status}",
@@ -481,44 +445,6 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
 
 # ---------------------------------------------------------------------------
 # robust synthesis (Linf performance, transposed closed-loop LFT)
-
-def _synthesis_channel_layout(psys):
-    """Channel blocks of the transposed closed-loop LFT: per parameter, state
-    chains sized by deg(A, B, E) and input chains sized by deg(C, D, F)."""
-    for polyname in ("A", "B", "C", "D", "E", "F"):
-        for alpha in getattr(psys, polyname).terms:
-            if sum(1 for a in alpha if a > 0) > 1:
-                raise ModelError(
-                    "robust synthesis needs per-parameter (separable) dependence; "
-                    f"{polyname} has cross term {alpha}")
-    n, q = psys.n, psys.q
-    blocks = []
-    offset = 0
-    for k in range(psys.nparams):
-        sdeg = max(psys.A.degree_in(k), psys.B.degree_in(k), psys.E.degree_in(k))
-        ideg = max(psys.C.degree_in(k), psys.D.degree_in(k), psys.F.degree_in(k))
-        for j in range(1, sdeg + 1):
-            blocks.append((k, "state", j, offset, n))
-            offset += n
-        for j in range(1, ideg + 1):
-            blocks.append((k, "input", j, offset, q))
-            offset += q
-    return blocks, offset
-
-
-class _SynthChannel:
-    """Duck-typed channel descriptor handed to ilc.instantiate."""
-
-    def __init__(self, n0, delta_structure, domain):
-        self.n0 = n0
-        self.delta_structure = delta_structure
-        self.domain = domain
-
-
-def _power_coeff(poly, k, j):
-    alpha = tuple(j if i == k else 0 for i in range(poly.nparams))
-    return poly.coeff(alpha)
-
 
 def robust_stabilize(psys, template, spec=None, policy=None):
     """Robust state-feedback program: K = [mu_1/lam_1 ... mu_n/lam_n] renders
@@ -534,16 +460,18 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     if m == 0:
         raise ModelError("robust synthesis needs control matrices B and D")
     spec.validate(m, n)
-    for point in _sample_points(psys.domain):
+    for point in _wellposed_points(psys.domain):
         if not numlin.is_nonnegative(psys.E.eval(point), tol=1e-12) or \
                 not numlin.is_nonnegative(psys.F.eval(point), tol=1e-12):
             raise ClassificationError(
                 f"E(delta), F(delta) must be nonnegative on the box; fails at {point}")
 
-    blocks, n0 = _synthesis_channel_layout(psys)
+    blocks, n0 = channel_layout(psys, ("A", "B", "E"), ("C", "D", "F"), q,
+                                "robust synthesis")
     nparams = psys.nparams
-    delta = _synth_delta(nparams, blocks, n0)
-    channel = _SynthChannel(n0, delta, psys.domain)
+    delta = _block_delta(nparams, blocks, n0)
+    # duck-typed channel descriptor for ilc.instantiate
+    channel = SimpleNamespace(n0=n0, delta_structure=delta, domain=psys.domain)
     sset = ilc.instantiate(template, channel)
 
     asm = _Assembler(psys.domain, policy, "linf-synth", conservative=True)
@@ -594,15 +522,15 @@ def robust_stabilize(psys, template, spec=None, policy=None):
 
     for (k, kind, j, off, width) in blocks:
         if kind == "state":
-            ak = _power_coeff(psys.A, k, j)
-            bk = _power_coeff(psys.B, k, j)
-            ek = _power_coeff(psys.E, k, j)
+            ak = _coeff_power(psys.A, k, j)
+            bk = _coeff_power(psys.B, k, j)
+            ek = _coeff_power(psys.E, k, j)
             const_vec = ek.sum(axis=1)
             lam_mat, mu_mat = ak, bk
         else:
-            ck = _power_coeff(psys.C, k, j)
-            dk = _power_coeff(psys.D, k, j)
-            fk = _power_coeff(psys.F, k, j)
+            ck = _coeff_power(psys.C, k, j)
+            dk = _coeff_power(psys.D, k, j)
+            fk = _coeff_power(psys.F, k, j)
             const_vec = fk.sum(axis=1)
             lam_mat, mu_mat = ck, dk
         for r in range(width):
@@ -632,8 +560,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
                 c[ids[off + i]] = c.get(ids[off + i], 0.0) + 1.0
         asm.le0(f"pf{i}", terms, strict=True)
 
-    if sset.ilc_row:
-        _ilc_rows(asm, _SynthChannel(n0, delta, psys.domain), sset, phi1, phi2)
+    _ilc_rows(asm, channel, sset, phi1, phi2)
     _scaling_equalities(asm, sset, phi1, phi2)
 
     for i in range(n):
@@ -665,32 +592,11 @@ def robust_stabilize(psys, template, spec=None, policy=None):
         up = numlin.as_matrix(spec.k_upper)
         for i in range(m):
             for j in range(n):
-                asm.linear.append((_dense(asm, {mu[j][i]: -1.0, lam[j]: lo[i, j]}),
+                asm.linear.append((asm.dense({mu[j][i]: -1.0, lam[j]: lo[i, j]}),
                                    "<=", 0.0, f"lb{i}_{j}"))
-                asm.linear.append((_dense(asm, {mu[j][i]: 1.0, lam[j]: -up[i, j]}),
+                asm.linear.append((asm.dense({mu[j][i]: 1.0, lam[j]: -up[i, j]}),
                                    "<=", 0.0, f"ub{i}_{j}"))
     return asm.finish()
-
-
-def _dense(asm, coeffs):
-    dense = np.zeros(len(asm.names))
-    for j, v in coeffs.items():
-        dense[j] += v
-    return dense
-
-
-def _synth_delta(nparams, blocks, n0):
-    from .poly import Poly
-    terms = {}
-    for k in range(nparams):
-        sel = np.zeros((n0, n0))
-        for (kk, _kind, _j, off, width) in blocks:
-            if kk == k:
-                sel[off:off + width, off:off + width] = np.eye(width)
-        if np.any(sel):
-            alpha = tuple(1 if i == k else 0 for i in range(nparams))
-            terms[alpha] = sel
-    return Poly(nparams, (n0, n0), terms)
 
 
 @dataclass
@@ -753,52 +659,37 @@ def certification_grid(domain, points):
     return pts
 
 
-def grid_certify_gain(psys, gamma, which="l1", points=101, policy=None):
-    """Sweep frozen-delta oracle gains over the box and compare to gamma."""
-    policy = policy or StrictnessPolicy()
-    worst = -np.inf
-    worst_point = None
+def _grid_sweep(psys, gamma, which, points, k=None):
+    """Frozen-delta oracle over the certification grid, on the closed loop
+    A + B K, C + D K when a gain K is given: the first point that is not
+    positive (tol 1e-9) or not Hurwitz refutes, otherwise the worst
+    `which`-gain (first occurrence) is compared to gamma."""
     grid = certification_grid(psys.domain, points)
-    for delta in grid:
-        sysd = psys.frozen_at(delta)
-        report = sysmodel.classify(sysd, tol=1e-9)
-        if not report.is_positive:
-            return GridVerdict(False, len(grid), np.nan, gamma, delta,
-                               failure=f"not positive at {delta}")
-        if not sysmodel.is_stable(sysd, policy, tol=1e-9):
-            return GridVerdict(False, len(grid), np.nan, gamma, delta,
-                               failure=f"not Hurwitz at {delta}")
-        l1, linf = sysmodel.oracle_gains(sysd, policy, tol=1e-9)
-        val = l1 if which == "l1" else linf
-        if val > worst:
-            worst = val
-            worst_point = delta
-    return GridVerdict(_bound_ok(worst, gamma), len(grid), float(worst),
-                       gamma, worst_point)
+    if not grid:
+        return GridVerdict(_bound_ok(-np.inf, gamma), 0, -np.inf, gamma, None)
+    a, b, c, d, e, f = psys.frozen_stack(np.reshape(grid, (len(grid), psys.nparams)))
+    loop = ""
+    if k is not None:
+        a, c, loop = a + b @ k, c + d @ k, "closed loop "
+    gain, failed = sysmodel.frozen_oracle(
+        a, c, e, f, sysmodel.positive_stack(a, c, e, f, tol=1e-9))
+    if failed is not None:
+        point, why = failed
+        what = "positive" if why == "structure" else "Hurwitz"
+        return GridVerdict(False, len(grid), np.nan, gamma, grid[point],
+                           failure=f"{loop}not {what} at {grid[point]}")
+    vals = sysmodel.gain_norms(gain)[0 if which == "l1" else 1]
+    point = int(np.argmax(vals))
+    worst = float(vals[point])
+    return GridVerdict(_bound_ok(worst, gamma), len(grid), worst, gamma, grid[point])
+
+
+def grid_certify_gain(psys, gamma, which="l1", points=101, policy=None):
+    """Sweep frozen-delta oracle gains over the box and compare to gamma.
+    ``policy`` is accepted for compatibility; the oracle needs no margin."""
+    return _grid_sweep(psys, gamma, which, points)
 
 
 def grid_certify_synthesis(psys, k, gamma, points=101, policy=None):
     """Closed-loop positivity, stability and Linf bound on a grid."""
-    policy = policy or StrictnessPolicy()
-    worst = -np.inf
-    worst_point = None
-    grid = certification_grid(psys.domain, points)
-    for delta in grid:
-        sysd = psys.frozen_at(delta)
-        acl = sysd.A + sysd.B @ k
-        ccl = sysd.C + sysd.D @ k
-        cl = sysmodel.PositiveLtiSystem(A=acl, B=None, C=ccl, D=None,
-                                        E=sysd.E, F=sysd.F)
-        report = sysmodel.classify(cl, tol=1e-9)
-        if not report.is_positive:
-            return GridVerdict(False, len(grid), np.nan, gamma, delta,
-                               failure=f"closed loop not positive at {delta}")
-        if not sysmodel.is_stable(cl, policy, tol=1e-9):
-            return GridVerdict(False, len(grid), np.nan, gamma, delta,
-                               failure=f"closed loop not Hurwitz at {delta}")
-        _l1, linf = sysmodel.oracle_gains(cl, policy, tol=1e-9)
-        if linf > worst:
-            worst = linf
-            worst_point = delta
-    return GridVerdict(_bound_ok(worst, gamma), len(grid), float(worst),
-                       gamma, worst_point)
+    return _grid_sweep(psys, gamma, "linf", points, np.asarray(k, dtype=float))

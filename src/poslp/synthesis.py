@@ -119,16 +119,15 @@ def synthesis_lp(sys, spec=None, policy=None):
     return b.build()
 
 
-def stabilize_linf(sys, spec=None, policy=None):
+def stabilize_linf(sys, spec=None, policy=None, lp=None):
     """Minimize the certified closed-loop Linf-gain over the controller set.
 
     The open loop need not be positive; only E >= 0 and F >= 0 are required.
     Raises InfeasibleError when no admissible K makes the closed loop
-    positive and stable (the conditions are lossless)."""
+    positive and stable (the conditions are lossless).  ``lp`` is
+    `synthesis_lp(sys, spec, policy)` when the caller has built it already."""
     spec = spec or FULL
-    policy = policy or StrictnessPolicy()
-    lp = synthesis_lp(sys, spec, policy)
-    sol = solve_lp(lp)
+    sol = solve_lp(synthesis_lp(sys, spec, policy) if lp is None else lp)
     if sol.status != "optimal":
         raise InfeasibleError(
             f"synthesis LP {sol.status}: no controller in the requested set "

@@ -81,11 +81,6 @@ class PositivityReport:
     violations: tuple   # of (matrix name, (i, j), value)
 
 
-def make_system(A, C, E, F, B=None, D=None):
-    """Convenience constructor with analysis matrices first."""
-    return PositiveLtiSystem(A=A, B=B, C=C, D=D, E=E, F=F)
-
-
 def classify(sys, tol=0.0):
     """List every positivity violation: off-diagonal negatives of A and
     negative entries of E, C, F."""
@@ -131,23 +126,96 @@ def is_stable(sys, policy=None, tol=0.0):
     return metzler_stable(sys.A, policy, tol)
 
 
-def static_gain(sys, policy=None, tol=0.0):
-    """Zero-frequency transfer matrix F - C A^{-1} E (requires Hurwitz A)."""
-    if not is_stable(sys, policy, tol):
+# ---------------------------------------------------------------------------
+# frozen-parameter oracle: one LU per system, no LP
+
+# Relative tolerance tau of the M-matrix Hurwitz test; no strictness margin
+# like StrictnessPolicy.epsilon (the LP {lambda >= floor, lambda^T A <= -eps}
+# is scale-invariant, so it is exactly the Hurwitz test, as -A^{-1} >= 0 is).
+# tau absorbs the rounding LU leaves in the exact zeros of A^{-1} for reducible
+# A (~ eps_mach cond_1(A)); an unstable A has an entry of A^{-1} of at least
+# max|A^{-1}| / (n cond_1(A)), above tau max|A^{-1}| until cond_1 nears 1/tau.
+MMATRIX_TOL = 1e-12
+
+
+def metzler_stack(a, tol=0.0):
+    """Per matrix of the stack a (G, n, n): `numlin.is_metzler` at `tol`."""
+    return ~((a < -tol) & ~np.eye(a.shape[-1], dtype=bool)).any(axis=(1, 2))
+
+
+def positive_stack(a, c, e, f, tol=0.0):
+    """Per system of the stacks: `classify(...).is_positive` at `tol`."""
+    nonneg = [~(mat < -tol).any(axis=(1, 2)) for mat in (e, c, f)]
+    return np.logical_and.reduce([metzler_stack(a, tol)] + nonneg)
+
+
+def mmatrix_hurwitz(a):
+    """Hurwitz verdict and 1-norm condition number of each Metzler matrix of
+    the stack a (G, n, n), from one LU inverse each and no LP.
+
+    A Metzler A is Hurwitz iff it is nonsingular and -A^{-1} >= 0 (Berman &
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6); the
+    test reads -A^{-1} >= -MMATRIX_TOL max|A^{-1}|.  The condition number is
+    the one `numlin.solve` refuses on."""
+    inv = numlin.inverse_stack(a)
+    scale = np.abs(inv).max(axis=(1, 2), keepdims=True, initial=0.0)
+    return np.all(inv <= MMATRIX_TOL * scale, axis=(1, 2)), numlin.cond_1(a, inv)
+
+
+def frozen_oracle(a, c, e, f, admissible):
+    """Static gains F - C A^{-1} E of the stacks a (G, n, n), c (G, q, n),
+    e (G, n, p), f (G, q, p), NaN where refused, and the first refusal:
+    None, or (point, why) with why "structure" where the mask `admissible`
+    is False and "hurwitz" where A is not Hurwitz.  A nonempty gain behind
+    an ill-conditioned A raises SingularMatrixError as `numlin.solve` would;
+    its LAPACK solve makes each gain the single-system one bit for bit."""
+    hurwitz, cond = mmatrix_hurwitz(a)
+    ok = admissible & hurwitz & (~numlin.ill_conditioned(cond) | (f.size == 0))
+    gain = np.full(f.shape, np.nan)
+    gain[ok] = f[ok] - c[ok] @ np.linalg.solve(a[ok], e[ok])
+    if ok.all():
+        return gain, None
+    point = int(np.argmax(~ok))
+    if not admissible[point]:
+        return gain, (point, "structure")
+    if not hurwitz[point]:
+        return gain, (point, "hurwitz")
+    numlin.raise_singular(cond[point])
+
+
+def static_gains(a, c, e, f, tol=0.0):
+    """Static gains of the stacks (see `frozen_oracle`); the first system
+    that is not Metzler within ``tol`` raises ClassificationError, the first
+    that is not Hurwitz StabilityError."""
+    gain, failed = frozen_oracle(a, c, e, f, metzler_stack(a, tol))
+    if failed is not None and failed[1] == "structure":
+        raise ClassificationError("the static-gain oracle is only valid for Metzler matrices")
+    if failed is not None:
         raise StabilityError("A is not Hurwitz; static gain undefined")
-    if sys.p == 0 or sys.q == 0:
-        return sys.F.copy()
-    x = numlin.solve(sys.A, sys.E)
-    return sys.F - sys.C @ x
+    return gain
+
+
+def gain_norms(h0):
+    """(l1, linf) per static gain of the stack h0 (G, q, p): max column sum
+    and max row sum, 0 for an empty gain."""
+    g, q, p = h0.shape
+    if not (p and q):
+        return np.zeros(g), np.zeros(g)
+    return h0.sum(axis=1).max(axis=1), h0.sum(axis=2).max(axis=1)
+
+
+def static_gain(sys, policy=None, tol=0.0):
+    """Zero-frequency transfer matrix F - C A^{-1} E (requires Hurwitz A),
+    from the M-matrix oracle; ``policy`` is unused (the oracle needs no
+    margin) and ``tol`` loosens the Metzler precheck."""
+    return static_gains(sys.A[None], sys.C[None], sys.E[None], sys.F[None], tol)[0]
 
 
 def oracle_gains(sys, policy=None, tol=0.0):
     """Exact (l1, linf) gains from the static-gain matrix: max column sum and
     max row sum of F - C A^{-1} E."""
-    h0 = static_gain(sys, policy, tol)
-    l1 = float(np.max(h0.sum(axis=0))) if h0.shape[1] else 0.0
-    linf = float(np.max(h0.sum(axis=1))) if h0.shape[0] else 0.0
-    return l1, linf
+    l1, linf = gain_norms(static_gain(sys, policy, tol)[None])
+    return float(l1[0]), float(linf[0])
 
 
 def random_positive_system(n, m, p, q, seed):

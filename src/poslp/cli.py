@@ -170,8 +170,9 @@ def cmd_gain(args):
         "epsilon": res.epsilon,
         "witness_lambda": res.lam.tolist(),
     }
+    oracle = "n/a" if res.oracle is None else f"{res.oracle:.10g}"
     lines = [f"{args.norm}-gain gamma = {res.gamma:.10g} "
-             f"(oracle {res.oracle:.10g}, eps bias {res.epsilon:g})",
+             f"(oracle {oracle}, eps bias {res.epsilon:g})",
              f"witness lambda = {np.array2string(res.lam, precision=6)}"]
     return emit(args, doc, lines)
 
@@ -223,9 +224,8 @@ def cmd_robust_gain(args):
         rlp = robust.robust_l1(lft.lft_from_polynomial(psys), template, policy)
     else:
         rlp = robust.robust_linf(lft.transpose_lft(psys), template, policy)
-    relax = handelman.relax_reduced if args.form == "reduced" else handelman.relax_full
-    maybe_dump(args, relax(rlp, args.degree))
     res = robust.solve_robust(rlp, b=args.degree, form=args.form)
+    maybe_dump(args, res.lp)
     verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid, policy)
     doc = {
         "status": res.status, "method": "lft-ilc", "norm": args.norm,
@@ -262,9 +262,8 @@ def cmd_robust_synth(args):
     spec = load_spec(args.zeros, args.bounds)
     template = parse_scaling(args.scaling)
     rlp = robust.robust_stabilize(psys, template, spec, policy)
-    relax = handelman.relax_reduced if args.form == "reduced" else handelman.relax_full
-    maybe_dump(args, relax(rlp, args.degree))
     res = robust.solve_robust_synthesis(rlp, b=args.degree, form=args.form)
+    maybe_dump(args, res.lp)
     verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid, policy)
     doc = {
         "status": res.status, "gamma": res.gamma, "epsilon": res.epsilon,

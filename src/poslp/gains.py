@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numlin, sysmodel
-from .errors import ClassificationError, StabilityError
+from . import sysmodel
+from .errors import ClassificationError, PoslpError, StabilityError
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 
 
@@ -29,24 +29,22 @@ from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 class GainResult:
     gamma: float
     lam: np.ndarray
-    oracle: float | None      # static-gain value, for visibility of the eps bias
+    oracle: float | None      # static-gain value, for visibility of the eps bias;
+                              # None where the M-matrix oracle refuses A
     epsilon: float
     iterations: int
 
 
-def add_l1_rows(b, lam, gamma, sys, policy, prefix=""):
-    """Add the strictified L1 rows of `sys` to the LpBuilder `b`:
-    lambda^T A + 1^T C <= -eps and lambda^T E - gamma 1^T + 1^T F <= -eps."""
-    n = sys.n
-    csum = sys.C.sum(axis=0)
-    fsum = sys.F.sum(axis=0)
-    for j in range(n):
-        b.add_row({lam[i]: sys.A[i, j] for i in range(n)}, "<=",
-                  -policy.epsilon - csum[j], f"{prefix}st{j}")
-    for j in range(sys.p):
-        coeffs = {lam[i]: sys.E[i, j] for i in range(n)}
-        coeffs[gamma] = -1.0
-        b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"{prefix}pf{j}")
+def add_l1_rows(b, cols, gamma, a, c, e, f, policy, prefix=""):
+    """Add the strictified L1 rows to the LpBuilder `b`, with lambda on the
+    variable columns `cols` (one per row of a and e): one row per column
+    of a, lambda^T A + 1^T C <= -eps, and one per column of e,
+    lambda^T E - gamma 1^T + 1^T F <= -eps."""
+    eps = policy.epsilon
+    b.add_rows(cols, a.T, "<=", -eps - c.sum(axis=0),
+               [f"{prefix}st{j}" for j in range(a.shape[1])])
+    b.add_rows(list(cols) + [gamma], np.hstack([e.T, -np.ones((e.shape[1], 1))]), "<=",
+               -eps - f.sum(axis=0), [f"{prefix}pf{j}" for j in range(e.shape[1])])
 
 
 def _l1_program(sys, policy):
@@ -54,7 +52,7 @@ def _l1_program(sys, policy):
     b = LpBuilder()
     lam = b.add_vars("lam", sys.n, lower=policy.lambda_floor)
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    add_l1_rows(b, lam, gamma, sys, policy)
+    add_l1_rows(b, lam, gamma, sys.A, sys.C, sys.E, sys.F, policy)
     return b.build()
 
 
@@ -68,12 +66,6 @@ def linf_lp(sys, policy=None):
     return _l1_program(sysmodel.transpose_system(sys), policy)
 
 
-def _static_gain_unchecked(sys):
-    if sys.p == 0 or sys.q == 0:
-        return sys.F
-    return sys.F - sys.C @ numlin.solve(sys.A, sys.E)
-
-
 def _run(sys, lp, which, policy):
     report = sysmodel.classify(sys)
     if not report.is_positive:
@@ -84,13 +76,11 @@ def _run(sys, lp, which, policy):
         raise StabilityError(
             f"{which} LP {sol.status}: system is not asymptotically stable "
             "(LP feasibility is equivalent to stability with finite gain)")
-    n = sys.n
     try:
-        h0 = _static_gain_unchecked(sys)
-        oracle = float(np.max(h0.sum(axis=0 if which == "l1" else 1), initial=0.0))
-    except Exception:
+        oracle = sysmodel.oracle_gains(sys)[0 if which == "l1" else 1]
+    except PoslpError:     # the oracle refuses A it cannot invert reliably
         oracle = None
-    return GainResult(gamma=float(sol.objective_value), lam=sol.x[:n],
+    return GainResult(gamma=float(sol.objective_value), lam=sol.x[:sys.n],
                       oracle=oracle, epsilon=policy.epsilon,
                       iterations=sol.iterations)
 

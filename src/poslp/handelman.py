@@ -14,6 +14,7 @@ finite b; since no a-priori bound on that b is used here, b is caller
 escalatable and defaults to deg P + 2.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +148,6 @@ def plan_relaxation(rlp, b=None, cap=PRODUCT_CAP):
     return RelaxationPlan(basis=basis, ups=ups, b=b)
 
 
-def _base_builder(rlp):
-    builder = LpBuilder()
-    for j, name in enumerate(rlp.var_names):
-        lo = rlp.var_lower[j]
-        up = rlp.var_upper[j]
-        builder.add_var(name,
-                        None if np.isneginf(lo) else lo,
-                        None if np.isposinf(up) else up,
-                        rlp.objective[j])
-    for coeffs, rel, rhs, name in rlp.linear_rows:
-        builder.add_row(dict(enumerate(coeffs)), rel, rhs, name)
-    return builder
-
-
 def _row_tables(row, ups, num_vars):
     """Dense (a_alpha, c_alpha) tables over the plan's monomials."""
     a = np.zeros((len(ups.monomials), num_vars))
@@ -172,72 +159,58 @@ def _row_tables(row, ups, num_vars):
     return a, c
 
 
-def relax_full(rlp, b=None, cap=PRODUCT_CAP):
-    """Full-form finite LP: per row, one nonpositive coefficient block Q_k per
-    product and one coefficient-matching equality per monomial."""
-    plan = plan_relaxation(rlp, b, cap)
-    builder = _base_builder(rlp)
-    if plan is None:
-        return builder.build()
-    nx = len(rlp.var_names)
+def _relaxed(rlp, plan, certify):
+    """The base program of `rlp` (its variables and linear rows) stacked
+    with, per polynomial row r, either the row itself (degree 0) or the
+    block rows `certify(a, c)` = (kind, tag, relation, a', u, c') over the
+    row's tables: `[a' | -u] (x, y) relation -c'` with fresh certificate
+    variables y = kind{r}_k <= 0, one per column of u."""
+    builder = LpBuilder(rlp.var_names, rlp.var_lower, rlp.var_upper, rlp.objective)
+    x = list(range(builder.num_vars))
+    for rel, rows in itertools.groupby(rlp.linear_rows, key=lambda row: row[1]):
+        coeffs, _, rhs, names = zip(*rows)
+        builder.add_rows(x, coeffs, rel, rhs, names)
     for r, row in enumerate(rlp.poly_rows):
         if row.degree() > plan.b:
             raise DegreeError(f"row {row.name} degree {row.degree()} > b={plan.b}")
         if row.degree() == 0:
-            _pass_through(builder, row)
+            coeffs, const = row.terms[next(iter(row.terms))]
+            builder.add_row(coeffs, "<=", -const, row.name)
             continue
-        a, c = _row_tables(row, plan.ups, nx)
-        q = builder.add_vars(f"Q{r}_", len(plan.ups.products), upper=0.0)
-        for i in range(len(plan.ups.monomials)):
-            coeffs = dict(enumerate(a[i]))
-            for k, col in enumerate(q):
-                coeffs[col] = -plan.ups.matrix[i, k]
-            builder.add_row(coeffs, "==", -c[i], f"hm{r}_{i}")
+        kind, tag, rel, a, u, c = certify(*_row_tables(row, plan.ups, len(x)))
+        y = builder.add_vars(f"{kind}{r}_", u.shape[1], upper=0.0)
+        builder.add_rows(x + y, np.hstack([a, -u]), rel, -c,
+                         [f"{tag}{r}_{i}" for i in range(len(c))])
     return builder.build()
 
 
-def _pass_through(builder, row):
-    zero = next(iter(row.terms))
-    coeffs, const = row.terms[zero]
-    builder.add_row(dict(enumerate(coeffs)), "<=", -const, row.name)
+def relax_full(rlp, b=None, cap=PRODUCT_CAP, plan=None):
+    """Full-form finite LP: per row, one nonpositive coefficient block Q_k per
+    product and one coefficient-matching equality per monomial.  ``plan``
+    is `plan_relaxation(rlp, b, cap)` when the caller has it already."""
+    plan = plan or plan_relaxation(rlp, b, cap)
+    return _relaxed(rlp, plan, lambda a, c: ("Q", "hm", "==", a, plan.ups.matrix, c))
 
 
-def relax_reduced(rlp, b=None, cap=PRODUCT_CAP):
+def relax_reduced(rlp, b=None, cap=PRODUCT_CAP, plan=None):
     """Reduced-form finite LP: the invertible pure-power block of Upsilon is
     eliminated, leaving only the cross-product tail blocks R_k <= 0 plus the
-    inequality Upsilon_2^{-1}(P - Upsilon_1 R) <= 0.
+    inequality Upsilon_2^{-1}(P - Upsilon_1 R) <= 0.  ``plan`` is
+    `plan_relaxation(rlp, b, cap)` when the caller has it already.
 
     Falls back to the full form if the selected block is numerically
     singular (cannot happen for boxes, kept as a safety net)."""
-    plan = plan_relaxation(rlp, b, cap)
-    builder = _base_builder(rlp)
+    plan = plan or plan_relaxation(rlp, b, cap)
     if plan is None:
-        return builder.build()
+        return _relaxed(rlp, plan, None)
     sel = pure_power_columns(plan.basis, plan.ups)
     u2 = plan.ups.matrix[:, sel]
     if 1.0 / max(np.linalg.cond(u2), 1.0) < 1e-12:
-        return relax_full(rlp, b, cap)
+        return relax_full(rlp, b, cap, plan)
     tail = [k for k in range(len(plan.ups.products)) if k not in set(sel)]
-    u1 = plan.ups.matrix[:, tail]
     w = np.linalg.inv(u2)
-    g = w @ u1
-    nx = len(rlp.var_names)
-    for r, row in enumerate(rlp.poly_rows):
-        if row.degree() > plan.b:
-            raise DegreeError(f"row {row.name} degree {row.degree()} > b={plan.b}")
-        if row.degree() == 0:
-            _pass_through(builder, row)
-            continue
-        a, c = _row_tables(row, plan.ups, nx)
-        wa = w @ a
-        wc = w @ c
-        rvars = builder.add_vars(f"R{r}_", len(tail), upper=0.0)
-        for i in range(len(plan.ups.monomials)):
-            coeffs = dict(enumerate(wa[i]))
-            for t, col in enumerate(rvars):
-                coeffs[col] = -g[i, t]
-            builder.add_row(coeffs, "<=", -wc[i], f"hr{r}_{i}")
-    return builder.build()
+    g = w @ plan.ups.matrix[:, tail]
+    return _relaxed(rlp, plan, lambda a, c: ("R", "hr", "<=", w @ a, g, w @ c))
 
 
 def certificate_blocks(lp, solution, num_poly_rows):
@@ -245,16 +218,12 @@ def certificate_blocks(lp, solution, num_poly_rows):
     blocks = {}
     if solution.x is None:
         return blocks
-    names = lp.var_names
     for r in range(num_poly_rows):
-        qs = [(int(names[j][len(f"Q{r}_"):]), solution.x[j])
-              for j in range(len(names)) if names[j].startswith(f"Q{r}_")]
-        rs = [(int(names[j][len(f"R{r}_"):]), solution.x[j])
-              for j in range(len(names)) if names[j].startswith(f"R{r}_")]
-        if qs:
-            blocks[r] = ("Q", np.array([v for _, v in sorted(qs)]))
-        elif rs:
-            blocks[r] = ("R", np.array([v for _, v in sorted(rs)]))
+        for kind in ("Q", "R"):
+            cols = [j for j, name in enumerate(lp.var_names) if name.startswith(f"{kind}{r}_")]
+            if cols:
+                blocks[r] = (kind, solution.x[cols])
+                break
     return blocks
 
 
@@ -271,8 +240,8 @@ class HandelmanCertificate:
     eliminated_columns: tuple | None    # Upsilon_2 product columns (reduced)
 
 
-def extract_certificate(rlp, lp, solution, b=None, form="reduced"):
-    plan = plan_relaxation(rlp, b)
+def extract_certificate(rlp, lp, solution, plan, form="reduced"):
+    """Certificate of a solved relaxation `lp` of `rlp` made with `plan`."""
     if plan is None:
         return None
     raw = certificate_blocks(lp, solution, len(rlp.poly_rows))

@@ -106,15 +106,21 @@ def _wellposed_points(domain):
     return domain.grid(per_axis)
 
 
+def _loop_matrix(delta_matrix, f00, message):
+    """I - Delta F00 for a constant Delta; WellPosednessError(message)
+    when it is singular."""
+    m = np.eye(f00.shape[0]) - delta_matrix @ f00
+    if 1.0 / max(np.linalg.cond(m, 1), 1.0) < _WELLPOSED_RCOND:
+        raise WellPosednessError(message)
+    return m
+
+
 def _check_well_posed(lft):
     if lft.n0 == 0:
         return
-    eye = np.eye(lft.n0)
     for point in _wellposed_points(lft.domain):
-        m = eye - lft.delta_structure.eval(point) @ lft.F00
-        if 1.0 / max(np.linalg.cond(m, 1), 1.0) < _WELLPOSED_RCOND:
-            raise WellPosednessError(
-                f"I - Delta(delta) F00 is singular near delta={point}")
+        _loop_matrix(lft.delta_structure.eval(point), lft.F00,
+                     f"I - Delta(delta) F00 is singular near delta={point}")
 
 
 def close_with_matrix(lft, delta_matrix):
@@ -126,9 +132,7 @@ def close_with_matrix(lft, delta_matrix):
     delta_matrix = numlin.as_matrix(delta_matrix, "Delta")
     if delta_matrix.shape != (n0, n0):
         raise DimensionError(f"Delta must be {n0} x {n0}")
-    m = np.eye(n0) - delta_matrix @ lft.F00
-    if 1.0 / max(np.linalg.cond(m, 1), 1.0) < _WELLPOSED_RCOND:
-        raise WellPosednessError("loop I - Delta F00 is singular")
+    m = _loop_matrix(delta_matrix, lft.F00, "loop I - Delta F00 is singular")
     w = np.linalg.solve(m, delta_matrix)     # (I - Delta F00)^{-1} Delta
     return PositiveLtiSystem(
         A=lft.A + lft.E0 @ w @ lft.C0,

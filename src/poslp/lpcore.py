@@ -65,15 +65,15 @@ class LinearProgram:
             raise ValidationError(f"row_coeffs shape {self.row_coeffs.shape} != ({r}, {n})")
         if len(self.row_relations) != r:
             raise ValidationError("relation count mismatch")
-        if any(rel not in RELATIONS for rel in self.row_relations):
+        if not set(self.row_relations) <= set(RELATIONS):
             raise ValidationError("relations must be '<=' or '=='")
         for arr, what in ((self.objective, "objective"), (self.row_coeffs, "row_coeffs"),
                           (self.row_rhs, "row_rhs")):
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"{what} has non-finite entries")
         if self.var_lower.shape != (n,) or self.var_upper.shape != (n,):
             raise ValidationError("bound vector length mismatch")
-        if np.any(self.var_lower > self.var_upper):
+        if (self.var_lower > self.var_upper).any():
             raise ValidationError("some lower bound exceeds its upper bound")
         if self.var_names and len(self.var_names) != n:
             raise ValidationError("var_names length mismatch")
@@ -94,16 +94,19 @@ class LpSolution:
 class LpBuilder:
     """Mutable assembler for LinearProgram values.
 
-    Rows may be added with relation ">=", which is normalized to "<=" on the
-    spot so the finished program only carries "<=" and "==".
+    Rows come in dense blocks placed over given variable columns
+    (`add_rows`); `add_row` adds one.  Relation ">=" is normalized to "<="
+    on the spot, so the finished program only carries "<=" and "==".
     """
 
-    def __init__(self):
-        self._lower = []
-        self._upper = []
-        self._obj = []
-        self._var_names = []
-        self._rows = []
+    def __init__(self, var_names=(), var_lower=(), var_upper=(), objective=()):
+        """Start empty or from the given variables (bounds may be infinite)."""
+        self._lower = list(var_lower)
+        self._upper = list(var_upper)
+        self._obj = list(objective)
+        self._var_names = list(var_names)
+        self._blocks = []       # (cols, coeffs (k, len(cols)), relation, rhs (k,), names)
+        self._num_rows = 0
 
     @property
     def num_vars(self):
@@ -111,7 +114,7 @@ class LpBuilder:
 
     @property
     def num_rows(self):
-        return len(self._rows)
+        return self._num_rows
 
     def add_var(self, name, lower=None, upper=None, objective=0.0):
         self._var_names.append(name)
@@ -123,32 +126,45 @@ class LpBuilder:
     def add_vars(self, prefix, count, lower=None, upper=None, objective=0.0):
         return [self.add_var(f"{prefix}{i}", lower, upper, objective) for i in range(count)]
 
-    def add_row(self, coeffs, relation, rhs, name=""):
-        dense = np.zeros(self.num_vars)
-        if isinstance(coeffs, dict):
-            for j, v in coeffs.items():
-                dense[j] += v
-        else:
-            arr = np.asarray(coeffs, dtype=float)
-            dense[: arr.shape[0]] = arr
+    def add_rows(self, cols, coeffs, relation, rhs, names):
+        """Add one row per name: the dense block `coeffs` (rows x columns)
+        over the distinct variable columns `cols` (a list, an index array
+        or a slice), zeros elsewhere, and the relation to `rhs`."""
+        k = len(names)
+        if k == 0:
+            return
+        coeffs = np.asarray(coeffs, dtype=float).reshape(k, -1)
+        rhs = np.asarray(rhs, dtype=float)       # a scalar or one value per row
         if relation == ">=":
-            dense, relation, rhs = -dense, "<=", -float(rhs)
+            coeffs, relation, rhs = -coeffs, "<=", -rhs
         if relation == "=":
             relation = "=="
         if relation not in RELATIONS:
             raise ValidationError(f"unsupported relation {relation!r}")
-        self._rows.append((dense, relation, float(rhs), name))
+        self._blocks.append((cols, coeffs, relation, rhs, tuple(names)))
+        self._num_rows += k
+
+    def add_row(self, coeffs, relation, rhs, name=""):
+        """One row from a {column: coefficient} dict or a dense prefix."""
+        if isinstance(coeffs, dict):
+            cols, coeffs = list(coeffs), [list(coeffs.values())]
+        else:
+            coeffs = np.asarray(coeffs, dtype=float)
+            cols = slice(0, coeffs.shape[0])
+        self.add_rows(cols, coeffs, relation, rhs, [name])
 
     def build(self):
-        n = self.num_vars
-        r = self.num_rows
-        coeffs = np.zeros((r, n))
-        rels, rhs, names = [], np.zeros(r), []
-        for i, (c, rel, b, name) in enumerate(self._rows):
-            coeffs[i, : c.shape[0]] = c   # rows may predate trailing vars
-            rels.append(rel)
-            rhs[i] = b
-            names.append(name)
+        coeffs = np.zeros((self._num_rows, self.num_vars))
+        rhs = np.zeros(self._num_rows)
+        rels, names = [], []
+        i = 0
+        for cols, block, rel, b, blk_names in self._blocks:
+            k = len(blk_names)
+            coeffs[i:i + k, cols] = block   # blocks may predate trailing vars
+            rhs[i:i + k] = b
+            rels += [rel] * k
+            names += blk_names
+            i += k
         lp = LinearProgram(
             objective=np.array(self._obj),
             row_coeffs=coeffs,

@@ -14,20 +14,21 @@ TimeVaryingDelay template, while the controller columns form the `mu`
 variable block of synthesis programs; they never meet in one namespace.
 """
 
-from dataclasses import dataclass
+
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError,
-                     DimensionError, InfeasibleError, ModelError, StabilityError,
-                     WellPosednessError)
+                     DimensionError, InfeasibleError, ModelError, StabilityError)
 from .gains import add_l1_rows
-from .lft import (TransposedLft, _block_delta, _coeff_power, _wellposed_points,
-                  channel_layout, close_at)
+from .lft import (TransposedLft, _block_delta, _coeff_power, _loop_matrix,
+                  _wellposed_points, channel_layout, close_at)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
+from .synthesis import ControllerSpec, controller_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,75 +61,68 @@ class RobustLinearProgram:
     which: str
 
 
-class _Assembler:
-    """Collects variables and routes rows: delta-free rows become linear rows
-    immediately, anything else a PolyRow."""
+# ---------------------------------------------------------------------------
+# assembly: variables and delta-free rows on an LpBuilder, the rest PolyRows
 
-    def __init__(self, domain, policy, which, conservative):
-        self.domain = domain
-        self.policy = policy
-        self.which = which
-        self.conservative = conservative
-        self.names, self.lower, self.upper, self.obj = [], [], [], []
-        self.linear, self.poly = [], []
-        self.blocks = {}
+def _span(cols):
+    """The slice of a run of consecutive variable columns, as `add_vars`
+    returns them."""
+    start = cols[0] if len(cols) else 0
+    return slice(start, start + len(cols))
 
-    def var(self, name, lower=None, upper=None, objective=0.0):
-        self.names.append(name)
-        self.lower.append(-np.inf if lower is None else float(lower))
-        self.upper.append(np.inf if upper is None else float(upper))
-        self.obj.append(float(objective))
-        return len(self.names) - 1
 
-    def le0(self, name, terms, strict=False):
-        """Add sum_alpha delta^alpha (coeffs_alpha . x + const_alpha) <= 0."""
-        zero = (0,) * (self.domain.nparams if self.domain is not None else 0)
-        terms = {a: (dict(c), float(k)) for a, (c, k) in terms.items()
-                 if c or k != 0.0 or a == zero}
-        if strict:
-            c, k = terms.get(zero, ({}, 0.0))
-            terms[zero] = (c, k + self.policy.epsilon)
-        nontrivial = {a for a, (c, k) in terms.items()
-                      if a != zero and (any(v != 0.0 for v in c.values()) or k != 0.0)}
-        if not nontrivial:
-            c, k = terms.get(zero, ({}, 0.0))
-            self.linear.append((self.dense(c), "<=", -k, name))
-        else:
-            self.poly.append(PolyRow(name=name, terms={
-                a: (self.dense(c), k) for a, (c, k) in terms.items()}))
+def _terms(num_vars, rows, parts):
+    """{alpha: coefficient block (rows, num_vars)}, the sum of the dense
+    blocks of `parts` (alpha, row slice, consecutive variable columns, block)."""
+    terms = {}
+    for alpha, row_slice, cols, block in parts:
+        if alpha not in terms:
+            terms[alpha] = np.zeros((rows, num_vars))
+        terms[alpha][row_slice, _span(cols)] += block
+    return terms
 
-    def dense(self, coeffs):
-        dense = np.zeros(len(self.names))
-        for j, v in coeffs.items():
-            dense[j] += v
-        return dense
 
-    def ge0(self, name, terms, strict=False):
-        neg = {a: ({j: -v for j, v in c.items()}, -k) for a, (c, k) in terms.items()}
-        self.le0(name, neg, strict)
+def _lyapunov_names(n, n0, p):
+    return ([f"st{j}" for j in range(n)] + [f"ch{j}" for j in range(n0)]
+            + [f"pf{j}" for j in range(p)])
 
-    def eq0(self, name, coeffs, rhs=0.0):
-        self.linear.append((self.dense(coeffs), "==", float(rhs), name))
 
-    def finish(self):
-        n = len(self.names)
-        linear = []
-        for dense, rel, rhs, name in self.linear:
-            full = np.zeros(n)
-            full[: dense.shape[0]] = dense
-            linear.append((full, rel, rhs, name))
-        poly = []
-        for row in self.poly:
-            terms = {a: (np.concatenate([c, np.zeros(n - c.shape[0])]), k)
-                     for a, (c, k) in row.terms.items()}
-            poly.append(PolyRow(name=row.name, terms=terms))
-        return RobustLinearProgram(
-            var_names=tuple(self.names), var_lower=np.array(self.lower),
-            var_upper=np.array(self.upper), objective=np.array(self.obj),
-            linear_rows=tuple(linear), poly_rows=tuple(poly),
-            domain=self.domain, blocks=self.blocks,
-            epsilon=self.policy.epsilon, lambda_floor=self.policy.lambda_floor,
-            conservative=self.conservative, which=self.which)
+def _add_rows(b, poly, zero, names, relation, terms, const=0.0, epsilon=0.0):
+    """Rows sum_alpha delta^alpha (terms[alpha] @ x) + const `relation` 0,
+    with `const` on the constant term (exponent `zero`) and `epsilon`
+    closing strict rows: rows free of delta go onto the LpBuilder `b`, the
+    others into the list `poly` as PolyRows; a row's terms are the ones
+    with a nonzero coefficient, plus its constant term."""
+    if not names:
+        return
+    if relation == ">=":
+        terms = {alpha: -coeffs for alpha, coeffs in terms.items()}
+        const, relation = -const, "<="
+    const = np.zeros(len(names)) + const + epsilon
+    base = terms.get(zero, np.zeros((len(names), b.num_vars)))
+    terms = {alpha: coeffs for alpha, coeffs in terms.items() if alpha != zero and coeffs.any()}
+    if not terms:
+        b.add_rows(slice(0, b.num_vars), base, relation, -const, names)
+        return
+    varying = np.logical_or.reduce([coeffs.any(axis=1) for coeffs in terms.values()])
+    fixed = ~varying
+    b.add_rows(slice(0, b.num_vars), base[fixed], relation, -const[fixed],
+               [name for name, keep in zip(names, fixed) if keep])
+    for i in np.flatnonzero(varying):
+        row = {zero: (base[i], const[i])}
+        row.update((alpha, (coeffs[i], 0.0)) for alpha, coeffs in terms.items()
+                   if coeffs[i].any())
+        poly.append(PolyRow(name=names[i], terms=row))
+
+
+def _finish(b, poly, domain, blocks, policy, which):
+    lp = b.build()
+    return RobustLinearProgram(
+        var_names=lp.var_names, var_lower=lp.var_lower, var_upper=lp.var_upper,
+        objective=lp.objective,
+        linear_rows=tuple(zip(lp.row_coeffs, lp.row_relations, lp.row_rhs, lp.row_names)),
+        poly_rows=tuple(poly), domain=domain, blocks=blocks, epsilon=policy.epsilon,
+        lambda_floor=policy.lambda_floor, conservative=True, which=which)
 
 
 def _validate_positive_lft(lft):
@@ -149,104 +143,61 @@ def _validate_positive_lft(lft):
                 f"{report.violations[:3]}")
 
 
-def _phi_blocks(asm, sset, prefix_one="phi1", prefix_two="phi2"):
-    phi1, phi2 = {}, {}
-    for alpha in monomials(sset.nparams, sset.phi1_degree):
-        tag = "_".join(map(str, alpha))
-        phi1[alpha] = [asm.var(f"{prefix_one}[{tag}]{j}", lower=sset.phi1_lower)
-                       for j in range(sset.n0)]
-    for alpha in monomials(sset.nparams, sset.phi2_degree):
-        tag = "_".join(map(str, alpha))
-        phi2[alpha] = [asm.var(f"{prefix_two}[{tag}]{j}") for j in range(sset.n0)]
-    asm.blocks["phi1"] = phi1
-    asm.blocks["phi2"] = phi2
-    return phi1, phi2
+def _phi_blocks(b, sset):
+    """Scaling variables phi1[alpha], phi2[alpha] (n0 each) per monomial."""
+    def block(which, degree, lower=None):
+        return {alpha: b.add_vars(f"phi{which}[{'_'.join(map(str, alpha))}]", sset.n0, lower)
+                for alpha in monomials(sset.nparams, degree)}
+    return block(1, sset.phi1_degree, sset.phi1_lower), block(2, sset.phi2_degree)
 
 
-def _scaling_equalities(asm, sset, phi1, phi2):
+def _scaling_equalities(b, sset, phi1, phi2):
     for e, eq in enumerate(sset.equalities):
-        for j in range(sset.n0):
-            coeffs = {}
-            for which, alpha, coef in eq:
-                block = phi1 if which == 1 else phi2
-                if alpha not in block:
-                    continue
-                if np.isscalar(coef):
-                    coeffs[block[alpha][j]] = coeffs.get(block[alpha][j], 0.0) + float(coef)
-                else:
-                    for i in range(sset.n0):
-                        if coef[j, i] != 0.0:
-                            coeffs[block[alpha][i]] = coeffs.get(block[alpha][i], 0.0) + coef[j, i]
-            asm.eq0(f"sc{e}_{j}", coeffs)
+        coeffs = np.zeros((sset.n0, b.num_vars))
+        for which, alpha, coef in eq:
+            block = phi1 if which == 1 else phi2
+            if alpha in block:
+                coeffs[:, _span(block[alpha])] += ilc._coef_matrix(coef, sset.n0)
+        b.add_rows(slice(0, b.num_vars), coeffs, "==", 0.0,
+                   [f"sc{e}_{j}" for j in range(sset.n0)])
 
 
-def _ilc_rows(asm, lft, sset, phi1, phi2):
+def _ilc_rows(b, poly, zero, delta_structure, sset, phi1, phi2):
+    """phi1(delta) + Delta(delta)^T phi2(delta) >= 0, one row per channel."""
     if not sset.ilc_row:
         return
-    delta_terms = sorted(lft.delta_structure.terms.items())
-    for j in range(sset.n0):
-        terms = {}
-        for alpha, ids in phi1.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            c[ids[j]] = c.get(ids[j], 0.0) + 1.0
-        for beta, s in delta_terms:
-            for alpha, ids in phi2.items():
-                key = tuple(x + y for x, y in zip(alpha, beta))
-                c, k = terms.setdefault(key, ({}, 0.0))
-                for i in range(sset.n0):
-                    if s[i, j] != 0.0:
-                        c[ids[i]] = c.get(ids[i], 0.0) + s[i, j]
-        asm.ge0(f"ilc{j}", terms)
+    rows = slice(None)
+    parts = [(alpha, rows, ids, np.eye(sset.n0)) for alpha, ids in phi1.items()]
+    for beta, s in sorted(delta_structure.terms.items()):
+        parts += [(tuple(x + y for x, y in zip(alpha, beta)), rows, ids, s.T)
+                  for alpha, ids in phi2.items()]
+    _add_rows(b, poly, zero, [f"ilc{j}" for j in range(sset.n0)], ">=",
+              _terms(b.num_vars, sset.n0, parts))
 
 
 def _assemble_gain(lft, template, policy, which):
-    _validate_positive_lft(lft)
     sset = ilc.instantiate(template, lft)
+    zero = (0,) * sset.nparams
+    b = LpBuilder()
+    lam = b.add_vars("lam", lft.n, lower=policy.lambda_floor)
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    phi1, phi2 = _phi_blocks(b, sset)
+    # the copositive-Lyapunov rows: state (st), channel (ch), performance (pf)
     n, n0, p = lft.n, lft.n0, lft.p
-    asm = _Assembler(lft.domain, policy, which, conservative=True)
-    lam = [asm.var(f"lam{i}", lower=policy.lambda_floor) for i in range(n)]
-    gamma = asm.var("gamma", lower=0.0, objective=1.0)
-    asm.blocks["lam"] = lam
-    asm.blocks["gamma"] = gamma
-    phi1, phi2 = _phi_blocks(asm, sset)
-
-    c1sum = lft.C1.sum(axis=0)
-    f10sum = lft.F10.sum(axis=0)
-    f11sum = lft.F11.sum(axis=0)
-    for j in range(n):
-        terms = {(0,) * sset.nparams: ({lam[i]: lft.A[i, j] for i in range(n)},
-                                       c1sum[j])}
-        for alpha, ids in phi1.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            for i in range(n0):
-                if lft.C0[i, j] != 0.0:
-                    c[ids[i]] = c.get(ids[i], 0.0) + lft.C0[i, j]
-        asm.le0(f"st{j}", terms, strict=True)
-    for j in range(n0):
-        terms = {(0,) * sset.nparams: ({lam[i]: lft.E0[i, j] for i in range(n)},
-                                       f10sum[j])}
-        for alpha, ids in phi2.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            c[ids[j]] = c.get(ids[j], 0.0) + 1.0
-        for alpha, ids in phi1.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            for i in range(n0):
-                if lft.F00[i, j] != 0.0:
-                    c[ids[i]] = c.get(ids[i], 0.0) + lft.F00[i, j]
-        asm.le0(f"ch{j}", terms, strict=True)
-    for j in range(p):
-        base = {lam[i]: lft.E1[i, j] for i in range(n)}
-        base[gamma] = -1.0
-        terms = {(0,) * sset.nparams: (base, f11sum[j])}
-        for alpha, ids in phi1.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            for i in range(n0):
-                if lft.F01[i, j] != 0.0:
-                    c[ids[i]] = c.get(ids[i], 0.0) + lft.F01[i, j]
-        asm.le0(f"pf{j}", terms, strict=True)
-    _ilc_rows(asm, lft, sset, phi1, phi2)
-    _scaling_equalities(asm, sset, phi1, phi2)
-    return asm.finish()
+    st, ch, pf = slice(0, n), slice(n, n + n0), slice(n + n0, n + n0 + p)
+    parts = [(zero, st, lam, lft.A.T), (zero, ch, lam, lft.E0.T), (zero, pf, lam, lft.E1.T),
+             (zero, pf, [gamma], -np.ones((p, 1)))]
+    for a, ids in phi1.items():
+        parts += [(a, st, ids, lft.C0.T), (a, ch, ids, lft.F00.T), (a, pf, ids, lft.F01.T)]
+    parts += [(a, ch, ids, np.eye(n0)) for a, ids in phi2.items()]
+    const = np.concatenate([lft.C1.sum(axis=0), lft.F10.sum(axis=0), lft.F11.sum(axis=0)])
+    poly = []
+    _add_rows(b, poly, zero, _lyapunov_names(n, n0, p), "<=",
+              _terms(b.num_vars, n + n0 + p, parts), const, policy.epsilon)
+    _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
+    _scaling_equalities(b, sset, phi1, phi2)
+    blocks = {"lam": lam, "gamma": gamma, "phi1": phi1, "phi2": phi2}
+    return _finish(b, poly, lft.domain, blocks, policy, which)
 
 
 def robust_l1(lft, template, policy=None):
@@ -257,6 +208,7 @@ def robust_l1(lft, template, policy=None):
     vector), hence the conservative marker."""
     if isinstance(lft, TransposedLft):
         raise DimensionError("robust_l1 expects the plain LFT, not the transposed one")
+    _validate_positive_lft(lft)
     return _assemble_gain(lft, template, policy or StrictnessPolicy(), "l1")
 
 
@@ -264,6 +216,7 @@ def robust_linf(tlft, template, policy=None):
     """Robust Linf program: the L1 assembly on the transposed LFT."""
     if not isinstance(tlft, TransposedLft):
         raise DimensionError("robust_linf expects a TransposedLft")
+    _validate_positive_lft(tlft)
     return _assemble_gain(tlft, template, policy or StrictnessPolicy(), "linf")
 
 
@@ -284,40 +237,37 @@ class RobustResult:
     iterations: int
     mu: list | None = None
     certificate: object | None = None
+    lp: object | None = None            # the relaxed LinearProgram that was solved
+    K: np.ndarray | None = None         # synthesis: the gain mu_j / lambda_j per column
 
 
 def solve_robust(rlp, b=None, form="reduced"):
-    """Relax (when polynomial rows are present) and solve a robust program."""
-    if form == "reduced":
-        lp = handelman.relax_reduced(rlp, b)
-    elif form == "full":
-        lp = handelman.relax_full(rlp, b)
-    else:
+    """Relax (when polynomial rows are present) and solve a robust program;
+    the result carries the relaxed LP it solved."""
+    relax = {"reduced": handelman.relax_reduced, "full": handelman.relax_full}.get(form)
+    if relax is None:
         raise DimensionError(f"unknown relaxation form {form!r}")
+    plan = handelman.plan_relaxation(rlp, b)
+    lp = relax(rlp, b, plan=plan)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InfeasibleError(
             f"robust program {sol.status}; the bound could not be certified "
             "(the relaxation is sufficient only -- a larger product degree b or "
             "richer scalings may help)", certificate=sol.certificate)
-    lam = np.array([sol.x[j] for j in rlp.blocks["lam"]])
-    gamma = float(sol.x[rlp.blocks["gamma"]]) if "gamma" in rlp.blocks else np.nan
-    phi1 = {a: np.array([sol.x[j] for j in ids])
-            for a, ids in rlp.blocks.get("phi1", {}).items()}
-    phi2 = {a: np.array([sol.x[j] for j in ids])
-            for a, ids in rlp.blocks.get("phi2", {}).items()}
-    used_b = None
-    if rlp.poly_rows:
-        used_b = b if b is not None else max(r.degree() for r in rlp.poly_rows) + 2
-    mu = None
-    if "mu" in rlp.blocks:
-        mu = [np.array([sol.x[j] for j in col]) for col in rlp.blocks["mu"]]
-    cert = handelman.extract_certificate(rlp, lp, sol, b, form)
-    return RobustResult(which=rlp.which, gamma=gamma, lam=lam, phi1=phi1,
-                        phi2=phi2, status=sol.status, form=form, b=used_b,
+    x = sol.x
+    gamma = float(x[rlp.blocks["gamma"]]) if "gamma" in rlp.blocks else np.nan
+    phi1, phi2 = ({a: x[ids] for a, ids in rlp.blocks.get(key, {}).items()}
+                  for key in ("phi1", "phi2"))
+    mu = [x[col] for col in rlp.blocks["mu"]] if "mu" in rlp.blocks else None
+    return RobustResult(which=rlp.which, gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1,
+                        phi2=phi2, status=sol.status, form=form,
+                        b=None if plan is None else plan.b,
                         epsilon=rlp.epsilon, conservative=rlp.conservative,
                         lp_vars=lp.num_vars, lp_rows=lp.num_rows,
-                        iterations=sol.iterations, mu=mu, certificate=cert)
+                        iterations=sol.iterations, mu=mu,
+                        certificate=handelman.extract_certificate(rlp, lp, sol, plan, form),
+                        lp=lp)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +280,7 @@ class ExactDeltaResult:
     lam: np.ndarray | None
     phi1: np.ndarray | None
     phi2: np.ndarray | None
-    iterations: int
+    iterations: int | None      # simplex pivots of a feasible solve
 
 
 def exact_constant_delta(lft, delta0, policy=None):
@@ -339,55 +289,18 @@ def exact_constant_delta(lft, delta0, policy=None):
     Feasibility here is necessary AND sufficient: the saturated constant
     scalings phi1 = -Delta0^T phi2 characterize every LTI positive channel
     with static gain Delta0 exactly."""
-    policy = policy or StrictnessPolicy()
-    delta0 = numlin.as_matrix(delta0, "Delta0")
-    n, n0, p = lft.n, lft.n0, lft.p
-    if delta0.shape != (n0, n0):
-        raise DimensionError(f"Delta0 must be {n0} x {n0}")
-    if not numlin.is_nonnegative(delta0):
-        raise ClassificationError("Delta0 must be nonnegative")
-    m = np.eye(n0) - delta0 @ lft.F00
-    if n0 and 1.0 / max(np.linalg.cond(m, 1), 1.0) < 1e-10:
-        raise WellPosednessError("I - Delta0 F00 is singular")
-
-    b = LpBuilder()
-    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    phi1 = b.add_vars("phi1_", n0)
-    phi2 = b.add_vars("phi2_", n0)
-    c1sum = lft.C1.sum(axis=0)
-    f10sum = lft.F10.sum(axis=0)
-    f11sum = lft.F11.sum(axis=0)
-    for j in range(n):
-        coeffs = {lam[i]: lft.A[i, j] for i in range(n)}
-        for i in range(n0):
-            coeffs[phi1[i]] = lft.C0[i, j]
-        b.add_row(coeffs, "<=", -policy.epsilon - c1sum[j], f"st{j}")
-    for j in range(n0):
-        coeffs = {lam[i]: lft.E0[i, j] for i in range(n)}
-        coeffs[phi2[j]] = coeffs.get(phi2[j], 0.0) + 1.0
-        for i in range(n0):
-            coeffs[phi1[i]] = coeffs.get(phi1[i], 0.0) + lft.F00[i, j]
-        b.add_row(coeffs, "<=", -policy.epsilon - f10sum[j], f"ch{j}")
-    for j in range(p):
-        coeffs = {lam[i]: lft.E1[i, j] for i in range(n)}
-        coeffs[gamma] = -1.0
-        for i in range(n0):
-            coeffs[phi1[i]] = coeffs.get(phi1[i], 0.0) + lft.F01[i, j]
-        b.add_row(coeffs, "<=", -policy.epsilon - f11sum[j], f"pf{j}")
-    for j in range(n0):
-        coeffs = {phi1[j]: 1.0}
-        for i in range(n0):
-            coeffs[phi2[i]] = coeffs.get(phi2[i], 0.0) + delta0[i, j]
-        b.add_row(coeffs, "==", 0.0, f"sat{j}")
-    sol = solve_lp(b.build())
-    if sol.status != "optimal":
+    template = ilc.SaturatedStaticGain(delta0)
+    rlp = _assemble_gain(lft, template, policy or StrictnessPolicy(), "l1")
+    if lft.n0:
+        _loop_matrix(template.delta0, lft.F00, "I - Delta0 F00 is singular")
+    try:
+        res = solve_robust(rlp)
+    except InfeasibleError:
         return ExactDeltaResult(feasible=False, gamma=np.nan, lam=None,
-                                phi1=None, phi2=None, iterations=sol.iterations)
-    return ExactDeltaResult(
-        feasible=True, gamma=float(sol.objective_value), lam=sol.x[:n],
-        phi1=sol.x[n + 1: n + 1 + n0], phi2=sol.x[n + 1 + n0: n + 1 + 2 * n0],
-        iterations=sol.iterations)
+                                phi1=None, phi2=None, iterations=None)
+    (phi1,), (phi2,) = res.phi1.values(), res.phi2.values()
+    return ExactDeltaResult(feasible=True, gamma=res.gamma, lam=res.lam,
+                            phi1=phi1, phi2=phi2, iterations=res.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +328,29 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
         raise CombinatorialCapError(
             f"{psys.nparams} parameters exceed the vertex cap of {max_params}")
     verts = psys.domain.vertices()
-    frozen = []
-    for v in verts:
-        sysv = psys.frozen_at(v)
-        report = sysmodel.classify(sysv, tol=1e-12)
-        if not report.is_positive:
+    a, _, c, _, e, f = psys.frozen_stack(np.reshape(verts, (len(verts), psys.nparams)))
+    positive = sysmodel.positive_stack(a, c, e, f, tol=1e-12)
+    refused = ~(positive & sysmodel.mmatrix_hurwitz(a)[0])
+    if refused.any():
+        v = int(np.argmax(refused))
+        if not positive[v]:
+            report = sysmodel.classify(psys.frozen_at(verts[v]), tol=1e-12)
             raise ClassificationError(
-                f"vertex system at {v} is not positive: {report.violations[:3]}")
-        if not sysmodel.is_stable(sysv, policy):
-            raise StabilityError(f"vertex system at {v} is not Hurwitz")
-        frozen.append(sysv)
+                f"vertex system at {verts[v]} is not positive: {report.violations[:3]}")
+        raise StabilityError(f"vertex system at {verts[v]} is not Hurwitz")
 
-    n = psys.n
     b = LpBuilder()
-    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
+    lam = b.add_vars("lam", psys.n, lower=policy.lambda_floor)
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    for vi, sysv in enumerate(frozen):
-        if which == "linf":
-            sysv = sysmodel.transpose_system(sysv)
-        add_l1_rows(b, lam, gamma, sysv, policy, f"v{vi}_")
+    for v in range(len(verts)):
+        mats = (a[v], c[v], e[v], f[v]) if which == "l1" else (a[v].T, e[v].T, c[v].T, f[v].T)
+        add_l1_rows(b, lam, gamma, *mats, policy, f"v{v}_")
     sol = solve_lp(b.build())
     if sol.status != "optimal":
         raise InfeasibleError(f"vertex program {sol.status}",
                               certificate=sol.certificate)
     return VertexResult(which=which, gamma=float(sol.objective_value),
-                        lam=sol.x[:n], vertices=len(verts),
+                        lam=sol.x[:psys.n], vertices=len(verts),
                         epsilon=policy.epsilon, iterations=sol.iterations)
 
 
@@ -453,10 +364,9 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     The open loop need not be positive, but E(delta) and F(delta) must be
     nonnegative on the box; rational dependence must be cleared to polynomial
     beforehand."""
-    from .synthesis import ControllerSpec
     policy = policy or StrictnessPolicy()
     spec = spec or ControllerSpec()
-    n, m, p, q = psys.n, psys.m, psys.p, psys.q
+    n, m, q = psys.n, psys.m, psys.q
     if m == 0:
         raise ModelError("robust synthesis needs control matrices B and D")
     spec.validate(m, n)
@@ -466,164 +376,70 @@ def robust_stabilize(psys, template, spec=None, policy=None):
             raise ClassificationError(
                 f"E(delta), F(delta) must be nonnegative on the box; fails at {point}")
 
-    blocks, n0 = channel_layout(psys, ("A", "B", "E"), ("C", "D", "F"), q,
+    layout, n0 = channel_layout(psys, ("A", "B", "E"), ("C", "D", "F"), q,
                                 "robust synthesis")
-    nparams = psys.nparams
-    delta = _block_delta(nparams, blocks, n0)
+    zero = (0,) * psys.nparams
     # duck-typed channel descriptor for ilc.instantiate
-    channel = SimpleNamespace(n0=n0, delta_structure=delta, domain=psys.domain)
+    channel = SimpleNamespace(n0=n0, delta_structure=_block_delta(psys.nparams, layout, n0),
+                              domain=psys.domain)
     sset = ilc.instantiate(template, channel)
 
-    asm = _Assembler(psys.domain, policy, "linf-synth", conservative=True)
-    lam = [asm.var(f"lam{i}", lower=policy.lambda_floor) for i in range(n)]
-    mu = [[asm.var(f"mu{j}_{i}") for i in range(m)] for j in range(n)]
-    gamma = asm.var("gamma", lower=0.0, objective=1.0)
-    asm.blocks["lam"] = lam
-    asm.blocks["mu"] = mu
-    asm.blocks["gamma"] = gamma
-    asm.blocks["zero_pattern"] = tuple(spec.zero_pattern)
-    phi1, phi2 = _phi_blocks(asm, sset)
-    zero = (0,) * nparams
+    b = LpBuilder()
+    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
+    mu = [b.add_vars(f"mu{j}_", m) for j in range(n)]
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    phi1, phi2 = _phi_blocks(b, sset)
 
-    a0 = psys.A.coeff(zero)
-    b0 = psys.B.coeff(zero)
-    c0 = psys.C.coeff(zero)
-    d0 = psys.D.coeff(zero)
-    e0 = psys.E.coeff(zero)
-    f0 = psys.F.coeff(zero)
+    def loop(rows, lam_mat, mu_mat):
+        # lam_mat lambda + mu_mat sum_j mu_j: the closed-loop coefficient
+        return [(zero, rows, lam, lam_mat), (zero, rows, sum(mu, []), np.tile(mu_mat, (1, n)))]
 
-    def mu_sum_coeffs(mat_row):
-        out = {}
-        for cols in mu:
-            for l, idx in enumerate(cols):
-                out[idx] = out.get(idx, 0.0) + mat_row[l]
-        return out
+    def chain(rows, block, offsets, width):
+        return [(a, rows, ids[off:off + width], np.eye(width))
+                for a, ids in block.items() for off in offsets]
 
-    state1 = [off for (k, kind, j, off, _w) in blocks if kind == "state" and j == 1]
-    input1 = [off for (k, kind, j, off, _w) in blocks if kind == "input" and j == 1]
-    shift_up = {}
-    for (k, kind, j, off, w) in blocks:
-        nxt = [o for (kk, kd, jj, o, _ww) in blocks
-               if kk == k and kd == kind and jj == j + 1]
-        shift_up[off] = nxt[0] if nxt else None
+    # the copositive-Lyapunov rows of the transposed closed loop: state
+    # (st), one channel row per loop signal (ch), performance (pf)
+    starts = {kind: [off for (_k, kd, j, off, _w) in layout if kd == kind and j == 1]
+              for kind in ("state", "input")}
+    st, pf = slice(0, n), slice(n + n0, n + n0 + q)
+    parts = (loop(st, psys.A.coeff(zero), psys.B.coeff(zero)) + chain(st, phi1, starts["state"], n)
+             + loop(pf, psys.C.coeff(zero), psys.D.coeff(zero))
+             + [(zero, pf, [gamma], -np.ones((q, 1)))] + chain(pf, phi1, starts["input"], q))
+    consts = [psys.E.coeff(zero).sum(axis=1)]
+    for (k, kind, j, off, width) in layout:       # in the order of the offsets
+        lam_poly, mu_poly, const_poly = ((psys.A, psys.B, psys.E) if kind == "state"
+                                         else (psys.C, psys.D, psys.F))
+        up = [o for (kk, kd, jj, o, _w) in layout if (kk, kd, jj) == (k, kind, j + 1)]
+        rows = slice(n + off, n + off + width)
+        parts += (loop(rows, _coeff_power(lam_poly, k, j), _coeff_power(mu_poly, k, j))
+                  + chain(rows, phi2, [off], width) + chain(rows, phi1, up, width))
+        consts.append(_coeff_power(const_poly, k, j).sum(axis=1))
+    consts.append(psys.F.coeff(zero).sum(axis=1))
+    poly = []
+    _add_rows(b, poly, zero, _lyapunov_names(n, n0, q), "<=",
+              _terms(b.num_vars, n + n0 + q, parts), np.concatenate(consts), policy.epsilon)
+    _ilc_rows(b, poly, zero, channel.delta_structure, sset, phi1, phi2)
+    _scaling_equalities(b, sset, phi1, phi2)
 
-    e1sum = e0.sum(axis=1)
-    f1sum = f0.sum(axis=1)
-    for i in range(n):
-        base = {lam[l]: a0[i, l] for l in range(n)}
-        for idx, v in mu_sum_coeffs(b0[i, :]).items():
-            base[idx] = base.get(idx, 0.0) + v
-        terms = {zero: (base, e1sum[i])}
-        for alpha, ids in phi1.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            for off in state1:
-                c[ids[off + i]] = c.get(ids[off + i], 0.0) + 1.0
-        asm.le0(f"st{i}", terms, strict=True)
-
-    for (k, kind, j, off, width) in blocks:
-        if kind == "state":
-            ak = _coeff_power(psys.A, k, j)
-            bk = _coeff_power(psys.B, k, j)
-            ek = _coeff_power(psys.E, k, j)
-            const_vec = ek.sum(axis=1)
-            lam_mat, mu_mat = ak, bk
-        else:
-            ck = _coeff_power(psys.C, k, j)
-            dk = _coeff_power(psys.D, k, j)
-            fk = _coeff_power(psys.F, k, j)
-            const_vec = fk.sum(axis=1)
-            lam_mat, mu_mat = ck, dk
-        for r in range(width):
-            base = {lam[l]: lam_mat[r, l] for l in range(n)}
-            for idx, v in mu_sum_coeffs(mu_mat[r, :]).items():
-                base[idx] = base.get(idx, 0.0) + v
-            terms = {zero: (base, const_vec[r])}
-            for alpha, ids in phi2.items():
-                c, kk2 = terms.setdefault(alpha, ({}, 0.0))
-                c[ids[off + r]] = c.get(ids[off + r], 0.0) + 1.0
-            up = shift_up[off]
-            if up is not None:
-                for alpha, ids in phi1.items():
-                    c, kk2 = terms.setdefault(alpha, ({}, 0.0))
-                    c[ids[up + r]] = c.get(ids[up + r], 0.0) + 1.0
-            asm.le0(f"ch{off + r}", terms, strict=True)
-
-    for i in range(q):
-        base = {lam[l]: c0[i, l] for l in range(n)}
-        for idx, v in mu_sum_coeffs(d0[i, :]).items():
-            base[idx] = base.get(idx, 0.0) + v
-        base[gamma] = base.get(gamma, 0.0) - 1.0
-        terms = {zero: (base, f1sum[i])}
-        for alpha, ids in phi1.items():
-            c, k = terms.setdefault(alpha, ({}, 0.0))
-            for off in input1:
-                c[ids[off + i]] = c.get(ids[off + i], 0.0) + 1.0
-        asm.le0(f"pf{i}", terms, strict=True)
-
-    _ilc_rows(asm, channel, sset, phi1, phi2)
-    _scaling_equalities(asm, sset, phi1, phi2)
-
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            terms = {}
-            for alpha in set(psys.A.terms) | set(psys.B.terms):
-                coeffs = {lam[j]: psys.A.coeff(alpha)[i, j]}
-                brow = psys.B.coeff(alpha)[i, :]
-                for l in range(m):
-                    coeffs[mu[j][l]] = coeffs.get(mu[j][l], 0.0) + brow[l]
-                terms[alpha] = (coeffs, 0.0)
-            asm.ge0(f"mz{i}_{j}", terms)
-    for i in range(q):
-        for j in range(n):
-            terms = {}
-            for alpha in set(psys.C.terms) | set(psys.D.terms):
-                coeffs = {lam[j]: psys.C.coeff(alpha)[i, j]}
-                drow = psys.D.coeff(alpha)[i, :]
-                for l in range(m):
-                    coeffs[mu[j][l]] = coeffs.get(mu[j][l], 0.0) + drow[l]
-                terms[alpha] = (coeffs, 0.0)
-            asm.ge0(f"nn{i}_{j}", terms)
-    for (i, j) in spec.zero_pattern:
-        asm.eq0(f"zero{i}_{j}", {mu[j][i]: 1.0})
-    if spec.k_lower is not None:
-        lo = numlin.as_matrix(spec.k_lower)
-        up = numlin.as_matrix(spec.k_upper)
-        for i in range(m):
-            for j in range(n):
-                asm.linear.append((asm.dense({mu[j][i]: -1.0, lam[j]: lo[i, j]}),
-                                   "<=", 0.0, f"lb{i}_{j}"))
-                asm.linear.append((asm.dense({mu[j][i]: 1.0, lam[j]: -up[i, j]}),
-                                   "<=", 0.0, f"ub{i}_{j}"))
-    return asm.finish()
-
-
-@dataclass
-class RobustSynthesisResult:
-    K: np.ndarray
-    gamma: float
-    lam: np.ndarray
-    status: str
-    form: str
-    b: int | None
-    epsilon: float
-    lp_vars: int
-    lp_rows: int
-    iterations: int
+    mats = (psys.A, psys.B, psys.C, psys.D)
+    alphas = {zero}.union(*(mat.terms for mat in mats))
+    for names, relation, terms in controller_rows(
+            b.num_vars, lam, mu, spec, {a: tuple(mat.coeff(a) for mat in mats)
+                                        for a in alphas}, zero):
+        _add_rows(b, poly, zero, names, relation, terms)
+    blocks = {"lam": lam, "mu": mu, "gamma": gamma, "zero_pattern": tuple(spec.zero_pattern),
+              "phi1": phi1, "phi2": phi2}
+    return _finish(b, poly, psys.domain, blocks, policy, "linf-synth")
 
 
 def solve_robust_synthesis(rlp, b=None, form="reduced"):
     """Solve a robust synthesis program and recover K column-wise."""
-    base = solve_robust(rlp, b, form)
-    lam = base.lam
-    k = np.column_stack([base.mu[j] / lam[j] for j in range(len(lam))])
+    res = solve_robust(rlp, b, form)
+    k = np.column_stack([res.mu[j] / res.lam[j] for j in range(len(res.lam))])
     for (i, j) in rlp.blocks.get("zero_pattern", ()):
         k[i, j] = 0.0
-    return RobustSynthesisResult(K=k, gamma=base.gamma, lam=lam,
-                                 status=base.status, form=base.form, b=base.b,
-                                 epsilon=base.epsilon, lp_vars=base.lp_vars,
-                                 lp_rows=base.lp_rows, iterations=base.iterations)
+    return replace(res, K=k)
 
 
 # ---------------------------------------------------------------------------

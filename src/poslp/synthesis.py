@@ -19,6 +19,7 @@ import numpy as np
 
 from . import numlin
 from .errors import ClassificationError, InfeasibleError, ModelError, ValidationError
+from .gains import add_l1_rows
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 
 
@@ -61,12 +62,13 @@ class SynthesisResult:
 def synthesis_lp(sys, spec=None, policy=None):
     """Assemble the synthesis LP; variables [lambda, mu_0..mu_{n-1}, gamma].
 
-    Gain rows are strict (closed with epsilon); the Metzler and nonnegativity
-    rows that force closed-loop positivity are non-strict, exactly as in the
-    underlying characterization."""
+    Gain rows are strict (closed with epsilon): the L1 rows of the
+    transposed closed loop, in which mu_j stands for lambda_j K[:, j].  The
+    Metzler and nonnegativity rows that force closed-loop positivity are
+    non-strict, exactly as in the underlying characterization."""
     spec = spec or FULL
     policy = policy or StrictnessPolicy()
-    n, m, p, q = sys.n, sys.m, sys.p, sys.q
+    n, m = sys.n, sys.m
     if m == 0:
         raise ModelError("synthesis needs control matrices B and D")
     spec.validate(m, n)
@@ -77,46 +79,63 @@ def synthesis_lp(sys, spec=None, policy=None):
     lam = b.add_vars("lam", n, lower=policy.lambda_floor)
     mu = [b.add_vars(f"mu{j}_", m) for j in range(n)]
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-
-    esum = sys.E.sum(axis=1)
-    fsum = sys.F.sum(axis=1)
-    for j in range(n):
-        coeffs = {lam[i]: sys.A[j, i] for i in range(n)}
-        for k in range(n):
-            for l in range(m):
-                coeffs[mu[k][l]] = coeffs.get(mu[k][l], 0.0) + sys.B[j, l]
-        b.add_row(coeffs, "<=", -policy.epsilon - esum[j], f"st{j}")
-    for j in range(q):
-        coeffs = {lam[i]: sys.C[j, i] for i in range(n)}
-        for k in range(n):
-            for l in range(m):
-                coeffs[mu[k][l]] = coeffs.get(mu[k][l], 0.0) + sys.D[j, l]
-        coeffs[gamma] = -1.0
-        b.add_row(coeffs, "<=", -policy.epsilon - fsum[j], f"pf{j}")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coeffs = {lam[j]: sys.A[i, j]}
-            for l in range(m):
-                coeffs[mu[j][l]] = sys.B[i, l]
-            b.add_row(coeffs, ">=", 0.0, f"mz{i}_{j}")
-    for i in range(q):
-        for j in range(n):
-            coeffs = {lam[j]: sys.C[i, j]}
-            for l in range(m):
-                coeffs[mu[j][l]] = sys.D[i, l]
-            b.add_row(coeffs, ">=", 0.0, f"nn{i}_{j}")
-    for (i, j) in spec.zero_pattern:
-        b.add_row({mu[j][i]: 1.0}, "==", 0.0, f"zero{i}_{j}")
-    if spec.k_lower is not None:
-        lo = numlin.as_matrix(spec.k_lower)
-        up = numlin.as_matrix(spec.k_upper)
-        for i in range(m):
-            for j in range(n):
-                b.add_row({mu[j][i]: 1.0, lam[j]: -lo[i, j]}, ">=", 0.0, f"lb{i}_{j}")
-                b.add_row({mu[j][i]: 1.0, lam[j]: -up[i, j]}, "<=", 0.0, f"ub{i}_{j}")
+    # every mu_j meets B^T (D^T) the way lambda meets A^T (C^T)
+    add_l1_rows(b, lam + sum(mu, []), gamma, np.vstack([sys.A.T, np.tile(sys.B.T, (n, 1))]),
+                sys.E.T, np.vstack([sys.C.T, np.tile(sys.D.T, (n, 1))]), sys.F.T, policy)
+    for names, relation, terms in controller_rows(
+            b.num_vars, lam, mu, spec, {(): (sys.A, sys.B, sys.C, sys.D)}, ()):
+        b.add_rows(slice(0, b.num_vars), terms[()], relation, 0.0, names)
     return b.build()
+
+
+def controller_rows(num_vars, lam, mu, spec, mats, zero):
+    """Closed-loop positivity and controller-set rows on the variables
+    lambda (`lam`, n columns) and mu (`mu`, n lists of m columns) of
+    `num_vars`: off-diagonal lambda_j (A + BK)_ij >= 0 (mz), lambda_j
+    (C + DK)_ij >= 0 (nn), the forced zeros of K (zero) and the bounds
+    lambda_j lower_ij <= mu_j[i] <= lambda_j upper_ij (lb, ub).
+
+    `mats` maps each exponent alpha to the coefficients (A, B, C, D) of
+    delta^alpha; `zero` is the exponent of the constant term (synthesis_lp
+    has the single alpha = ()).  Returns families (names, relation, terms):
+    the rows sum_alpha delta^alpha (terms[alpha] @ x) `relation` 0, with
+    terms[alpha] of shape (rows, num_vars)."""
+    n, m = len(lam), len(mu[0])
+    q = next(iter(mats.values()))[2].shape[0]
+    lam, mu = np.asarray(lam), np.asarray(mu).reshape(n, m)
+
+    def pair_rows(pairs, x, u):
+        i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+        rows = np.arange(len(i))
+        coeffs = np.zeros((len(i), num_vars))
+        coeffs[rows, lam[j]] = x[i, j]
+        coeffs[rows[:, None], mu[j]] = u[i]
+        return coeffs
+
+    mz = [(i, j) for i in range(n) for j in range(n) if i != j]
+    nn = [(i, j) for i in range(q) for j in range(n)]
+    families = [
+        ([f"mz{i}_{j}" for i, j in mz], ">=",
+         {a: pair_rows(mz, x, u) for a, (x, u, _, _) in mats.items()}),
+        ([f"nn{i}_{j}" for i, j in nn], ">=",
+         {a: pair_rows(nn, y, v) for a, (_, _, y, v) in mats.items()}),
+    ]
+    zeros = np.zeros((len(spec.zero_pattern), num_vars))
+    for r, (i, j) in enumerate(spec.zero_pattern):
+        zeros[r, mu[j, i]] = 1.0
+    families.append(([f"zero{i}_{j}" for i, j in spec.zero_pattern], "==", {zero: zeros}))
+    if spec.k_lower is not None:
+        # lb and ub rows alternate per entry of K, lb written as -mu + lambda lower <= 0
+        lo, up = numlin.as_matrix(spec.k_lower), numlin.as_matrix(spec.k_upper)
+        i, j = np.divmod(np.arange(m * n), n)
+        bounds = np.zeros((2 * m * n, num_vars))
+        bounds[0::2][np.arange(m * n), mu[j, i]] = -1.0
+        bounds[0::2][np.arange(m * n), lam[j]] = lo[i, j]
+        bounds[1::2][np.arange(m * n), mu[j, i]] = 1.0
+        bounds[1::2][np.arange(m * n), lam[j]] = -up[i, j]
+        names = [f"{kind}{a}_{c}" for a, c in zip(i, j) for kind in ("lb", "ub")]
+        families.append((names, "<=", {zero: bounds}))
+    return families
 
 
 def stabilize_linf(sys, spec=None, policy=None, lp=None):

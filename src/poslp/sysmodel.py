@@ -112,13 +112,13 @@ def metzler_stable(a, policy=None, tol=0.0):
     a = numlin.as_matrix(a, "A")
     if not numlin.is_metzler(a, tol):
         raise ClassificationError("stability LP is only valid for Metzler matrices")
+    from .gains import add_l1_rows
     n = a.shape[0]
     if n == 0:
         return True
     b = LpBuilder()
     lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    for j in range(n):
-        b.add_row({lam[i]: a[i, j] for i in range(n)}, "<=", -policy.epsilon, f"st{j}")
+    add_l1_rows(b, lam, None, a, np.zeros((0, n)), np.zeros((n, 0)), np.zeros((0, 0)), policy)
     return solve_lp(b.build()).status == "optimal"
 
 

@@ -166,3 +166,46 @@ def test_reproduce_ex72_coefficients(capsys):
 def test_reproduce_delay_agreement(capsys):
     code, out = run(capsys, "reproduce", "delay", "--format", "structured")
     assert json.loads(out)["agreement"] == "20/20"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_gain_reports_refused_oracle(capsys, tmp_path, fmt):
+    # stable, but too ill-conditioned for the static-gain oracle to invert
+    path = tmp_path / "ill.json"
+    write_system(sysmodel.PositiveLtiSystem(
+        A=np.diag([-1e7, -1e-6]), B=None, C=[[1.0, 1.0]], D=None,
+        E=[[1.0], [1.0]], F=[[0.0]]), path)
+    code, out = run(capsys, "gain", "--norm", "l1", "--format", fmt, str(path))
+    assert code == 0
+    if fmt == "text":
+        assert "(oracle n/a," in out
+    else:
+        doc = json.loads(out)
+        assert doc["oracle_gain"] is None
+        assert doc["gamma"] == pytest.approx(1e6, rel=1e-6)
+
+
+def test_robust_commands_relax_once(monkeypatch, capsys, tmp_path, poly_file):
+    from poslp import handelman
+    from poslp.poly import BoxDomain, polynomial_system
+    calls = []
+    for name in ("relax_full", "relax_reduced"):
+        def spy(*args, _relax=getattr(handelman, name), **kwargs):
+            calls.append(_relax.__name__)
+            return _relax(*args, **kwargs)
+        monkeypatch.setattr(handelman, name, spy)
+    plant = tmp_path / "plant.json"
+    write_polynomial_system(polynomial_system(
+        a_terms={0: [[1.0]], 1: [[1.0]]}, b_terms={0: [[1.0]]},
+        c_terms={0: [[1.0]]}, d_terms={0: [[0.0]]}, e_terms={0: [[1.0]]},
+        f_terms={0: [[0.0]]}, domain=BoxDomain.unit(1)), plant)
+    dump = tmp_path / "solved.lp"
+    for argv in (["robust-gain", "--norm", "l1", poly_file],
+                 ["robust-gain", "--norm", "linf", "--form", "full", poly_file],
+                 ["robust-synth", str(plant)],
+                 ["robust-synth", "--form", "full", str(plant)]):
+        calls.clear()
+        code, out = run(capsys, *argv, "--format", "structured", "--dump-lp", str(dump))
+        assert code == 0
+        assert len(calls) == 1, (argv, calls)
+        assert dump.read_text().splitlines()[0] == f"vars {json.loads(out)['lp_vars']}"

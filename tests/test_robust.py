@@ -211,6 +211,19 @@ def test_vertex_gain_unstable_vertex_rejected():
         robust.vertex_gain(psys, "linf")
 
 
+def test_vertex_gain_precheck_runs_no_stability_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("vertex precheck ran a stability LP")
+    monkeypatch.setattr(sysmodel, "metzler_stable", no_lp)
+    monkeypatch.setattr(sysmodel, "is_stable", no_lp)
+    assert robust.vertex_gain(gene_expression_system(0.5), "linf").vertices == 8
+    with pytest.raises(StabilityError, match=r"at \[-1\. -1\. -1\.\] is not Hurwitz"):
+        robust.vertex_gain(gene_expression_system(1.0), "linf")
+    # k_p = 2 - 3 < 0 at eps2 = -1: the first vertex is not positive
+    with pytest.raises(ClassificationError, match=r"\('A', \(1, 0\), -1\.0\)"):
+        robust.vertex_gain(gene_expression_system(1.5), "l1")
+
+
 # --- robust synthesis --------------------------------------------------------
 
 def scalar_uncertain_plant():

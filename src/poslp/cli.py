@@ -14,7 +14,8 @@ import numpy as np
 from . import gains, handelman, ilc, lft, robust, synthesis, sysmodel
 from .cases import (DRUG_SEED, GENE_TABLE, POLY3_REFERENCE, drug_gain_formulas,
                     drug_system, gene_expression_system, poly3_system)
-from .errors import InfeasibleError, PoslpError, StabilityError
+from .errors import (InfeasibleError, PoslpError, StabilityError, ValidationError,
+                     require_keys)
 from .lpcore import StrictnessPolicy, lp_to_text
 from .poly import read_polynomial_system
 from .synthesis import ControllerSpec
@@ -88,15 +89,18 @@ def build_parser():
 
 
 def parse_scaling(text):
+    """const | poly:<d> | saturated[:<d>]; anything else is a ValidationError."""
+    kind, sep, degree = text.partition(":")
     if text == "const":
         return ilc.FreeConstant()
-    if text.startswith("poly:"):
-        return ilc.FreePolynomial(int(text.split(":", 1)[1]), saturated=False)
     if text == "saturated":
         return ilc.FreePolynomial(2)
-    if text.startswith("saturated:"):
-        return ilc.FreePolynomial(int(text.split(":", 1)[1]))
-    raise argparse.ArgumentTypeError(f"unknown scaling {text!r}")
+    if sep and kind in ("poly", "saturated"):
+        try:
+            return ilc.FreePolynomial(int(degree), saturated=kind == "saturated")
+        except ValueError:
+            pass
+    raise ValidationError(f"unknown scaling {text!r} (use const, poly:<d> or saturated[:<d>])")
 
 
 def load_spec(zeros_path, bounds_path):
@@ -105,10 +109,12 @@ def load_spec(zeros_path, bounds_path):
     if zeros_path:
         with open(zeros_path) as fh:
             doc = json.load(fh)
+        require_keys(doc, f"zeros file {zeros_path}", "zero_pattern")
         pattern = tuple((int(i), int(j)) for i, j in doc["zero_pattern"])
     if bounds_path:
         with open(bounds_path) as fh:
             doc = json.load(fh)
+        require_keys(doc, f"bounds file {bounds_path}", "K_lower", "K_upper")
         lo = np.asarray(doc["K_lower"], dtype=float)
         up = np.asarray(doc["K_upper"], dtype=float)
     return ControllerSpec(zero_pattern=pattern, k_lower=lo, k_upper=up)

@@ -33,6 +33,13 @@ class ValidationError(PoslpError):
     """Malformed linear program or value object."""
 
 
+def require_keys(doc, what, *keys):
+    """Raise a ValidationError naming the first of `keys` missing from `doc`."""
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{what} is missing the key {key!r}")
+
+
 class NonConvergenceError(PoslpError):
     """Iterative routine hit its iteration cap."""
 

@@ -14,13 +14,11 @@ finite b; since no a-priori bound on that b is used here, b is caller
 escalatable and defaults to deg P + 2.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CombinatorialCapError, DegreeError
-from .lpcore import LpBuilder
 from .poly import Poly, monomials, poly_mul
 
 PRODUCT_CAP = 10_000
@@ -160,16 +158,15 @@ def _row_tables(row, ups, num_vars):
 
 
 def _relaxed(rlp, plan, certify):
-    """The base program of `rlp` (its variables and linear rows) stacked
+    """A copy of the builder of `rlp` (its variables and delta-free rows)
     with, per polynomial row r, either the row itself (degree 0) or the
     block rows `certify(a, c)` = (kind, tag, relation, a', u, c') over the
     row's tables: `[a' | -u] (x, y) relation -c'` with fresh certificate
-    variables y = kind{r}_k <= 0, one per column of u."""
-    builder = LpBuilder(rlp.var_names, rlp.var_lower, rlp.var_upper, rlp.objective)
+    variables y = kind{r}_k <= 0, one per column of u.  The LP's
+    `var_blocks` maps each such row's name to (kind, y)."""
+    builder = rlp.builder.copy()
     x = list(range(builder.num_vars))
-    for rel, rows in itertools.groupby(rlp.linear_rows, key=lambda row: row[1]):
-        coeffs, _, rhs, names = zip(*rows)
-        builder.add_rows(x, coeffs, rel, rhs, names)
+    cert = {}
     for r, row in enumerate(rlp.poly_rows):
         if row.degree() > plan.b:
             raise DegreeError(f"row {row.name} degree {row.degree()} > b={plan.b}")
@@ -179,9 +176,10 @@ def _relaxed(rlp, plan, certify):
             continue
         kind, tag, rel, a, u, c = certify(*_row_tables(row, plan.ups, len(x)))
         y = builder.add_vars(f"{kind}{r}_", u.shape[1], upper=0.0)
+        cert[row.name] = (kind, y)
         builder.add_rows(x + y, np.hstack([a, -u]), rel, -c,
                          [f"{tag}{r}_{i}" for i in range(len(c))])
-    return builder.build()
+    return builder.build(cert)
 
 
 def relax_full(rlp, b=None, cap=PRODUCT_CAP, plan=None):
@@ -213,18 +211,11 @@ def relax_reduced(rlp, b=None, cap=PRODUCT_CAP, plan=None):
     return _relaxed(rlp, plan, lambda a, c: ("R", "hr", "<=", w @ a, g, w @ c))
 
 
-def certificate_blocks(lp, solution, num_poly_rows):
-    """Pull the Q/R blocks out of a relaxed LP solution, keyed by row."""
-    blocks = {}
+def certificate_blocks(lp, solution):
+    """The Q/R blocks of a solved relaxation, keyed by polynomial row name."""
     if solution.x is None:
-        return blocks
-    for r in range(num_poly_rows):
-        for kind in ("Q", "R"):
-            cols = [j for j, name in enumerate(lp.var_names) if name.startswith(f"{kind}{r}_")]
-            if cols:
-                blocks[r] = (kind, solution.x[cols])
-                break
-    return blocks
+        return {}
+    return {name: (kind, solution.x[cols]) for name, (kind, cols) in lp.var_blocks.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +235,7 @@ def extract_certificate(rlp, lp, solution, plan, form="reduced"):
     """Certificate of a solved relaxation `lp` of `rlp` made with `plan`."""
     if plan is None:
         return None
-    raw = certificate_blocks(lp, solution, len(rlp.poly_rows))
-    blocks = {rlp.poly_rows[r].name: kv for r, kv in raw.items()}
+    blocks = certificate_blocks(lp, solution)
     eliminated = None
     if form == "reduced":
         sel = pure_power_columns(plan.basis, plan.ups)

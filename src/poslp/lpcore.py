@@ -6,7 +6,7 @@ inequalities coming from the theory are closed with a configurable margin
 small, explicitly reported upward bias.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class LinearProgram:
     var_upper: np.ndarray           # +inf when unbounded above
     var_names: tuple = ()
     row_names: tuple = ()
+    var_blocks: dict = field(default_factory=dict)  # name -> (kind, columns) to recover
 
     @property
     def num_vars(self):
@@ -144,6 +145,12 @@ class LpBuilder:
         self._blocks.append((cols, coeffs, relation, rhs, tuple(names)))
         self._num_rows += k
 
+    def copy(self):
+        """An independent builder with the same variables and rows."""
+        twin = LpBuilder(self._var_names, self._lower, self._upper, self._obj)
+        twin._blocks, twin._num_rows = list(self._blocks), self._num_rows
+        return twin
+
     def add_row(self, coeffs, relation, rhs, name=""):
         """One row from a {column: coefficient} dict or a dense prefix."""
         if isinstance(coeffs, dict):
@@ -153,7 +160,7 @@ class LpBuilder:
             cols = slice(0, coeffs.shape[0])
         self.add_rows(cols, coeffs, relation, rhs, [name])
 
-    def build(self):
+    def build(self, var_blocks=None):
         coeffs = np.zeros((self._num_rows, self.num_vars))
         rhs = np.zeros(self._num_rows)
         rels, names = [], []
@@ -174,26 +181,10 @@ class LpBuilder:
             var_upper=np.array(self._upper),
             var_names=tuple(self._var_names),
             row_names=tuple(names),
+            var_blocks=var_blocks or {},
         )
         lp.validate()
         return lp
-
-
-def strictify(rows, policy):
-    """Close strict rows: '<' shifts the rhs by -epsilon, '>' by +lambda_floor.
-
-    Rows are (coeffs, relation, rhs, name) tuples; relations '<=', '>=' and
-    '==' pass through untouched.
-    """
-    out = []
-    for coeffs, rel, rhs, name in rows:
-        if rel == "<":
-            out.append((coeffs, "<=", rhs - policy.epsilon, name))
-        elif rel == ">":
-            out.append((coeffs, ">=", rhs + policy.lambda_floor, name))
-        else:
-            out.append((coeffs, rel, rhs, name))
-    return out
 
 
 def _fmt(x):
@@ -206,108 +197,76 @@ def lp_to_text(lp):
     Intended for external cross-checking and structural hashing; the format is
     stable across runs for identical programs.
     """
-    lines = [f"vars {lp.num_vars}"]
     names = lp.var_names or tuple(f"x{i}" for i in range(lp.num_vars))
-    for j in range(lp.num_vars):
-        lines.append(
-            f"var {names[j]} lower {_fmt(lp.var_lower[j])} upper {_fmt(lp.var_upper[j])}"
-        )
+    lines = [f"vars {lp.num_vars}"]
+    lines += [f"var {name} lower {_fmt(lo)} upper {_fmt(up)}"
+              for name, lo, up in zip(names, lp.var_lower, lp.var_upper)]
     lines.append("minimize " + " ".join(_fmt(c) for c in lp.objective))
-    row_names = lp.row_names or tuple("" for _ in range(lp.num_rows))
-    for i in range(lp.num_rows):
-        coeffs = " ".join(_fmt(c) for c in lp.row_coeffs[i])
-        lines.append(f"row {row_names[i]} {lp.row_relations[i]} {_fmt(lp.row_rhs[i])} : {coeffs}")
+    rows = zip(lp.row_names or ("",) * lp.num_rows, lp.row_relations, lp.row_rhs, lp.row_coeffs)
+    lines += [f"row {name} {rel} {_fmt(rhs)} : " + " ".join(_fmt(c) for c in coeffs)
+              for name, rel, rhs, coeffs in rows]
     return "\n".join(lines) + "\n"
 
 
 class _Standardizer:
     """Rewrite an LP into equality standard form with nonnegative variables.
 
-    Finite lower bounds are shifted out, upper-only variables negated, free
-    variables split, two-sided bounds shifted plus an explicit upper row.
+    x = offset + sub @ x_std, where standard column k is variable var[k]
+    with sign sign[k]: finite lower bounds are shifted out, upper-only
+    variables negated, free variables split in two columns; two-sided bounds
+    add an identity block of upper rows, inequalities an identity block of
+    slack columns, and rows with a negative rhs are negated.
     """
 
     def __init__(self, lp):
         lp.validate()
-        self.lp = lp
-        n = lp.num_vars
-        self.var_map = [[] for _ in range(n)]   # var -> [(std_col, sign)]
-        self.offset = np.zeros(n)
-        cols = []                                # std_col -> (var, sign)
-        extra_upper = []                         # (std_col, residual bound)
-        for j in range(n):
-            lo, up = lp.var_lower[j], lp.var_upper[j]
-            if np.isfinite(lo):
-                self.offset[j] = lo
-                self.var_map[j].append((len(cols), 1.0))
-                cols.append((j, 1.0))
-                if np.isfinite(up):
-                    extra_upper.append((len(cols) - 1, up - lo))
-            elif np.isfinite(up):
-                self.offset[j] = up
-                self.var_map[j].append((len(cols), -1.0))
-                cols.append((j, -1.0))
-            else:
-                self.var_map[j].append((len(cols), 1.0))
-                cols.append((j, 1.0))
-                self.var_map[j].append((len(cols), -1.0))
-                cols.append((j, -1.0))
-        num_std = len(cols)
+        lo, up = lp.var_lower, lp.var_upper
+        has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+        free = ~has_lo & ~has_up
+        width = 1 + free                           # standard columns per variable
+        first = np.cumsum(width) - width
+        self.num_std = num_std = int(width.sum())
+        self.var = var = np.repeat(np.arange(lp.num_vars), width)
+        self.sign = sign = np.ones(num_std)
+        sign[first[has_up & ~has_lo]] = -1.0
+        sign[first[free] + 1] = -1.0
+        sub = np.zeros((lp.num_vars, num_std))
+        sub[var, np.arange(num_std)] = sign
+        self.offset = np.where(has_lo, lo, np.where(has_up, up, 0.0))
 
-        sub = np.zeros((n, num_std))
-        for k, (j, s) in enumerate(cols):
-            sub[j, k] = s
-        rows = lp.row_coeffs @ sub if lp.num_rows else np.zeros((0, num_std))
-        rhs = lp.row_rhs - lp.row_coeffs @ self.offset if lp.num_rows else np.zeros(0)
-        is_ineq = [rel == "<=" for rel in lp.row_relations]
-        for col, bound in extra_upper:
-            rr = np.zeros(num_std)
-            rr[col] = 1.0
-            rows = np.vstack([rows, rr]) if rows.size else rr[None, :]
-            rhs = np.append(rhs, bound)
-            is_ineq.append(True)
+        boxed = np.flatnonzero(has_lo & has_up)
+        upper = np.zeros((boxed.size, num_std))
+        upper[np.arange(boxed.size), first[boxed]] = 1.0
+        rows = np.vstack([lp.row_coeffs @ sub, upper])
+        rhs = np.concatenate([lp.row_rhs - lp.row_coeffs @ self.offset, up[boxed] - lo[boxed]])
+        is_ineq = np.concatenate([np.array(lp.row_relations) == "<=",
+                                  np.ones(boxed.size, dtype=bool)])
+        ineq = np.flatnonzero(is_ineq)
+        self.num_slack = ineq.size
+        slack = np.zeros((rows.shape[0], ineq.size))
+        slack[ineq, np.arange(ineq.size)] = 1.0
+        self.slack_of_row = np.full(rows.shape[0], -1, dtype=int)
+        self.slack_of_row[ineq] = num_std + np.arange(ineq.size)
 
-        num_rows = rows.shape[0] if rows.ndim == 2 else 0
-        slack = np.zeros((num_rows, sum(is_ineq)))
-        self.slack_of_row = np.full(num_rows, -1, dtype=int)
-        k = 0
-        for i in range(num_rows):
-            if is_ineq[i]:
-                slack[i, k] = 1.0
-                self.slack_of_row[i] = num_std + k
-                k += 1
-        a = np.hstack([rows, slack]) if num_rows else np.zeros((0, num_std))
-
-        self.row_sign = np.ones(num_rows)
-        for i in range(num_rows):
-            if rhs[i] < 0:
-                a[i] *= -1.0
-                rhs[i] = -rhs[i]
-                self.row_sign[i] = -1.0
-
-        self.a = a
+        neg = rhs < 0
+        self.a = np.hstack([rows, slack])
+        self.a[neg] *= -1.0
+        rhs[neg] = -rhs[neg]
         self.b = rhs
-        self.num_std = num_std
-        self.num_slack = k
-        self.num_orig_rows = lp.num_rows
-        cost = np.zeros(a.shape[1])
-        for k2, (j, s) in enumerate(cols):
-            cost[k2] = lp.objective[j] * s
-        self.cost = cost
+        self.row_sign = np.where(neg, -1.0, 1.0)
+        self.cost = np.zeros(self.a.shape[1])
+        self.cost[:num_std] = lp.objective[var] * sign
 
     def back_substitute(self, x_std):
-        x = self.offset.copy()
-        for j, parts in enumerate(self.var_map):
-            for col, sign in parts:
-                x[j] += sign * x_std[col]
-        return x
+        return self._add_columns(self.offset.copy(), x_std)
 
     def ray_back(self, ray_std):
-        ray = np.zeros(self.lp.num_vars)
-        for j, parts in enumerate(self.var_map):
-            for col, sign in parts:
-                ray[j] += sign * ray_std[col]
-        return ray
+        return self._add_columns(np.zeros_like(self.offset), ray_std)
+
+    def _add_columns(self, x, x_std):
+        """x + sub @ x_std, adding each variable's signed columns in order."""
+        np.add.at(x, self.var, self.sign * x_std[:self.num_std])
+        return x
 
 
 def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start_iter):
@@ -361,24 +320,17 @@ def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start
         it += 1
 
 
-def _dual_multipliers(std, basis, struct_cost, art_row):
-    """Simplex multipliers y with B^T y = c_B, from the pristine columns."""
-    m = std.a.shape[0]
-    cols, cb = [], []
-    for i in range(len(basis)):
-        j = int(basis[i])
-        if j < std.a.shape[1]:
-            cols.append(std.a[:, j])
-            cb.append(struct_cost[j])
-        else:
-            e = np.zeros(m)
-            e[art_row[j]] = 1.0
-            cols.append(e)
-            cb.append(1.0)
-    if not cols:
-        return np.zeros(m)
-    bmat = np.column_stack(cols)
-    y, *_ = np.linalg.lstsq(bmat.T, np.array(cb), rcond=None)
+def _dual_multipliers(std, basis, struct_cost, art_rows):
+    """Simplex multipliers y with B^T y = c_B, from the pristine columns;
+    artificial column ncols + k is the unit vector of row art_rows[k]."""
+    ncols = std.a.shape[1]
+    art = basis >= ncols
+    bmat = np.zeros((std.a.shape[0], basis.size))
+    bmat[:, ~art] = std.a[:, basis[~art]]
+    bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
+    cb = np.ones(basis.size)
+    cb[~art] = struct_cost[basis[~art]]
+    y, *_ = np.linalg.lstsq(bmat.T, cb, rcond=None)
     return y
 
 
@@ -395,56 +347,49 @@ def solve_lp(lp, max_iterations=1_000_000):
     if num_rows == 0:
         return _solve_bounds_only(lp, std)
 
-    basis = np.empty(num_rows, dtype=int)
-    need_art = []
-    for i in range(num_rows):
-        s = std.slack_of_row[i]
-        if s >= 0 and a[i, s] > 0:
-            basis[i] = s
-        else:
-            need_art.append(i)
-    art = np.zeros((num_rows, len(need_art)))
-    art_row = {}
-    for k, i in enumerate(need_art):
-        art[i, k] = 1.0
-        art_row[ncols + k] = i
-        basis[i] = ncols + k
+    # a slack with a positive coefficient starts in the basis, other rows
+    # get an artificial column
+    slack = std.slack_of_row
+    start = np.flatnonzero(slack >= 0)
+    start = start[a[start, slack[start]] > 0]
+    basis = np.full(num_rows, -1)
+    basis[start] = slack[start]
+    art_rows = np.flatnonzero(basis < 0)
+    art = np.zeros((num_rows, art_rows.size))
+    art[art_rows, np.arange(art_rows.size)] = 1.0
+    basis[art_rows] = ncols + np.arange(art_rows.size)
     t = np.hstack([a, art, b[:, None]])
-    total_cols = ncols + len(need_art)
+    total_cols = ncols + art_rows.size
     iters = 0
 
-    if need_art:
+    if art_rows.size:
         cost1 = np.zeros(total_cols)
         cost1[ncols:] = 1.0
-        allowed = np.ones(total_cols, dtype=bool)
-        status, iters, _ = _simplex_loop(t, basis, cost1, allowed, ncols,
-                                         max_iterations, 0)
+        status, iters, _ = _simplex_loop(t, basis, cost1, np.ones(total_cols, dtype=bool),
+                                         ncols, max_iterations, 0)
         phase1 = float(cost1[basis] @ t[:, -1])
         if phase1 > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            y = _dual_multipliers(std, basis, np.zeros(ncols), art_row)
-            cert = y[: std.num_orig_rows] * std.row_sign[: std.num_orig_rows]
+            y = _dual_multipliers(std, basis, np.zeros(ncols), art_rows)
+            cert = y[:lp.num_rows] * std.row_sign[:lp.num_rows]
             return LpSolution("infeasible", None, np.nan, iters, certificate=cert)
         t, basis = _drive_out_artificials(t, basis, ncols)
 
-    num_rows = t.shape[0]
     cost2 = np.zeros(total_cols)
     cost2[:ncols] = std.cost
-    allowed2 = np.ones(total_cols, dtype=bool)
-    allowed2[ncols:] = False
+    allowed2 = np.arange(total_cols) < ncols
     status, iters, enter = _simplex_loop(t, basis, cost2, allowed2, ncols,
                                          max_iterations, iters)
+    structural = basis < ncols
+    bas = basis[structural]
     if status == "unbounded":
         ray_std = np.zeros(ncols)
         ray_std[enter] = 1.0
-        for i in range(num_rows):
-            if basis[i] < ncols:
-                ray_std[basis[i]] = -t[i, enter]
+        ray_std[bas] = -t[structural, enter]
         return LpSolution("unbounded", None, -np.inf, iters,
-                          certificate=std.ray_back(ray_std[: std.num_std + std.num_slack]))
+                          certificate=std.ray_back(ray_std))
 
     x_std = np.zeros(ncols)
-    bas = [int(j) for j in basis if j < ncols]
-    if bas:
+    if bas.size:
         bmat = std.a[:, bas]
         if bmat.shape[0] == bmat.shape[1]:
             try:
@@ -457,29 +402,20 @@ def solve_lp(lp, max_iterations=1_000_000):
     x = std.back_substitute(x_std)
     obj = float(lp.objective @ x)
 
-    y = _dual_multipliers(std, basis, std.cost, art_row)
-    dual = y[: std.num_orig_rows] * std.row_sign[: std.num_orig_rows]
+    y = _dual_multipliers(std, basis, std.cost, art_rows)
+    dual = y[:lp.num_rows] * std.row_sign[:lp.num_rows]
     _verify_optimal(lp, std, x, x_std, y, obj)
     return LpSolution("optimal", x, obj, iters, dual=dual)
 
 
 def _solve_bounds_only(lp, std):
-    x = std.offset.copy()
-    ray = np.zeros(lp.num_vars)
-    unbounded = False
-    for j in range(lp.num_vars):
-        c = lp.objective[j]
-        if c < 0:
-            if np.isinf(lp.var_upper[j]):
-                unbounded = True
-                ray[j] = 1.0
-            else:
-                x[j] = lp.var_upper[j]
-        elif c > 0 and np.isinf(lp.var_lower[j]):
-            unbounded = True
-            ray[j] = -1.0
-    if unbounded:
+    """No rows: each variable sits at the bound its cost points to."""
+    c = lp.objective
+    ray = np.where((c < 0) & np.isinf(lp.var_upper), 1.0,
+                   np.where((c > 0) & np.isinf(lp.var_lower), -1.0, 0.0))
+    if ray.any():
         return LpSolution("unbounded", None, -np.inf, 0, certificate=ray)
+    x = np.where(c < 0, lp.var_upper, std.offset)
     return LpSolution("optimal", x, float(lp.objective @ x), 0, dual=np.zeros(0))
 
 
@@ -505,23 +441,19 @@ def _drive_out_artificials(t, basis, ncols):
 
 
 def _verify_optimal(lp, std, x, x_std, y, obj):
-    if lp.num_rows:
-        resid = lp.row_coeffs @ x - lp.row_rhs
-        scale = 1.0 + np.abs(lp.row_rhs)
-        for i in range(lp.num_rows):
-            bad = resid[i] > _FEAS_TOL * scale[i] if lp.row_relations[i] == "<=" \
-                else abs(resid[i]) > _FEAS_TOL * scale[i]
-            if bad:
-                raise NonConvergenceError(
-                    f"optimal vertex failed primal verification on row {i} "
-                    f"(residual {resid[i]:.3e})")
-    finite_lo = np.isfinite(lp.var_lower)
-    finite_up = np.isfinite(lp.var_upper)
-    if np.any(x[finite_lo] < lp.var_lower[finite_lo] - 1e-7 * (1 + np.abs(lp.var_lower[finite_lo]))):
+    resid = lp.row_coeffs @ x - lp.row_rhs
+    eq = np.array(lp.row_relations) == "=="
+    bad = np.where(eq, np.abs(resid), resid) > _FEAS_TOL * (1.0 + np.abs(lp.row_rhs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonConvergenceError(
+            f"optimal vertex failed primal verification on row {i} "
+            f"(residual {resid[i]:.3e})")
+    lo, up = lp.var_lower, lp.var_upper      # infinite bounds compare false
+    if np.any(x < lo - 1e-7 * (1 + np.abs(lo))):
         raise NonConvergenceError("optimal vertex failed lower-bound verification")
-    if np.any(x[finite_up] > lp.var_upper[finite_up] + 1e-7 * (1 + np.abs(lp.var_upper[finite_up]))):
+    if np.any(x > up + 1e-7 * (1 + np.abs(up))):
         raise NonConvergenceError("optimal vertex failed upper-bound verification")
-    if y is not None and std.a.shape[0]:
-        gap = abs(float(std.cost @ x_std) - float(y @ std.b))
-        if gap > 1e-6 * (1.0 + abs(obj)):
-            raise NonConvergenceError(f"duality gap {gap:.3e} exceeds tolerance")
+    gap = abs(float(std.cost @ x_std) - float(y @ std.b))
+    if gap > 1e-6 * (1.0 + abs(obj)):
+        raise NonConvergenceError(f"duality gap {gap:.3e} exceeds tolerance")

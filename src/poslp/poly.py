@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import DegreeError, DimensionError, ValidationError
+from .errors import DegreeError, DimensionError, ValidationError, require_keys
 
 
 def monomials(nparams, max_degree):
@@ -138,10 +138,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(N={self.nparams}, shape={self.shape}, terms={len(self.terms)})"
-
-
-def poly_eval(p, delta):
-    return p.eval(delta)
 
 
 def _point_stack(points, nparams):
@@ -368,6 +364,7 @@ def polynomial_system_to_dict(psys):
 
 
 def polynomial_system_from_dict(doc):
+    require_keys(doc, "polynomial system", "nparams", "n", "p", "q", "terms")
     nparams = int(doc["nparams"])
     n, m = int(doc["n"]), int(doc.get("m", 0))
     p, q = int(doc["p"]), int(doc["q"])
@@ -375,6 +372,7 @@ def polynomial_system_from_dict(doc):
               "E": (n, p), "F": (q, p)}
     terms = {name: {} for name in shapes}
     for rec in doc["terms"]:
+        require_keys(rec, "polynomial system term", "exponents")
         alpha = tuple(int(a) for a in rec["exponents"])
         for name, shape in shapes.items():
             if name in rec:

@@ -44,21 +44,18 @@ class PolyRow:
 
 @dataclass(frozen=True, eq=False)
 class RobustLinearProgram:
-    """First-class robust LP: finished linear rows plus symbolic polynomial
-    rows over a box, with named variable blocks for recovery."""
+    """First-class robust LP: the LpBuilder holding its variables and
+    delta-free rows, symbolic polynomial rows over a box, and named variable
+    blocks for recovery.  Relaxations append to a copy of the builder, so
+    one program can be relaxed at several b and in both forms."""
 
-    var_names: tuple
-    var_lower: np.ndarray
-    var_upper: np.ndarray
-    objective: np.ndarray
-    linear_rows: tuple
+    builder: LpBuilder
     poly_rows: tuple
     domain: object
     blocks: dict
     epsilon: float
-    lambda_floor: float
-    conservative: bool
     which: str
+    conservative: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +110,6 @@ def _add_rows(b, poly, zero, names, relation, terms, const=0.0, epsilon=0.0):
         row.update((alpha, (coeffs[i], 0.0)) for alpha, coeffs in terms.items()
                    if coeffs[i].any())
         poly.append(PolyRow(name=names[i], terms=row))
-
-
-def _finish(b, poly, domain, blocks, policy, which):
-    lp = b.build()
-    return RobustLinearProgram(
-        var_names=lp.var_names, var_lower=lp.var_lower, var_upper=lp.var_upper,
-        objective=lp.objective,
-        linear_rows=tuple(zip(lp.row_coeffs, lp.row_relations, lp.row_rhs, lp.row_names)),
-        poly_rows=tuple(poly), domain=domain, blocks=blocks, epsilon=policy.epsilon,
-        lambda_floor=policy.lambda_floor, conservative=True, which=which)
 
 
 def _validate_positive_lft(lft):
@@ -197,7 +184,7 @@ def _assemble_gain(lft, template, policy, which):
     _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
     blocks = {"lam": lam, "gamma": gamma, "phi1": phi1, "phi2": phi2}
-    return _finish(b, poly, lft.domain, blocks, policy, which)
+    return RobustLinearProgram(b, tuple(poly), lft.domain, blocks, policy.epsilon, which)
 
 
 def robust_l1(lft, template, policy=None):
@@ -430,7 +417,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
         _add_rows(b, poly, zero, names, relation, terms)
     blocks = {"lam": lam, "mu": mu, "gamma": gamma, "zero_pattern": tuple(spec.zero_pattern),
               "phi1": phi1, "phi2": phi2}
-    return _finish(b, poly, psys.domain, blocks, policy, "linf-synth")
+    return RobustLinearProgram(b, tuple(poly), psys.domain, blocks, policy.epsilon, "linf-synth")
 
 
 def solve_robust_synthesis(rlp, b=None, form="reduced"):

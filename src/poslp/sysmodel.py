@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .errors import ClassificationError, DimensionError, StabilityError
+from .errors import ClassificationError, DimensionError, StabilityError, require_keys
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 
 
@@ -256,6 +256,7 @@ def system_to_dict(sys):
 
 
 def system_from_dict(doc):
+    require_keys(doc, "system", "n", "p", "q")
     n, m = int(doc["n"]), int(doc.get("m", 0))
     p, q = int(doc["p"]), int(doc["q"])
     def mat(key, rows, cols):

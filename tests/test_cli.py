@@ -209,3 +209,41 @@ def test_robust_commands_relax_once(monkeypatch, capsys, tmp_path, poly_file):
         assert code == 0
         assert len(calls) == 1, (argv, calls)
         assert dump.read_text().splitlines()[0] == f"vars {json.loads(out)['lp_vars']}"
+
+
+@pytest.mark.parametrize("command", ["robust-gain", "robust-synth"])
+@pytest.mark.parametrize("scaling", ["bogus", "poly:x", "poly", "saturated:"])
+def test_robust_commands_reject_bad_scaling(capsys, poly_file, command, scaling):
+    norm = ["--norm", "l1"] if command == "robust-gain" else []
+    assert cli.main([command, poly_file, *norm, "--scaling", scaling]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unknown scaling {scaling!r}")
+
+
+def missing_key_error(capsys, argv):
+    assert cli.main(argv) == 1
+    return capsys.readouterr().err
+
+
+def test_zeros_file_without_pattern_is_refused(capsys, tmp_path, system_file):
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(json.dumps({"pattern": [[0, 1]]}))
+    err = missing_key_error(capsys, ["synth", system_file, "--zeros", str(zeros)])
+    assert err == f"error: zeros file {zeros} is missing the key 'zero_pattern'\n"
+
+
+def test_system_file_without_n_is_refused(capsys, tmp_path, system_file):
+    doc = json.loads(open(system_file).read())
+    del doc["n"]
+    path = tmp_path / "no_n.json"
+    path.write_text(json.dumps(doc))
+    err = missing_key_error(capsys, ["gain", "--norm", "l1", str(path)])
+    assert err == "error: system is missing the key 'n'\n"
+
+
+def test_polynomial_system_file_without_nparams_is_refused(capsys, tmp_path, poly_file):
+    doc = json.loads(open(poly_file).read())
+    del doc["nparams"]
+    path = tmp_path / "no_nparams.json"
+    path.write_text(json.dumps(doc))
+    err = missing_key_error(capsys, ["robust-gain", "--norm", "l1", str(path)])
+    assert err == "error: polynomial system is missing the key 'nparams'\n"

@@ -91,3 +91,12 @@ def test_lemma_equivalence_small_battery():
         l1, linf = sysmodel.oracle_gains(s)
         assert gains.l1_gain(s).gamma == pytest.approx(l1, rel=1e-4)
         assert gains.linf_gain(s).gamma == pytest.approx(linf, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="lpcore never pivots on a coefficient at its "
+                                       "pivot tolerance 1e-9, so A is refused as unstable")
+def test_hurwitz_a_with_diagonal_entry_at_pivot_tolerance():
+    s = sysmodel.PositiveLtiSystem(A=np.diag([-1.0, -1e-9]), B=None, C=[[1.0, 0.0]],
+                                   D=None, E=[[1.0], [0.0]], F=[[0.0]])
+    assert sysmodel.is_stable(s)
+    assert gains.l1_gain(s).gamma == pytest.approx(1.0, rel=1e-5)

@@ -3,22 +3,20 @@ import pytest
 
 from poslp import handelman as hd
 from poslp.errors import CombinatorialCapError, DegreeError
-from poslp.lpcore import solve_lp
+from poslp.lpcore import LpBuilder, solve_lp
 from poslp.poly import BoxDomain
-from poslp.robust import PolyRow, RobustLinearProgram
+from poslp.robust import PolyRow, RobustLinearProgram, solve_robust
 
 
 def make_rlp(poly_rows, num_vars=1, objective=None, lower=None, domain=None,
-             linear_rows=()):
+             names=None):
     objective = np.zeros(num_vars) if objective is None else np.asarray(objective, dtype=float)
     low = np.full(num_vars, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    builder = LpBuilder(names or tuple(f"x{i}" for i in range(num_vars)), low,
+                        np.full(num_vars, np.inf), objective)
     return RobustLinearProgram(
-        var_names=tuple(f"x{i}" for i in range(num_vars)),
-        var_lower=low, var_upper=np.full(num_vars, np.inf),
-        objective=objective, linear_rows=tuple(linear_rows),
-        poly_rows=tuple(poly_rows), domain=domain or BoxDomain.unit(1),
-        blocks={"lam": [], "gamma": 0}, epsilon=1e-7, lambda_floor=1e-6,
-        conservative=True, which="test")
+        builder=builder, poly_rows=tuple(poly_rows), domain=domain or BoxDomain.unit(1),
+        blocks={"lam": [], "gamma": 0}, epsilon=1e-7, which="test")
 
 
 def interval_basis(lo, hi, b):
@@ -110,8 +108,8 @@ def test_negative_quadratic_certified_at_b2():
     lp = hd.relax_full(rlp, b=2)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    blocks = hd.certificate_blocks(lp, sol, 1)
-    kind, q = blocks[0]
+    blocks = hd.certificate_blocks(lp, sol)
+    kind, q = blocks["q"]
     assert kind == "Q"
     assert np.all(q <= 1e-12)
     # the certificate reconstructs the row polynomial exactly
@@ -201,3 +199,15 @@ def test_monotone_tightening_in_b():
         val = sol.objective_value if sol.status == "optimal" else np.inf
         assert val <= prev + 1e-9
         prev = val
+
+
+def test_certificate_reads_only_the_relaxation_columns():
+    # a base variable whose name looks like a certificate column stays out
+    row = PolyRow(name="q", terms={(0,): (np.zeros(1), -1.0),
+                                   (2,): (np.zeros(1), -1.0)})
+    rlp = make_rlp([row], num_vars=1, objective=[1.0], lower=[0.0],
+                   domain=BoxDomain.symmetric(1), names=("Q0_x",))
+    res = solve_robust(rlp, b=2, form="full")
+    kind, q = res.certificate.blocks["q"]
+    assert kind == "Q"
+    assert len(q) == len(res.certificate.products) == res.lp.num_vars - 1

@@ -4,8 +4,7 @@ import pytest
 from poslp import gains, sysmodel
 from poslp.cases import gene_expression_system
 from poslp.errors import NonConvergenceError, ValidationError
-from poslp.lpcore import (LpBuilder, StrictnessPolicy, lp_to_text, solve_lp,
-                          strictify)
+from poslp.lpcore import LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
 
 
 def simple_lp(objective_on_x=1.0):
@@ -148,16 +147,6 @@ def test_validation_rejects_bad_relation():
         b.add_row({x: 1.0}, "<", 0.0)
 
 
-def test_strictify_closes_strict_rows():
-    policy = StrictnessPolicy()
-    rows = [(np.array([1.0]), "<", 0.0, "a"), (np.array([1.0]), ">", 0.0, "b"),
-            (np.array([1.0]), "==", 2.0, "c")]
-    out = strictify(rows, policy)
-    assert out[0][1:3] == ("<=", -policy.epsilon)
-    assert out[1][1:3] == (">=", policy.lambda_floor)
-    assert out[2][1:3] == ("==", 2.0)
-
-
 def test_policy_must_be_positive():
     with pytest.raises(ValidationError):
         StrictnessPolicy(epsilon=0.0)
@@ -188,3 +177,80 @@ def test_dump_is_deterministic_and_line_oriented():
     assert lines[0] == "vars 1"
     assert lines[-1].startswith("row r0 <= ")
     assert "minimize" in lines[2]
+
+
+def loop_standard_form(lp):
+    """Reference standard form, one variable and one row at a time: shift
+    finite lower bounds, negate upper-only variables, split free ones, add
+    an upper row per two-sided bound and a slack per inequality, negate
+    rows with a negative rhs.  Returns (a, b, cost, offset, row_sign,
+    slack_of_row, back-substitution of x_std)."""
+    parts, cols, offset, extra = [], [], np.zeros(lp.num_vars), []
+    for j in range(lp.num_vars):
+        lo, up = lp.var_lower[j], lp.var_upper[j]
+        signs = [1.0, -1.0] if not (np.isfinite(lo) or np.isfinite(up)) \
+            else [1.0 if np.isfinite(lo) else -1.0]
+        offset[j] = lo if np.isfinite(lo) else up if np.isfinite(up) else 0.0
+        parts.append([(len(cols) + k, s) for k, s in enumerate(signs)])
+        if np.isfinite(lo) and np.isfinite(up):
+            extra.append((len(cols), up - lo))
+        cols += [(j, s) for s in signs]
+    sub = np.zeros((lp.num_vars, len(cols)))
+    for k, (j, s) in enumerate(cols):
+        sub[j, k] = s
+    rows = [row for row in lp.row_coeffs @ sub]
+    rhs = list(lp.row_rhs - lp.row_coeffs @ offset)
+    ineq = [rel == "<=" for rel in lp.row_relations]
+    for col, bound in extra:
+        rows.append(np.eye(len(cols))[col])
+        rhs.append(bound)
+        ineq.append(True)
+    a = np.zeros((len(rows), len(cols) + sum(ineq)))
+    slack_of_row = np.full(len(rows), -1)
+    row_sign = np.ones(len(rows))
+    for i in range(len(rows)):
+        a[i, :len(cols)] = rows[i]
+        if ineq[i]:
+            slack_of_row[i] = len(cols) + int(np.sum(ineq[:i]))
+            a[i, slack_of_row[i]] = 1.0
+        if rhs[i] < 0:
+            a[i] *= -1.0
+            rhs[i], row_sign[i] = -rhs[i], -1.0
+    cost = np.zeros(a.shape[1])
+    for k, (j, s) in enumerate(cols):
+        cost[k] = lp.objective[j] * s
+
+    def back(x_std):
+        x = offset.copy()
+        for j, pieces in enumerate(parts):
+            for col, s in pieces:
+                x[j] += s * x_std[col]
+        return x
+    return a, np.array(rhs, dtype=float), cost, offset, row_sign, slack_of_row, back
+
+
+def test_standard_form_matches_loop_reference_bit_for_bit():
+    # lower-only, upper-only, free and two-sided variables, "<=" and "=="
+    # rows, zero costs of both signs; compare values and sign bits
+    from poslp.lpcore import _Standardizer
+    rng = np.random.default_rng(11)
+    for trial in range(150):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(0, 7))
+        kind = rng.integers(0, 4, n)
+        lo = np.where(kind % 3 == 0, rng.uniform(-2, 1, n), -np.inf)
+        up = np.where(kind == 1, rng.uniform(-1, 2, n),
+                      np.where(kind == 3, lo + rng.uniform(0, 3, n), np.inf))
+        obj = rng.uniform(-1, 1, n) * (rng.uniform(0, 1, n) > 0.3)
+        lp = LpBuilder([f"x{j}" for j in range(n)], lo, up, obj)
+        lp.add_rows(slice(0, n), rng.uniform(-1, 1, (m, n)),
+                    "==" if trial % 4 == 0 else "<=", rng.uniform(-2, 2, m),
+                    [f"r{i}" for i in range(m)])
+        lp = lp.build()
+        std = _Standardizer(lp)
+        a, b, cost, offset, row_sign, slack_of_row, back = loop_standard_form(lp)
+        x_std = rng.uniform(-1, 1, a.shape[1])
+        for got, want in ((std.a, a), (std.b, b), (std.cost, cost), (std.offset, offset),
+                          (std.row_sign, row_sign), (std.slack_of_row, slack_of_row),
+                          (std.back_substitute(x_std), back(x_std))):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes(), trial

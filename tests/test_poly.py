@@ -4,7 +4,7 @@ import pytest
 from poslp import poly as pl
 from poslp.cases import POLY3_A, poly3_system
 from poslp.errors import DegreeError, DimensionError, ValidationError
-from poslp.poly import BoxDomain, Poly, coefficient_rows, monomials, poly_eval, poly_from_rows, poly_mul, poly_scale
+from poslp.poly import BoxDomain, Poly, coefficient_rows, monomials, poly_from_rows, poly_mul, poly_scale
 
 
 def scalar_poly(coeffs):
@@ -118,7 +118,7 @@ def test_rows_round_trip():
 
 def test_poly_eval_dimension_mismatch():
     with pytest.raises(DimensionError):
-        poly_eval(scalar_poly([1.0]), [0.1, 0.2])
+        scalar_poly([1.0]).eval([0.1, 0.2])
 
 
 def test_no_zero_coefficients_stored():

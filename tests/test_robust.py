@@ -5,7 +5,7 @@ from poslp import gains, handelman, ilc, lft, robust, synthesis, sysmodel
 from poslp.cases import POLY3_REFERENCE, gene_expression_system, poly3_system
 from poslp.errors import (ClassificationError, CombinatorialCapError,
                           DegreeError, DimensionError, StabilityError)
-from poslp.lpcore import lp_to_text
+from poslp.lpcore import LpBuilder, lp_to_text
 from poslp.poly import BoxDomain, polynomial_system
 from poslp.synthesis import ControllerSpec
 
@@ -240,6 +240,25 @@ def test_robust_synthesis_scalar_worst_case():
     assert k < -2.0
     worst = 1.0 / (-2.0 - k)    # static gain at the worst vertex delta = 1
     assert worst <= res.gamma <= worst * (1 + 1e-6) + 3e-7
+
+
+def test_robust_programs_build_one_lp(monkeypatch, bench):
+    # the relaxation appends to the program's own builder: one build per solve
+    psys, l, tl = bench
+    builds = []
+    build = LpBuilder.build
+
+    def spy(self, *args, **kwargs):
+        builds.append(self)
+        return build(self, *args, **kwargs)
+    monkeypatch.setattr(LpBuilder, "build", spy)
+    for assemble, form in ((lambda: robust.robust_l1(l, ilc.FreePolynomial(2)), "reduced"),
+                           (lambda: robust.robust_linf(tl, ilc.FreeConstant()), "full"),
+                           (lambda: robust.robust_stabilize(scalar_uncertain_plant(),
+                                                            ilc.FreePolynomial(1)), "reduced")):
+        builds.clear()
+        robust.solve_robust(assemble(), form=form)
+        assert len(builds) == 1
 
 
 def test_robust_synthesis_2x2_grid_certification():

@@ -433,7 +433,7 @@ def main(argv=None):
     except (InfeasibleError, StabilityError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 1
-    except PoslpError as err:
+    except (PoslpError, OSError, json.JSONDecodeError) as err:   # or an unreadable input file
         print(f"error: {err}", file=sys.stderr)
         return 1
 

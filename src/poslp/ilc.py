@@ -149,6 +149,10 @@ def instantiate(template, channel):
         if channel.delta_structure is None:
             raise DimensionError("saturated polynomial scalings need Delta(delta)")
         ddeg = channel.delta_structure.degree()
+        if template.degree < ddeg:
+            # phi1 = -Delta^T phi2 could not be matched term by term
+            raise DomainError(f"saturated scalings need degree >= {ddeg} (the degree of "
+                              f"Delta(delta)), got {template.degree}")
         phi2_degree = max(template.degree - max(ddeg, 1), 0)
         eqs = _saturation_equalities(channel.delta_structure, nparams, n0,
                                      template.degree, phi2_degree)

@@ -72,10 +72,11 @@ class LinearProgram:
                           (self.row_rhs, "row_rhs")):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{what} has non-finite entries")
-        if self.var_lower.shape != (n,) or self.var_upper.shape != (n,):
+        lo, up = self.var_lower, self.var_upper
+        if lo.shape != (n,) or up.shape != (n,):
             raise ValidationError("bound vector length mismatch")
-        if (self.var_lower > self.var_upper).any():
-            raise ValidationError("some lower bound exceeds its upper bound")
+        if ((lo > up) | (lo == np.inf) | (up == -np.inf)).any():
+            raise ValidationError("empty variable domain: lower > upper, lower = +inf or upper = -inf")
         if self.var_names and len(self.var_names) != n:
             raise ValidationError("var_names length mismatch")
         if self.row_names and len(self.row_names) != r:
@@ -276,13 +277,10 @@ def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start
     pivot budget (10 * structural variable count) is spent.  Returns
     (status, iterations, entering_column) with status "optimal"/"unbounded".
     """
-    num_rows = t.shape[0]
     ncols = t.shape[1] - 1
     degenerate = 0
     bland = False
-    budget = 10 * max(1, num_structural)
     it = start_iter
-    rows_idx = np.arange(num_rows)
     while True:
         if it >= max_iterations:
             raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
@@ -311,13 +309,29 @@ def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start
             leave = int(ties[np.argmax(col[ties])])
         if rmin <= 1e-12:
             degenerate += 1
-            if degenerate > budget:
+            if degenerate > 10 * max(1, num_structural):
                 bland = True
-        t[leave] /= t[leave, enter]
-        other = rows_idx != leave
-        t[other] -= np.outer(t[other, enter], t[leave])
+        _eliminate(t, leave, enter)
         basis[leave] = enter
         it += 1
+
+
+def _eliminate(t, leave, enter):
+    """Pivot on t[leave, enter]; rows with a zero entering entry are never touched."""
+    t[leave] /= t[leave, enter]
+    rows = np.flatnonzero(t[:, enter])
+    rows = rows[rows != leave]
+    t[rows] -= t[rows, enter, None] * t[leave]
+
+
+def _basis_solve(m, rhs):
+    """m z = rhs by one LU solve; least squares if m is not square or is singular."""
+    if m.shape[0] == m.shape[1]:
+        try:
+            return np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
 def _dual_multipliers(std, basis, struct_cost, art_rows):
@@ -330,8 +344,7 @@ def _dual_multipliers(std, basis, struct_cost, art_rows):
     bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
     cb = np.ones(basis.size)
     cb[~art] = struct_cost[basis[~art]]
-    y, *_ = np.linalg.lstsq(bmat.T, cb, rcond=None)
-    return y
+    return _basis_solve(bmat.T, cb)
 
 
 def solve_lp(lp, max_iterations=1_000_000):
@@ -389,16 +402,7 @@ def solve_lp(lp, max_iterations=1_000_000):
                           certificate=std.ray_back(ray_std))
 
     x_std = np.zeros(ncols)
-    if bas.size:
-        bmat = std.a[:, bas]
-        if bmat.shape[0] == bmat.shape[1]:
-            try:
-                sol = np.linalg.solve(bmat, std.b)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(bmat, std.b, rcond=None)
-        else:
-            sol, *_ = np.linalg.lstsq(bmat, std.b, rcond=None)
-        x_std[bas] = sol
+    x_std[bas] = _basis_solve(std.a[:, bas], std.b)
     x = std.back_substitute(x_std)
     obj = float(lp.objective @ x)
 
@@ -421,17 +425,13 @@ def _solve_bounds_only(lp, std):
 
 def _drive_out_artificials(t, basis, ncols):
     """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    num_rows = t.shape[0]
-    keep = np.ones(num_rows, dtype=bool)
-    for i in range(num_rows):
+    keep = np.ones(t.shape[0], dtype=bool)
+    for i in range(t.shape[0]):
         if basis[i] >= ncols:
             pivots = np.flatnonzero(np.abs(t[i, :ncols]) > 1e-7)
             if pivots.size:
-                enter = int(pivots[0])
-                t[i] /= t[i, enter]
-                other = np.arange(num_rows) != i
-                t[other] -= np.outer(t[other, enter], t[i])
-                basis[i] = enter
+                basis[i] = pivots[0]
+                _eliminate(t, i, basis[i])
             else:
                 keep[i] = False
     if not np.all(keep):

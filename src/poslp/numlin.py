@@ -6,7 +6,7 @@ validates shape and finiteness instead of trusting the caller.
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, SingularMatrixError, ValidationError
 
 # Reciprocal condition number below which `solve` refuses to proceed.
 RCOND_FLOOR = 1e-12
@@ -20,6 +20,18 @@ def as_matrix(a, name="matrix"):
     if m.size and not np.all(np.isfinite(m)):
         raise DimensionError(f"{name} has non-finite entries")
     return m
+
+
+def shaped(value, what, shape):
+    """Input data as a float array of `shape`, or a ValidationError naming `what`."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a numeric array") from None
+    if m.size != shape[0] * shape[1]:
+        raise ValidationError(f"{what} has {m.size} entries, expected a "
+                              f"{shape[0]} x {shape[1]} matrix")
+    return m.reshape(shape)
 
 
 def as_vector(v, name="vector"):

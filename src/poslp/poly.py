@@ -376,7 +376,8 @@ def polynomial_system_from_dict(doc):
         alpha = tuple(int(a) for a in rec["exponents"])
         for name, shape in shapes.items():
             if name in rec:
-                terms[name][alpha] = np.asarray(rec[name], dtype=float).reshape(shape)
+                terms[name][alpha] = numlin.shaped(
+                    rec[name], f"polynomial system term {alpha} key {name!r}", shape)
     domain = BoxDomain(np.asarray(doc.get("domain_lower", np.zeros(nparams)), dtype=float),
                        np.asarray(doc.get("domain_upper", np.ones(nparams)), dtype=float))
     zero = (0,) * nparams

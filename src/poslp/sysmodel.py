@@ -262,7 +262,7 @@ def system_from_dict(doc):
     def mat(key, rows, cols):
         if key not in doc or doc[key] in ([], None):
             return np.zeros((rows, cols))
-        return np.asarray(doc[key], dtype=float).reshape(rows, cols)
+        return numlin.shaped(doc[key], f"system key {key!r}", (rows, cols))
     return PositiveLtiSystem(
         A=mat("A", n, n), B=mat("B", n, m), C=mat("C", q, n),
         D=mat("D", q, m), E=mat("E", n, p), F=mat("F", q, p))

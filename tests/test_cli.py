@@ -219,7 +219,7 @@ def test_robust_commands_reject_bad_scaling(capsys, poly_file, command, scaling)
     assert capsys.readouterr().err.startswith(f"error: unknown scaling {scaling!r}")
 
 
-def missing_key_error(capsys, argv):
+def refused(capsys, argv):
     assert cli.main(argv) == 1
     return capsys.readouterr().err
 
@@ -227,7 +227,7 @@ def missing_key_error(capsys, argv):
 def test_zeros_file_without_pattern_is_refused(capsys, tmp_path, system_file):
     zeros = tmp_path / "zeros.json"
     zeros.write_text(json.dumps({"pattern": [[0, 1]]}))
-    err = missing_key_error(capsys, ["synth", system_file, "--zeros", str(zeros)])
+    err = refused(capsys, ["synth", system_file, "--zeros", str(zeros)])
     assert err == f"error: zeros file {zeros} is missing the key 'zero_pattern'\n"
 
 
@@ -236,7 +236,7 @@ def test_system_file_without_n_is_refused(capsys, tmp_path, system_file):
     del doc["n"]
     path = tmp_path / "no_n.json"
     path.write_text(json.dumps(doc))
-    err = missing_key_error(capsys, ["gain", "--norm", "l1", str(path)])
+    err = refused(capsys, ["gain", "--norm", "l1", str(path)])
     assert err == "error: system is missing the key 'n'\n"
 
 
@@ -245,5 +245,41 @@ def test_polynomial_system_file_without_nparams_is_refused(capsys, tmp_path, pol
     del doc["nparams"]
     path = tmp_path / "no_nparams.json"
     path.write_text(json.dumps(doc))
-    err = missing_key_error(capsys, ["robust-gain", "--norm", "l1", str(path)])
+    err = refused(capsys, ["robust-gain", "--norm", "l1", str(path)])
     assert err == "error: polynomial system is missing the key 'nparams'\n"
+
+
+def test_saturated_scaling_below_delta_degree_is_refused(capsys, poly_file):
+    err = refused(capsys, ["robust-gain", "--norm", "l1", "--scaling", "saturated:0", poly_file])
+    assert err == "error: saturated scalings need degree >= 1 (the degree of Delta(delta)), got 0\n"
+
+
+def test_system_file_with_misshaped_matrix_is_refused(capsys, tmp_path):
+    path = tmp_path / "short_a.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "q": 1, "A": [1, 2, 3]}))
+    err = refused(capsys, ["gain", "--norm", "l1", str(path)])
+    assert err == "error: system key 'A' has 3 entries, expected a 2 x 2 matrix\n"
+
+
+def test_polynomial_system_file_with_misshaped_term_is_refused(capsys, tmp_path, poly_file):
+    doc = json.loads(open(poly_file).read())
+    doc["terms"][0]["C"] = [[1.0, 2.0]]
+    path = tmp_path / "short_c.json"
+    path.write_text(json.dumps(doc))
+    err = refused(capsys, ["robust-gain", "--norm", "l1", str(path)])
+    alpha = tuple(doc["terms"][0]["exponents"])
+    assert err == (f"error: polynomial system term {alpha} key 'C' has 2 entries, "
+                   f"expected a {doc['q']} x {doc['n']} matrix\n")
+
+
+def test_missing_input_file_is_refused(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    err = refused(capsys, ["gain", "--norm", "l1", str(path)])
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_malformed_json_input_is_refused(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{bad")
+    err = refused(capsys, ["gain", "--norm", "l1", str(path)])
+    assert err.startswith("error: Expecting property name")

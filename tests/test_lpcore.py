@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from poslp import gains, sysmodel
+from poslp import gains, lpcore, sysmodel
 from poslp.cases import gene_expression_system
 from poslp.errors import NonConvergenceError, ValidationError
-from poslp.lpcore import LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
+from poslp.lpcore import LinearProgram, LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
 
 
 def simple_lp(objective_on_x=1.0):
@@ -254,3 +254,112 @@ def test_standard_form_matches_loop_reference_bit_for_bit():
                           (std.back_substitute(x_std), back(x_std))):
             assert got.shape == want.shape
             assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes(), trial
+
+
+def test_validation_rejects_lower_bound_at_plus_infinity():
+    with pytest.raises(ValidationError, match="empty variable domain"):
+        LinearProgram(np.ones(2), np.ones((1, 2)), ("<=",), np.array([4.0]),
+                      np.array([0.0, np.inf]), np.array([np.inf, np.inf])).validate()
+
+
+def test_validation_rejects_upper_bound_at_minus_infinity():
+    # was reported "unbounded" although the second variable has no value
+    with pytest.raises(ValidationError, match="empty variable domain"):
+        solve_lp(LinearProgram(np.ones(2), np.ones((1, 2)), ("<=",), np.array([4.0]),
+                               np.array([0.0, -np.inf]), np.array([np.inf, -np.inf])))
+
+
+def dense_eliminate(t, leave, enter):
+    """Reference pivot: rank-1 update of every row but the pivot row."""
+    t[leave] /= t[leave, enter]
+    other = np.arange(t.shape[0]) != leave
+    t[other] -= np.outer(t[other, enter], t[leave])
+
+
+def lstsq_dual_multipliers(std, basis, struct_cost, art_rows):
+    """Reference duals: least squares on B^T y = c_B."""
+    ncols = std.a.shape[1]
+    art = basis >= ncols
+    bmat = np.zeros((std.a.shape[0], basis.size))
+    bmat[:, ~art] = std.a[:, basis[~art]]
+    bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
+    cb = np.ones(basis.size)
+    cb[~art] = struct_cost[basis[~art]]
+    return np.linalg.lstsq(bmat.T, cb, rcond=None)[0]
+
+
+def random_lp(rng, kind):
+    """Small LP of one of six kinds: degenerate, infeasible, unbounded, free
+    variables, two-sided bounds, redundant equalities.  The rows hold at a
+    point x0 inside the bounds, and all kinds but "unbounded" carry the
+    box rows -5 <= x <= 5."""
+    n, m = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+    lo, up = np.zeros(n), np.full(n, np.inf)
+    if kind == "free":
+        lo[rng.uniform(0, 1, n) < 0.5] = -np.inf
+        up[rng.uniform(0, 1, n) < 0.3] = 2.0
+    elif kind == "two-sided":
+        lo = rng.uniform(-1, 0.5, n)
+        up = lo + rng.uniform(0, 2, n) * (rng.uniform(0, 1, n) < 0.8)
+    x0 = np.clip(rng.uniform(-1, 2, n), lo, up)
+    a = rng.uniform(-1, 1, (m, n)) * (rng.uniform(0, 1, (m, n)) > 0.4)
+    rels = np.where(rng.uniform(0, 1, m) < 0.25, "==", "<=")
+    slack = rng.uniform(0, 1, m) * (rng.uniform(0, 1, m) < (0.3 if kind == "degenerate" else 0.9))
+    if kind == "degenerate":
+        x0[rng.uniform(0, 1, n) < 0.5] = 0.0
+        a, rels, slack = np.vstack([a, 2.0 * a[:1]]), np.append(rels, "<="), np.append(slack, 0.0)
+    if kind == "redundant":
+        a = np.vstack([a, a[:2].sum(axis=0), a[:1]])
+        rels, slack = np.append(rels, ["==", "=="]), np.append(slack, [0.0, 0.0])
+        rels[:2] = "=="
+    if kind == "unbounded":
+        a[:, 0] = -np.abs(a[:, 0])
+    rhs = a @ x0 + np.where(rels == "==", 0.0, slack)
+    obj = rng.uniform(-1, 1, n)
+    if kind == "unbounded":
+        obj[0] = -1.0
+    else:
+        a = np.vstack([a, np.eye(n), -np.eye(n)])
+        rhs = np.concatenate([rhs, np.full(2 * n, 5.0)])
+        rels = np.append(rels, ["<="] * (2 * n))
+    if kind == "infeasible":
+        a = np.vstack([a, a[:1], -a[:1]])
+        rhs = np.concatenate([rhs, [-1.0, -1.0]])
+        rels = np.append(rels, ["<=", "<="])
+    return LinearProgram(obj, a, tuple(rels), rhs, lo, up)
+
+
+def test_sparse_elimination_matches_dense_update_bit_for_bit(monkeypatch):
+    # the row-sparse pivot and the LU basis solves keep every pivot choice and
+    # vertex of the dense rank-1 update with lstsq duals
+    kinds = ("degenerate", "infeasible", "unbounded", "free", "two-sided", "redundant")
+    rng = np.random.default_rng(2026)
+    seen = {}
+    for trial in range(360):
+        kind = kinds[trial % len(kinds)]
+        lp = random_lp(rng, kind)
+        got = solve_lp(lp)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_eliminate", dense_eliminate)
+            patch.setattr(lpcore, "_dual_multipliers", lstsq_dual_multipliers)
+            want = solve_lp(lp)
+        seen[kind, got.status] = seen.get((kind, got.status), 0) + 1
+        assert (got.status, got.iterations) == (want.status, want.iterations), trial
+        assert np.float64(got.objective_value).tobytes() == \
+            np.float64(want.objective_value).tobytes(), trial
+        if got.status == "optimal":
+            assert got.x.tobytes() == want.x.tobytes(), trial
+            scale = 1.0 + np.abs(want.dual).max(initial=0.0)
+            assert np.abs(got.dual - want.dual).max(initial=0.0) <= 1e-9 * scale, trial
+            slack = lp.row_rhs - lp.row_coeffs @ got.x
+            ineq = np.array(lp.row_relations) == "<="
+            assert np.all(np.abs(got.dual * slack) <= 1e-7 * scale * (1 + np.abs(lp.row_rhs)))
+            assert np.all(got.dual[ineq] <= 1e-9 * scale), trial
+        elif got.status == "unbounded":
+            assert got.certificate.tobytes() == want.certificate.tobytes(), trial
+        else:
+            assert np.allclose(got.certificate, want.certificate, rtol=1e-9, atol=1e-9), trial
+    for kind, status in (("degenerate", "optimal"), ("infeasible", "infeasible"),
+                         ("unbounded", "unbounded"), ("free", "optimal"),
+                         ("two-sided", "optimal"), ("redundant", "optimal")):
+        assert seen.get((kind, status), 0) >= 10, seen

@@ -4,7 +4,7 @@ import pytest
 from poslp import gains, handelman, ilc, lft, robust, synthesis, sysmodel
 from poslp.cases import POLY3_REFERENCE, gene_expression_system, poly3_system
 from poslp.errors import (ClassificationError, CombinatorialCapError,
-                          DegreeError, DimensionError, StabilityError)
+                          DegreeError, DimensionError, DomainError, StabilityError)
 from poslp.lpcore import LpBuilder, lp_to_text
 from poslp.poly import BoxDomain, polynomial_system
 from poslp.synthesis import ControllerSpec
@@ -88,6 +88,16 @@ def test_ilc_inequality_holds_for_solved_scalings(bench):
     for d in np.linspace(0, 1, 101):
         delta = l.delta_structure.eval([d])
         assert np.all(phi1 + delta.T @ phi2 >= -1e-8)
+
+
+def test_saturated_scaling_below_delta_degree_is_refused(bench):
+    # at degree 0 the terms of Delta^T phi2 could not be matched, the ILC
+    # row fell away, and an unsound gamma (8.09 vs oracle 92.8) came out
+    psys, l, tl = bench
+    with pytest.raises(DomainError, match="degree >= 1"):
+        robust.robust_l1(l, ilc.FreePolynomial(0, saturated=True))
+    res = robust.solve_robust(robust.robust_l1(l, ilc.FreePolynomial(1, saturated=True)))
+    assert robust.grid_certify_gain(psys, res.gamma, "l1", 101).ok
 
 
 def test_non_positive_lft_rejected():

@@ -54,7 +54,6 @@ def build_parser():
     p = sub.add_parser("synth", parents=[common],
                        help="state-feedback synthesis with Linf bound")
     p.add_argument("system")
-    p.add_argument("--norm", choices=("linf",), default="linf")
     p.add_argument("--zeros", metavar="FILE",
                    help="JSON file with a zero_pattern index list")
     p.add_argument("--bounds", metavar="FILE",
@@ -191,7 +190,7 @@ def cmd_synth(args):
     maybe_dump(args, lp)
     res = synthesis.stabilize_linf(sys_in, spec, policy, lp=lp)
     cl = synthesis.closed_loop(sys_in, res.K)
-    cl_gain = sysmodel.oracle_gains(cl, policy, tol=1e-9)[1]
+    cl_gain = sysmodel.oracle_gains(cl, tol=1e-9)[1]
     doc = {
         "status": "optimal",
         "gamma": res.gamma,
@@ -211,7 +210,7 @@ def cmd_robust_gain(args):
     policy = policy_from(args)
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
-        verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid, policy)
+        verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
         doc = {
             "status": "optimal", "method": "vertices", "norm": args.norm,
             "gamma": res.gamma, "epsilon": res.epsilon,
@@ -232,7 +231,7 @@ def cmd_robust_gain(args):
         rlp = robust.robust_linf(lft.transpose_lft(psys), template, policy)
     res = robust.solve_robust(rlp, b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
-    verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid, policy)
+    verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
     doc = {
         "status": res.status, "method": "lft-ilc", "norm": args.norm,
         "scaling": args.scaling, "gamma": res.gamma, "epsilon": res.epsilon,
@@ -270,7 +269,7 @@ def cmd_robust_synth(args):
     rlp = robust.robust_stabilize(psys, template, spec, policy)
     res = robust.solve_robust_synthesis(rlp, b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
-    verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid, policy)
+    verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid)
     doc = {
         "status": res.status, "gamma": res.gamma, "epsilon": res.epsilon,
         "product_degree": res.b, "form": res.form, "K": res.K.tolist(),

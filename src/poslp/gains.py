@@ -47,7 +47,8 @@ def add_l1_rows(b, cols, gamma, a, c, e, f, policy, prefix=""):
                -eps - f.sum(axis=0), [f"{prefix}pf{j}" for j in range(e.shape[1])])
 
 
-def _l1_program(sys, policy):
+def l1_lp(sys, policy=None):
+    """The strictified L1-gain LP; variables [lambda_0..lambda_{n-1}, gamma]."""
     policy = policy or StrictnessPolicy()
     b = LpBuilder()
     lam = b.add_vars("lam", sys.n, lower=policy.lambda_floor)
@@ -56,14 +57,9 @@ def _l1_program(sys, policy):
     return b.build()
 
 
-def l1_lp(sys, policy=None):
-    """The strictified L1-gain LP; variables [lambda_0..lambda_{n-1}, gamma]."""
-    return _l1_program(sys, policy)
-
-
 def linf_lp(sys, policy=None):
     """The strictified Linf-gain LP: the L1 program of the transposed system."""
-    return _l1_program(sysmodel.transpose_system(sys), policy)
+    return l1_lp(sysmodel.transpose_system(sys), policy)
 
 
 def _run(sys, lp, which, policy):

@@ -94,25 +94,6 @@ def _coef_matrix(coef, n0):
     return np.asarray(coef, dtype=float)
 
 
-def equalities_equal(set_a, set_b):
-    """Structural equality of two constraint sets (used by tests/reports)."""
-    if (set_a.n0, set_a.phi1_degree, set_a.phi2_degree, set_a.ilc_row,
-            set_a.phi1_lower) != (set_b.n0, set_b.phi1_degree, set_b.phi2_degree,
-                                  set_b.ilc_row, set_b.phi1_lower):
-        return False
-    if len(set_a.equalities) != len(set_b.equalities):
-        return False
-    for row_a, row_b in zip(set_a.equalities, set_b.equalities):
-        if len(row_a) != len(row_b):
-            return False
-        for (wa, aa, ca), (wb, ab, cb) in zip(row_a, row_b):
-            if wa != wb or aa != ab:
-                return False
-            if not np.array_equal(_coef_matrix(ca, set_a.n0), _coef_matrix(cb, set_b.n0)):
-                return False
-    return True
-
-
 def _saturation_equalities(delta_structure, nparams, n0, phi1_degree, phi2_degree):
     """phi1^alpha + sum_beta S_beta^T phi2^{alpha-beta} = 0 for all monomials."""
     rows = []
@@ -130,8 +111,8 @@ def _saturation_equalities(delta_structure, nparams, n0, phi1_degree, phi2_degre
 def instantiate(template, channel):
     """Turn a template into the constraint set for one LFT channel.
 
-    ``channel`` is the LftSystem (or TransposedLft) whose loop the scalings
-    certify; only its width, Delta structure and box are consulted."""
+    ``channel`` is the loop the scalings certify (an LftSystem or robust
+    synthesis's loop blocks); only n0, delta_structure and domain are read."""
     n0 = channel.n0
     nparams = channel.domain.nparams if channel.domain is not None else 0
 

@@ -8,11 +8,9 @@ signals
 
 so that closing w0 = Delta(delta) z0 with Delta = blockdiag(delta_k I)
 reproduces the polynomial system exactly.  Cross-parameter monomials are not
-representable by this layout and are rejected; users with such dependence can
-supply their own LFT through the file interface.
+representable by this layout and are rejected.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +148,6 @@ def close_at(lft, delta):
     return close_with_matrix(lft, lft.delta_structure.eval(delta))
 
 
-def _coeff_power(poly, k, j):
-    alpha = tuple(j if i == k else 0 for i in range(poly.nparams))
-    return poly.coeff(alpha)
-
-
 def channel_layout(psys, state=("A", "C"), inputs=("E", "F"), input_width=None,
                    user="canonical LFT construction"):
     """Ordered channel blocks [(param, kind, power, offset, width), ...]: per
@@ -178,46 +171,48 @@ def channel_layout(psys, state=("A", "C"), inputs=("E", "F"), input_width=None,
     return blocks, offset
 
 
+def _chain_coefficients(psys, layout, state=("A", "C"), inputs=("E", "F")):
+    """Per pair of a `state` and an `inputs` polynomial, the coefficient of
+    delta_k^j of every block (k, kind, j, ...) of `layout`, in layout order:
+    the state polynomial's on state chains, the input polynomial's on input
+    chains."""
+    return [[getattr(psys, s if kind == "state" else i).coeff(
+                 tuple(j if m == k else 0 for m in range(psys.nparams)))
+             for (k, kind, j, _off, _width) in layout]
+            for s, i in zip(state, inputs)]
+
+
+def _loop_blocks(layout, n0, n, p):
+    """The loop blocks C0 (n0 x n), F00 (n0 x n0) and F01 (n0 x p) of a
+    `channel_layout`: the first block of a state (input) chain reads x (w1),
+    every later block the one before it."""
+    c0, f00, f01 = np.zeros((n0, n)), np.zeros((n0, n0)), np.zeros((n0, p))
+    for (_k, kind, j, off, width) in layout:
+        if j > 1:
+            f00[off:off + width, off - width:off] = np.eye(width)
+        elif kind == "state":
+            c0[off:off + width, :] = np.eye(n)
+        else:
+            f01[off:off + width, :] = np.eye(p)
+    return c0, f00, f01
+
+
 def lft_from_polynomial(psys, degree=None):
     """Canonical positive LFT of a polynomial system (disturbance channel only).
 
-    Control matrices B, D are ignored; robust synthesis assembles its own
-    program directly from the polynomial coefficients."""
+    Control matrices B, D are ignored; robust synthesis builds the loop of
+    its transposed closed loop from the same layout."""
     if degree is not None and psys.degree() > degree:
         raise DegreeError(f"system degree {psys.degree()} exceeds requested {degree}")
     blocks, n0 = channel_layout(psys)
     n, p, q = psys.n, psys.p, psys.q
     zero = (0,) * psys.nparams
-    a0 = psys.A.coeff(zero)
-    e_cols, f10_cols = [], []
-    c0 = np.zeros((n0, n))
-    f00 = np.zeros((n0, n0))
-    f01 = np.zeros((n0, p))
-    for (k, kind, j, off, width) in blocks:
-        if kind == "state":
-            e_cols.append(_coeff_power(psys.A, k, j))
-            f10_cols.append(_coeff_power(psys.C, k, j))
-            if j == 1:
-                c0[off:off + width, :] = np.eye(n)
-            else:
-                prev = next(o for (kk, kd, jj, o, _w) in blocks
-                            if kk == k and kd == "state" and jj == j - 1)
-                f00[off:off + width, prev:prev + width] = np.eye(width)
-        else:
-            e_cols.append(_coeff_power(psys.E, k, j))
-            f10_cols.append(_coeff_power(psys.F, k, j))
-            if j == 1:
-                f01[off:off + width, :] = np.eye(p)
-            else:
-                prev = next(o for (kk, kd, jj, o, _w) in blocks
-                            if kk == k and kd == "input" and jj == j - 1)
-                f00[off:off + width, prev:prev + width] = np.eye(width)
-    e0 = np.hstack(e_cols) if e_cols else np.zeros((n, 0))
-    f10 = np.hstack(f10_cols) if f10_cols else np.zeros((q, 0))
-    delta = _block_delta(psys.nparams, blocks, n0)
-    return LftSystem(A=a0, E0=e0, E1=psys.E.coeff(zero), C0=c0,
-                     C1=psys.C.coeff(zero), F00=f00, F01=f01, F10=f10,
-                     F11=psys.F.coeff(zero), delta_structure=delta,
+    e_cols, f10_cols = _chain_coefficients(psys, blocks)
+    c0, f00, f01 = _loop_blocks(blocks, n0, n, p)
+    return LftSystem(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
+                     E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
+                     F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
+                     delta_structure=_block_delta(psys.nparams, blocks, n0),
                      domain=psys.domain)
 
 
@@ -272,45 +267,3 @@ def delay_lft(a, a_h, e=None, c=None, f=None):
                      F10=np.zeros((q, n)), F11=f,
                      delta_structure=None, domain=None)
 
-
-# ---------------------------------------------------------------------------
-# direct LFT ingestion for user-supplied representations
-
-def lft_to_dict(lft):
-    doc = {name: getattr(lft, name).tolist()
-           for name in ("A", "E0", "E1", "C0", "C1", "F00", "F01", "F10", "F11")}
-    if lft.delta_structure is not None:
-        doc["delta_terms"] = [
-            {"exponents": list(alpha), "S": coeff.tolist()}
-            for alpha, coeff in sorted(lft.delta_structure.terms.items())]
-        doc["domain_lower"] = lft.domain.lower.tolist()
-        doc["domain_upper"] = lft.domain.upper.tolist()
-    return doc
-
-
-def lft_from_dict(doc):
-    mats = {name: np.asarray(doc[name], dtype=float)
-            for name in ("A", "E0", "E1", "C0", "C1", "F00", "F01", "F10", "F11")}
-    n = mats["A"].shape[0] if np.ndim(mats["A"]) == 2 else 0
-    n0 = np.shape(mats["E0"])[1] if np.ndim(mats["E0"]) == 2 else 0
-    delta = None
-    domain = None
-    if "delta_terms" in doc:
-        lo = np.asarray(doc["domain_lower"], dtype=float)
-        up = np.asarray(doc["domain_upper"], dtype=float)
-        domain = BoxDomain(lo, up)
-        terms = {tuple(int(a) for a in rec["exponents"]): np.asarray(rec["S"], dtype=float)
-                 for rec in doc["delta_terms"]}
-        delta = Poly(domain.nparams, (n0, n0), terms)
-    return LftSystem(delta_structure=delta, domain=domain, **mats)
-
-
-def write_lft(lft, path):
-    with open(path, "w") as fh:
-        json.dump(lft_to_dict(lft), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_lft(path):
-    with open(path) as fh:
-        return lft_from_dict(json.load(fh))

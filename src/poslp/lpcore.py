@@ -85,6 +85,10 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """`certificate`: of an unbounded LP an improving ray; of an infeasible one
+    a y with `dual`'s sign (y <= 0 on "<=" rows, free on "==" rows, so the
+    textbook Farkas vector is -y) and sup over the bound box of y^T G x < y^T h."""
+
     status: str                     # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective_value: float
@@ -139,8 +143,6 @@ class LpBuilder:
         rhs = np.asarray(rhs, dtype=float)       # a scalar or one value per row
         if relation == ">=":
             coeffs, relation, rhs = -coeffs, "<=", -rhs
-        if relation == "=":
-            relation = "=="
         if relation not in RELATIONS:
             raise ValidationError(f"unsupported relation {relation!r}")
         self._blocks.append((cols, coeffs, relation, rhs, tuple(names)))

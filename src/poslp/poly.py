@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import DegreeError, DimensionError, ValidationError, require_keys
+from .errors import DimensionError, ValidationError, require_keys
 
 
 def monomials(nparams, max_degree):
@@ -147,10 +147,6 @@ def _point_stack(points, nparams):
     return pts
 
 
-def poly_scale(p, s):
-    return Poly(p.nparams, p.shape, {a: float(s) * c for a, c in p.terms.items()})
-
-
 def poly_mul(p, q):
     """Polynomial product; scalar coefficients multiply elementwise, matrix
     and vector coefficients combine with matmul semantics."""
@@ -169,22 +165,6 @@ def poly_mul(p, q):
             val = combine(ca, cb)
             terms[key] = terms.get(key, np.zeros(shape)) + val
     return Poly(p.nparams, shape, terms)
-
-
-def coefficient_rows(p, degree):
-    """Dense coefficient list over the graded-lex monomials up to `degree`,
-    zero-padded; raises DegreeError when p is of higher degree."""
-    if p.degree() > degree:
-        raise DegreeError(f"polynomial degree {p.degree()} exceeds {degree}")
-    return [p.coeff(alpha).copy() for alpha in monomials(p.nparams, degree)]
-
-
-def poly_from_rows(nparams, degree, rows, shape):
-    """Inverse of coefficient_rows."""
-    mons = monomials(nparams, degree)
-    if len(rows) != len(mons):
-        raise DimensionError(f"expected {len(mons)} rows, got {len(rows)}")
-    return Poly(nparams, shape, dict(zip(mons, (np.asarray(r, dtype=float) for r in rows))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +208,6 @@ class BoxDomain:
         corners = itertools.product(*[(self.lower[k], self.upper[k])
                                       for k in range(self.nparams)])
         return [np.array(c) for c in corners]
-
-    def contains(self, point, tol=1e-12):
-        point = np.asarray(point, dtype=float)
-        return bool(np.all(point >= self.lower - tol) and np.all(point <= self.upper + tol))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,8 @@ from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError,
                      DimensionError, InfeasibleError, ModelError, StabilityError)
 from .gains import add_l1_rows
-from .lft import (TransposedLft, _block_delta, _coeff_power, _loop_matrix,
-                  _wellposed_points, channel_layout, close_at)
+from .lft import (TransposedLft, _block_delta, _chain_coefficients, _loop_blocks,
+                  _loop_matrix, _wellposed_points, channel_layout, close_at)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows
@@ -77,11 +77,6 @@ def _terms(num_vars, rows, parts):
             terms[alpha] = np.zeros((rows, num_vars))
         terms[alpha][row_slice, _span(cols)] += block
     return terms
-
-
-def _lyapunov_names(n, n0, p):
-    return ([f"st{j}" for j in range(n)] + [f"ch{j}" for j in range(n0)]
-            + [f"pf{j}" for j in range(p)])
 
 
 def _add_rows(b, poly, zero, names, relation, terms, const=0.0, epsilon=0.0):
@@ -162,6 +157,26 @@ def _ilc_rows(b, poly, zero, delta_structure, sset, phi1, phi2):
               _terms(b.num_vars, sset.n0, parts))
 
 
+def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon):
+    """The copositive-Lyapunov rows of the L1 program of `lft`, strict by
+    `epsilon`: state (st), one per loop signal (ch) and performance (pf).
+    `lin` holds (variable columns, block with one row per st, ch, pf row)
+    pairs; the scalings enter through the loop blocks C0, F00, F01, and the
+    constants are the column sums of C1, F10, F11."""
+    n0, n = lft.C0.shape
+    p = lft.F01.shape[1]
+    st, ch, pf = slice(0, n), slice(n, n + n0), slice(n + n0, n + n0 + p)
+    parts = [(zero, slice(None), cols, block) for cols, block in lin]
+    parts.append((zero, pf, [gamma], -np.ones((p, 1))))
+    for a, ids in phi1.items():
+        parts += [(a, st, ids, lft.C0.T), (a, ch, ids, lft.F00.T), (a, pf, ids, lft.F01.T)]
+    parts += [(a, ch, ids, np.eye(n0)) for a, ids in phi2.items()]
+    names = ([f"st{j}" for j in range(n)] + [f"ch{j}" for j in range(n0)]
+             + [f"pf{j}" for j in range(p)])
+    const = np.concatenate([lft.C1.sum(axis=0), lft.F10.sum(axis=0), lft.F11.sum(axis=0)])
+    _add_rows(b, poly, zero, names, "<=", _terms(b.num_vars, n + n0 + p, parts), const, epsilon)
+
+
 def _assemble_gain(lft, template, policy, which):
     sset = ilc.instantiate(template, lft)
     zero = (0,) * sset.nparams
@@ -169,18 +184,9 @@ def _assemble_gain(lft, template, policy, which):
     lam = b.add_vars("lam", lft.n, lower=policy.lambda_floor)
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     phi1, phi2 = _phi_blocks(b, sset)
-    # the copositive-Lyapunov rows: state (st), channel (ch), performance (pf)
-    n, n0, p = lft.n, lft.n0, lft.p
-    st, ch, pf = slice(0, n), slice(n, n + n0), slice(n + n0, n + n0 + p)
-    parts = [(zero, st, lam, lft.A.T), (zero, ch, lam, lft.E0.T), (zero, pf, lam, lft.E1.T),
-             (zero, pf, [gamma], -np.ones((p, 1)))]
-    for a, ids in phi1.items():
-        parts += [(a, st, ids, lft.C0.T), (a, ch, ids, lft.F00.T), (a, pf, ids, lft.F01.T)]
-    parts += [(a, ch, ids, np.eye(n0)) for a, ids in phi2.items()]
-    const = np.concatenate([lft.C1.sum(axis=0), lft.F10.sum(axis=0), lft.F11.sum(axis=0)])
     poly = []
-    _add_rows(b, poly, zero, _lyapunov_names(n, n0, p), "<=",
-              _terms(b.num_vars, n + n0 + p, parts), const, policy.epsilon)
+    _lyapunov_rows(b, poly, zero, lft, [(lam, np.vstack([lft.A.T, lft.E0.T, lft.E1.T]))],
+                   gamma, phi1, phi2, policy.epsilon)
     _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
     blocks = {"lam": lam, "gamma": gamma, "phi1": phi1, "phi2": phi2}
@@ -363,12 +369,16 @@ def robust_stabilize(psys, template, spec=None, policy=None):
             raise ClassificationError(
                 f"E(delta), F(delta) must be nonnegative on the box; fails at {point}")
 
-    layout, n0 = channel_layout(psys, ("A", "B", "E"), ("C", "D", "F"), q,
-                                "robust synthesis")
     zero = (0,) * psys.nparams
-    # duck-typed channel descriptor for ilc.instantiate
-    channel = SimpleNamespace(n0=n0, delta_structure=_block_delta(psys.nparams, layout, n0),
-                              domain=psys.domain)
+    state, inputs = ("A", "B", "E"), ("C", "D", "F")
+    layout, n0 = channel_layout(psys, state, inputs, q, "robust synthesis")
+    lam_chain, mu_chain, const_chain = _chain_coefficients(psys, layout, state, inputs)
+    # the loop blocks of the transposed closed loop, whose L1 program this is
+    c0, f00, f01 = _loop_blocks(layout, n0, n, q)
+    channel = SimpleNamespace(
+        n0=n0, C0=c0, F00=f00, F01=f01, C1=psys.E.coeff(zero).T,
+        F10=np.vstack([np.zeros((0, psys.p))] + const_chain).T, F11=psys.F.coeff(zero).T,
+        delta_structure=_block_delta(psys.nparams, layout, n0), domain=psys.domain)
     sset = ilc.instantiate(template, channel)
 
     b = LpBuilder()
@@ -376,36 +386,12 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     mu = [b.add_vars(f"mu{j}_", m) for j in range(n)]
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     phi1, phi2 = _phi_blocks(b, sset)
-
-    def loop(rows, lam_mat, mu_mat):
-        # lam_mat lambda + mu_mat sum_j mu_j: the closed-loop coefficient
-        return [(zero, rows, lam, lam_mat), (zero, rows, sum(mu, []), np.tile(mu_mat, (1, n)))]
-
-    def chain(rows, block, offsets, width):
-        return [(a, rows, ids[off:off + width], np.eye(width))
-                for a, ids in block.items() for off in offsets]
-
-    # the copositive-Lyapunov rows of the transposed closed loop: state
-    # (st), one channel row per loop signal (ch), performance (pf)
-    starts = {kind: [off for (_k, kd, j, off, _w) in layout if kd == kind and j == 1]
-              for kind in ("state", "input")}
-    st, pf = slice(0, n), slice(n + n0, n + n0 + q)
-    parts = (loop(st, psys.A.coeff(zero), psys.B.coeff(zero)) + chain(st, phi1, starts["state"], n)
-             + loop(pf, psys.C.coeff(zero), psys.D.coeff(zero))
-             + [(zero, pf, [gamma], -np.ones((q, 1)))] + chain(pf, phi1, starts["input"], q))
-    consts = [psys.E.coeff(zero).sum(axis=1)]
-    for (k, kind, j, off, width) in layout:       # in the order of the offsets
-        lam_poly, mu_poly, const_poly = ((psys.A, psys.B, psys.E) if kind == "state"
-                                         else (psys.C, psys.D, psys.F))
-        up = [o for (kk, kd, jj, o, _w) in layout if (kk, kd, jj) == (k, kind, j + 1)]
-        rows = slice(n + off, n + off + width)
-        parts += (loop(rows, _coeff_power(lam_poly, k, j), _coeff_power(mu_poly, k, j))
-                  + chain(rows, phi2, [off], width) + chain(rows, phi1, up, width))
-        consts.append(_coeff_power(const_poly, k, j).sum(axis=1))
-    consts.append(psys.F.coeff(zero).sum(axis=1))
+    # mu_j = lam_j K[:, j], so (A + B K) lam = A lam + B sum_j mu_j, and so for C + D K
+    lam_block = np.vstack([psys.A.coeff(zero)] + lam_chain + [psys.C.coeff(zero)])
+    mu_block = np.vstack([psys.B.coeff(zero)] + mu_chain + [psys.D.coeff(zero)])
+    lin = [(lam, lam_block), (sum(mu, []), np.tile(mu_block, (1, n)))]
     poly = []
-    _add_rows(b, poly, zero, _lyapunov_names(n, n0, q), "<=",
-              _terms(b.num_vars, n + n0 + q, parts), np.concatenate(consts), policy.epsilon)
+    _lyapunov_rows(b, poly, zero, channel, lin, gamma, phi1, phi2, policy.epsilon)
     _ilc_rows(b, poly, zero, channel.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
 
@@ -487,12 +473,11 @@ def _grid_sweep(psys, gamma, which, points, k=None):
     return GridVerdict(_bound_ok(worst, gamma), len(grid), worst, gamma, grid[point])
 
 
-def grid_certify_gain(psys, gamma, which="l1", points=101, policy=None):
-    """Sweep frozen-delta oracle gains over the box and compare to gamma.
-    ``policy`` is accepted for compatibility; the oracle needs no margin."""
+def grid_certify_gain(psys, gamma, which="l1", points=101):
+    """Sweep frozen-delta oracle gains over the box and compare to gamma."""
     return _grid_sweep(psys, gamma, which, points)
 
 
-def grid_certify_synthesis(psys, k, gamma, points=101, policy=None):
+def grid_certify_synthesis(psys, k, gamma, points=101):
     """Closed-loop positivity, stability and Linf bound on a grid."""
     return _grid_sweep(psys, gamma, "linf", points, np.asarray(k, dtype=float))

@@ -204,17 +204,16 @@ def gain_norms(h0):
     return h0.sum(axis=1).max(axis=1), h0.sum(axis=2).max(axis=1)
 
 
-def static_gain(sys, policy=None, tol=0.0):
+def static_gain(sys, tol=0.0):
     """Zero-frequency transfer matrix F - C A^{-1} E (requires Hurwitz A),
-    from the M-matrix oracle; ``policy`` is unused (the oracle needs no
-    margin) and ``tol`` loosens the Metzler precheck."""
+    from the M-matrix oracle; ``tol`` loosens the Metzler precheck."""
     return static_gains(sys.A[None], sys.C[None], sys.E[None], sys.F[None], tol)[0]
 
 
-def oracle_gains(sys, policy=None, tol=0.0):
+def oracle_gains(sys, tol=0.0):
     """Exact (l1, linf) gains from the static-gain matrix: max column sum and
     max row sum of F - C A^{-1} E."""
-    l1, linf = gain_norms(static_gain(sys, policy, tol)[None])
+    l1, linf = gain_norms(static_gain(sys, tol)[None])
     return float(l1[0]), float(linf[0])
 
 

@@ -5,8 +5,7 @@ from poslp import ilc, lft
 from poslp.cases import poly3_system
 from poslp.errors import ClassificationError, DomainError
 from poslp.ilc import (ConstantDelay, FreeConstant, FreePolynomial,
-                       SaturatedStaticGain, TimeVaryingDelay, equalities_equal,
-                       instantiate)
+                       SaturatedStaticGain, TimeVaryingDelay, instantiate)
 
 
 class FakeChannel:
@@ -79,7 +78,10 @@ def test_equal_static_gains_give_identical_sets():
     d0 = np.array([[1.0, 0.3], [0.0, 2.0]])
     set_a = instantiate(SaturatedStaticGain(d0), channel)
     set_b = instantiate(SaturatedStaticGain(d0.copy()), channel)
-    assert equalities_equal(set_a, set_b)
+    (row_a,), (row_b,) = set_a.equalities, set_b.equalities
+    assert [term[:2] for term in row_a] == [term[:2] for term in row_b]
+    assert all(np.array_equal(ca, cb) for (_, _, ca), (_, _, cb) in zip(row_a, row_b))
+    assert np.array_equal(row_a[1][2], d0.T)
 
 
 def test_free_constant_keeps_inequality():

@@ -169,12 +169,3 @@ def test_delay_lft_shape():
     closed = lft.close_with_matrix(l, np.eye(2))
     assert np.allclose(closed.A, a + ah)
 
-
-def test_lft_file_round_trip(tmp_path):
-    l = lft.lft_from_polynomial(poly3_system())
-    path = tmp_path / "lft.json"
-    lft.write_lft(l, path)
-    back = lft.read_lft(path)
-    for name in ("A", "E0", "E1", "C0", "C1", "F00", "F01", "F10", "F11"):
-        assert np.array_equal(getattr(back, name), getattr(l, name))
-    assert back.delta_structure == l.delta_structure

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from poslp import gains, lpcore, sysmodel
+from poslp import gains, lpcore, synthesis, sysmodel
 from poslp.cases import gene_expression_system
-from poslp.errors import NonConvergenceError, ValidationError
+from poslp.errors import InfeasibleError, NonConvergenceError, ValidationError
 from poslp.lpcore import LinearProgram, LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
+from poslp.synthesis import ControllerSpec
 
 
 def simple_lp(objective_on_x=1.0):
@@ -363,3 +364,43 @@ def test_sparse_elimination_matches_dense_update_bit_for_bit(monkeypatch):
                          ("unbounded", "unbounded"), ("free", "optimal"),
                          ("two-sided", "optimal"), ("redundant", "optimal")):
         assert seen.get((kind, status), 0) >= 10, seen
+
+
+def assert_farkas_certificate(lp, y):
+    """The documented sign of `LpSolution.certificate`: y <= 0 on "<=" rows,
+    free on "==" rows, and sup over the bound box of y^T G x < y^T h; the
+    entries of y and y^T G within rounding of zero count as zero."""
+    assert np.all(y[np.array(lp.row_relations) == "<="] <= 1e-12 * np.abs(y).max())
+    c = y @ lp.row_coeffs
+    c[np.abs(c) <= 1e-12 * (np.abs(y) @ np.abs(lp.row_coeffs))] = 0.0
+    corner = np.where(c > 0, lp.var_upper, np.where(c < 0, lp.var_lower, 0.0))
+    assert np.sum(c * corner) < y @ lp.row_rhs
+
+
+def test_infeasibility_certificate_has_the_dual_sign(monkeypatch):
+    # unstable Metzler A (A 1 > 0): the stability LP is infeasible
+    solved = []
+
+    def recording_solve(lp):
+        solved.append((lp, solve_lp(lp)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(sysmodel, "solve_lp", recording_solve)
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(24):
+        a = rng.uniform(0.0, 1.0, (4, 4))
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, rng.uniform(0.05, 1.0, 4) - a.sum(axis=1))
+        assert not sysmodel.metzler_stable(a)
+        lp, sol = solved[-1]
+        assert sol.status == "infeasible"
+        assert_farkas_certificate(lp, sol.certificate)
+    # no bounded controller makes this loop positive and stable
+    s = sysmodel.PositiveLtiSystem(
+        A=[[-1.0, -0.5], [-0.4, -1.0]], B=[[1.0], [0.0]], C=[[1.0, 0.0]],
+        D=[[0.0]], E=np.eye(2), F=np.zeros((1, 2)))
+    spec = ControllerSpec(k_lower=np.zeros((1, 2)), k_upper=np.zeros((1, 2)))
+    lp = synthesis.synthesis_lp(s, spec)
+    with pytest.raises(InfeasibleError) as err:
+        synthesis.stabilize_linf(s, spec, lp=lp)
+    assert_farkas_certificate(lp, err.value.certificate)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poslp import gains, handelman, ilc, lft, robust, synthesis, sysmodel
+from poslp import cli, gains, handelman, ilc, lft, robust, synthesis, sysmodel
 from poslp.cases import POLY3_REFERENCE, gene_expression_system, poly3_system
 from poslp.errors import (ClassificationError, CombinatorialCapError,
                           DegreeError, DimensionError, DomainError, StabilityError)
@@ -310,3 +310,49 @@ def test_robust_synthesis_rejects_negative_disturbance_matrices():
         f_terms={0: [[0.0]]}, domain=BoxDomain.unit(1))
     with pytest.raises(ClassificationError):
         robust.robust_stabilize(psys, ilc.FreeConstant())
+
+
+def lyapunov_coefficients(rlp):
+    """{(row, alpha): ({variable: coefficient}, constant)} of the st, ch, pf,
+    ilc and sc rows of a robust program, builder and polynomial rows alike,
+    over every variable but the controller columns mu."""
+    lp = rlp.builder.build()
+    names, zero = lp.var_names, (0,) * rlp.domain.nparams
+    rows = {}
+
+    def add(row, alpha, coeffs, const):
+        if row.startswith(("st", "ch", "pf", "ilc", "sc")):
+            rows[row, alpha] = ({names[i]: coeffs[i] for i in np.flatnonzero(coeffs)
+                                 if not names[i].startswith("mu")}, const)
+    for row, coeffs, rhs in zip(lp.row_names, lp.row_coeffs, lp.row_rhs):
+        add(row, zero, coeffs, -rhs)
+    for row in rlp.poly_rows:
+        for alpha, (coeffs, const) in row.terms.items():
+            add(row.name, alpha, coeffs, const)
+    return rows
+
+
+@pytest.mark.parametrize("scaling", ["const", "saturated:2", "poly:1"])
+def test_robust_synthesis_rows_are_the_transposed_lft_rows(scaling):
+    # two parameters, degree 2 in each: chains with j = 2 shift through F00;
+    # B and D add no power of delta beyond those of A, E and C, F
+    psys = polynomial_system(
+        a_terms={(0, 0): [[-3.0, 0.5], [0.4, -2.5]], (1, 0): [[-0.2, 0.3], [0.1, 0.0]],
+                 (0, 2): [[0.0, 0.2], [0.3, -0.1]]},
+        b_terms={(0, 0): [[1.0], [-0.5]], (0, 1): [[0.2], [0.1]]},
+        c_terms={(0, 0): [[1.0, 0.5]], (2, 0): [[0.3, 0.0]], (0, 1): [[0.0, 0.2]]},
+        d_terms={(0, 0): [[0.4]], (1, 0): [[-0.1]]},
+        e_terms={(0, 0): [[1.0], [0.5]], (0, 1): [[0.2], [0.0]]},
+        f_terms={(0, 0): [[0.1]], (0, 2): [[0.2]]}, domain=BoxDomain.unit(2))
+    tlft = lft.transpose_lft(psys)
+    assert tlft.F00.any()
+    template = cli.parse_scaling(scaling)
+    synth = lyapunov_coefficients(robust.robust_stabilize(psys, template))
+    gain = lyapunov_coefficients(robust.robust_linf(tlft, template))
+    # F00^T phi1: a channel row of a chain reads phi1 of the block after it
+    assert any(row.startswith("ch") and any(v.startswith("phi1") for v in coeffs)
+               for (row, _), (coeffs, _) in gain.items())
+    assert synth.keys() == gain.keys()
+    for key, (coeffs, const) in gain.items():
+        assert synth[key][0] == coeffs, key
+        assert synth[key][1] == const, key

@@ -176,10 +176,10 @@ def _chain_coefficients(psys, layout, state=("A", "C"), inputs=("E", "F")):
     delta_k^j of every block (k, kind, j, ...) of `layout`, in layout order:
     the state polynomial's on state chains, the input polynomial's on input
     chains."""
-    return [[getattr(psys, s if kind == "state" else i).coeff(
-                 tuple(j if m == k else 0 for m in range(psys.nparams)))
+    return [[getattr(psys, st if kind == "state" else inp).coeff(
+                 tuple(j if i == k else 0 for i in range(psys.nparams)))
              for (k, kind, j, _off, _width) in layout]
-            for s, i in zip(state, inputs)]
+            for st, inp in zip(state, inputs)]
 
 
 def _loop_blocks(layout, n0, n, p):

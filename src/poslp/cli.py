@@ -32,7 +32,7 @@ def build_parser():
     common.add_argument("--lambda-floor", type=float, default=1e-6,
                         help="lower bound standing in for lambda > 0 (default 1e-6)")
     common.add_argument("--grid", type=int, default=101,
-                        help="grid points per parameter for certification sweeps")
+                        help="grid points per parameter for certification sweeps (at least 1)")
     common.add_argument("--seed", type=int, default=0, help="seed for seeded runs")
     common.add_argument("--dump-lp", metavar="PATH",
                         help="write the solved LP in the text interchange format")
@@ -100,6 +100,13 @@ def parse_scaling(text):
         except ValueError:
             pass
     raise ValidationError(f"unknown scaling {text!r} (use const, poly:<d> or saturated[:<d>])")
+
+
+def robust_input(args):
+    """The polynomial system and policy of a robust command, which needs --grid >= 1."""
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {args.grid}")
+    return read_polynomial_system(args.system), policy_from(args)
 
 
 def load_spec(zeros_path, bounds_path):
@@ -206,8 +213,7 @@ def cmd_synth(args):
 
 
 def cmd_robust_gain(args):
-    psys = read_polynomial_system(args.system)
-    policy = policy_from(args)
+    psys, policy = robust_input(args)
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
         verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
@@ -262,8 +268,7 @@ def cmd_robust_gain(args):
 
 
 def cmd_robust_synth(args):
-    psys = read_polynomial_system(args.system)
-    policy = policy_from(args)
+    psys, policy = robust_input(args)
     spec = load_spec(args.zeros, args.bounds)
     template = parse_scaling(args.scaling)
     rlp = robust.robust_stabilize(psys, template, spec, policy)

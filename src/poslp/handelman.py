@@ -14,6 +14,7 @@ finite b; since no a-priori bound on that b is used here, b is caller
 escalatable and defaults to deg P + 2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,25 +26,10 @@ PRODUCT_CAP = 10_000
 
 
 @dataclass(frozen=True, eq=False)
-class LinForm:
-    """Affine form coeffs . delta + const, nonnegative exactly on the box."""
-
-    coeffs: np.ndarray
-    const: float
-
-    def as_poly(self):
-        n = self.coeffs.shape[0]
-        terms = {(0,) * n: np.asarray(self.const, dtype=float)}
-        for k in range(n):
-            if self.coeffs[k] != 0.0:
-                alpha = tuple(1 if i == k else 0 for i in range(n))
-                terms[alpha] = np.asarray(self.coeffs[k], dtype=float)
-        return Poly(n, (), terms)
-
-
-@dataclass(frozen=True, eq=False)
 class HandelmanBasis:
-    """Defining forms of the box plus the maximum total product degree b."""
+    """Defining forms of the box, scalar `Poly`s nonnegative exactly on it
+    (delta_k - lower_k and upper_k - delta_k per parameter k), plus the
+    maximum total product degree b."""
 
     forms: tuple
     degree: int
@@ -55,10 +41,9 @@ class HandelmanBasis:
             raise DegreeError("product degree b must be >= 1")
         forms = []
         for k in range(box.nparams):
-            e = np.zeros(box.nparams)
-            e[k] = 1.0
-            forms.append(LinForm(coeffs=e.copy(), const=-float(box.lower[k])))
-            forms.append(LinForm(coeffs=-e, const=float(box.upper[k])))
+            delta_k = Poly.variable(box.nparams, k)
+            forms.append(Poly.constant(-float(box.lower[k]), box.nparams) + delta_k)
+            forms.append(Poly.constant(float(box.upper[k]), box.nparams) - delta_k)
         return cls(forms=tuple(forms), degree=int(degree), nparams=box.nparams)
 
 
@@ -66,10 +51,7 @@ def enumerate_products(basis, cap=PRODUCT_CAP):
     """Exponent tuples over the forms with total degree 0..b, graded-lex;
     the degree-0 tuple stands for the constant product 1."""
     nf = len(basis.forms)
-    count = 1
-    for d in range(1, basis.degree + 1):
-        count *= (nf + d)
-        count //= d
+    count = math.comb(nf + basis.degree, basis.degree)
     if count > cap:
         raise CombinatorialCapError(
             f"{count} basis products exceed the cap of {cap}")
@@ -80,7 +62,7 @@ def product_poly(basis, exponents):
     out = Poly.constant(1.0, basis.nparams)
     for form, e in zip(basis.forms, exponents):
         for _ in range(int(e)):
-            out = poly_mul(out, form.as_poly())
+            out = poly_mul(out, form)
     return out
 
 
@@ -106,8 +88,7 @@ def build_upsilon(basis, cap=PRODUCT_CAP):
     u = np.zeros((len(mons), len(prods)))
     mon_index = {m: i for i, m in enumerate(mons)}
     for k, expo in enumerate(prods):
-        poly = product_poly(basis, expo)
-        for alpha, coeff in poly.terms.items():
+        for alpha, coeff in product_poly(basis, expo).terms.items():
             u[mon_index[alpha], k] = float(coeff)
     return UpsilonData(monomials=tuple(mons), products=tuple(prods), matrix=u)
 

@@ -101,44 +101,42 @@ class TransposedLft(LftSystem):
 
 def _wellposed_points(domain):
     per_axis = {1: 11, 2: 7}.get(domain.nparams, 3)
-    return domain.grid(per_axis)
+    return np.array(domain.grid(per_axis))
 
 
-def _loop_matrix(delta_matrix, f00, message):
-    """I - Delta F00 for a constant Delta; WellPosednessError(message)
-    when it is singular."""
-    m = np.eye(f00.shape[0]) - delta_matrix @ f00
-    if 1.0 / max(np.linalg.cond(m, 1), 1.0) < _WELLPOSED_RCOND:
-        raise WellPosednessError(message)
-    return m
+def _close_stack(lft, deltas, where):
+    """Closed-loop (A, C, E, F) stacks of w0 = Delta z0 for the stack `deltas`
+    (G, n0, n0); WellPosednessError(where(g)) at the first g where
+    I - Delta F00 is singular."""
+    if lft.n0 == 0:
+        return tuple(np.repeat(m[None], len(deltas), 0) for m in (lft.A, lft.C1, lft.E1, lft.F11))
+    m = np.eye(lft.n0) - deltas @ lft.F00
+    singular = 1.0 / np.maximum(np.linalg.cond(m, 1), 1.0) < _WELLPOSED_RCOND
+    if singular.any():
+        raise WellPosednessError(where(int(np.argmax(singular))))
+    w = np.linalg.solve(m, deltas)     # (I - Delta F00)^{-1} Delta
+    return (lft.A + lft.E0 @ w @ lft.C0, lft.C1 + lft.F10 @ w @ lft.C0,
+            lft.E1 + lft.E0 @ w @ lft.F01, lft.F11 + lft.F10 @ w @ lft.F01)
 
 
 def _check_well_posed(lft):
-    if lft.n0 == 0:
-        return
-    for point in _wellposed_points(lft.domain):
-        _loop_matrix(lft.delta_structure.eval(point), lft.F00,
-                     f"I - Delta(delta) F00 is singular near delta={point}")
+    """The box's sample points, Delta at them and the loop closed there (`_close_stack`)."""
+    points = _wellposed_points(lft.domain)
+    deltas = lft.delta_structure.eval_many(points)
+    return points, deltas, _close_stack(
+        lft, deltas, lambda g: f"I - Delta(delta) F00 is singular near delta={points[g]}")
 
 
 def close_with_matrix(lft, delta_matrix):
-    """Close the loop w0 = Delta z0 for a constant matrix Delta."""
+    """Close the loop w0 = Delta z0 for a constant matrix Delta (a stack of
+    one for `_close_stack`)."""
     n0 = lft.n0
-    if n0 == 0:
-        return PositiveLtiSystem(A=lft.A, B=None, C=lft.C1, D=None,
-                                 E=lft.E1, F=lft.F11)
-    delta_matrix = numlin.as_matrix(delta_matrix, "Delta")
+    delta_matrix = numlin.as_matrix(delta_matrix, "Delta") if n0 else np.zeros((0, 0))
     if delta_matrix.shape != (n0, n0):
         raise DimensionError(f"Delta must be {n0} x {n0}")
-    m = _loop_matrix(delta_matrix, lft.F00, "loop I - Delta F00 is singular")
-    w = np.linalg.solve(m, delta_matrix)     # (I - Delta F00)^{-1} Delta
-    return PositiveLtiSystem(
-        A=lft.A + lft.E0 @ w @ lft.C0,
-        B=None,
-        C=lft.C1 + lft.F10 @ w @ lft.C0,
-        D=None,
-        E=lft.E1 + lft.E0 @ w @ lft.F01,
-        F=lft.F11 + lft.F10 @ w @ lft.F01)
+    closed = _close_stack(lft, delta_matrix[None], lambda g: "loop I - Delta F00 is singular")
+    a, c, e, f = (m[0] for m in closed)
+    return PositiveLtiSystem(A=a, B=None, C=c, D=None, E=e, F=f)
 
 
 def close_at(lft, delta):
@@ -202,6 +200,10 @@ def lft_from_polynomial(psys, degree=None):
 
     Control matrices B, D are ignored; robust synthesis builds the loop of
     its transposed closed loop from the same layout."""
+    return _canonical_lft(LftSystem, psys, degree)
+
+
+def _canonical_lft(cls, psys, degree):
     if degree is not None and psys.degree() > degree:
         raise DegreeError(f"system degree {psys.degree()} exceeds requested {degree}")
     blocks, n0 = channel_layout(psys)
@@ -209,11 +211,10 @@ def lft_from_polynomial(psys, degree=None):
     zero = (0,) * psys.nparams
     e_cols, f10_cols = _chain_coefficients(psys, blocks)
     c0, f00, f01 = _loop_blocks(blocks, n0, n, p)
-    return LftSystem(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
-                     E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
-                     F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
-                     delta_structure=_block_delta(psys.nparams, blocks, n0),
-                     domain=psys.domain)
+    return cls(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
+               E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
+               F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
+               delta_structure=_block_delta(psys.nparams, blocks, n0), domain=psys.domain)
 
 
 def _block_delta(nparams, blocks, n0):
@@ -223,28 +224,18 @@ def _block_delta(nparams, blocks, n0):
         for (kk, _kind, _j, off, width) in blocks:
             if kk == k:
                 sel[off:off + width, off:off + width] = np.eye(width)
-        if np.any(sel):
-            alpha = tuple(1 if i == k else 0 for i in range(nparams))
-            terms[alpha] = sel
+        terms[tuple(1 if i == k else 0 for i in range(nparams))] = sel    # Poly drops zeros
     return Poly(nparams, (n0, n0), terms)
 
 
-def transposed_polynomial_system(psys):
-    """Coefficient-wise transposed system: (A^T, C^T in, E^T out, F^T)."""
-    zero_b = Poly.zero(psys.nparams, (psys.n, 0))
-    zero_d = Poly.zero(psys.nparams, (psys.p, 0))
-    return PolynomialLtiSystem(
-        A=psys.A.transpose(), B=zero_b, C=psys.E.transpose(), D=zero_d,
-        E=psys.C.transpose(), F=psys.F.transpose(), domain=psys.domain)
-
-
 def transpose_lft(psys, degree=None):
-    """Canonical LFT of the transposed polynomial system."""
-    base = lft_from_polynomial(transposed_polynomial_system(psys), degree)
-    return TransposedLft(A=base.A, E0=base.E0, E1=base.E1, C0=base.C0,
-                         C1=base.C1, F00=base.F00, F01=base.F01, F10=base.F10,
-                         F11=base.F11, delta_structure=base.delta_structure,
-                         domain=base.domain)
+    """Canonical LFT of the coefficient-wise transposed polynomial system
+    (A^T, C^T in, E^T out, F^T)."""
+    tsys = PolynomialLtiSystem(
+        A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
+        D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
+        domain=psys.domain)
+    return _canonical_lft(TransposedLft, tsys, degree)
 
 
 def delay_lft(a, a_h, e=None, c=None, f=None):

@@ -21,14 +21,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import handelman, ilc, numlin, sysmodel
-from .errors import (ClassificationError, CombinatorialCapError, DegreeError,
-                     DimensionError, InfeasibleError, ModelError, StabilityError)
+from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
+                     InfeasibleError, ModelError, StabilityError, ValidationError)
 from .gains import add_l1_rows
-from .lft import (TransposedLft, _block_delta, _chain_coefficients, _loop_blocks,
-                  _loop_matrix, _wellposed_points, channel_layout, close_at)
+from .lft import (TransposedLft, _block_delta, _chain_coefficients, _check_well_posed,
+                  _close_stack, _loop_blocks, _wellposed_points, channel_layout, close_at)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
-from .synthesis import ControllerSpec, controller_rows
+from .synthesis import ControllerSpec, controller_rows, recover_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,14 +115,16 @@ def _validate_positive_lft(lft):
             raise ClassificationError(f"positive LFT needs {name} >= 0")
     if lft.delta_structure is None:
         raise ModelError("parametric analysis needs a Delta(delta) structure")
-    for point in _wellposed_points(lft.domain):
-        if not numlin.is_nonnegative(lft.delta_structure.eval(point), tol=1e-12):
-            raise ClassificationError(f"Delta(delta) has negative entries at {point}")
-        report = sysmodel.classify(close_at(lft, point), tol=1e-9)
-        if not report.is_positive:
-            raise ClassificationError(
-                f"closed loop is not positive at delta={point}: "
-                f"{report.violations[:3]}")
+    points, deltas, closed = _check_well_posed(lft)
+    delta_ok = np.all(deltas >= -1e-12, axis=(1, 2))
+    refused = ~(delta_ok & sysmodel.positive_stack(*closed, tol=1e-9))
+    if refused.any():
+        g = int(np.argmax(refused))
+        if not delta_ok[g]:
+            raise ClassificationError(f"Delta(delta) has negative entries at {points[g]}")
+        report = sysmodel.classify(close_at(lft, points[g]), tol=1e-9)
+        raise ClassificationError(
+            f"closed loop is not positive at delta={points[g]}: {report.violations[:3]}")
 
 
 def _phi_blocks(b, sset):
@@ -270,10 +272,10 @@ def solve_robust(rlp, b=None, form="reduced"):
 class ExactDeltaResult:
     feasible: bool
     gamma: float
-    lam: np.ndarray | None
-    phi1: np.ndarray | None
-    phi2: np.ndarray | None
-    iterations: int | None      # simplex pivots of a feasible solve
+    lam: np.ndarray | None = None
+    phi1: np.ndarray | None = None
+    phi2: np.ndarray | None = None
+    iterations: int | None = None      # simplex pivots of a feasible solve
 
 
 def exact_constant_delta(lft, delta0, policy=None):
@@ -284,13 +286,11 @@ def exact_constant_delta(lft, delta0, policy=None):
     with static gain Delta0 exactly."""
     template = ilc.SaturatedStaticGain(delta0)
     rlp = _assemble_gain(lft, template, policy or StrictnessPolicy(), "l1")
-    if lft.n0:
-        _loop_matrix(template.delta0, lft.F00, "I - Delta0 F00 is singular")
+    _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")
     try:
         res = solve_robust(rlp)
     except InfeasibleError:
-        return ExactDeltaResult(feasible=False, gamma=np.nan, lam=None,
-                                phi1=None, phi2=None, iterations=None)
+        return ExactDeltaResult(feasible=False, gamma=np.nan)
     (phi1,), (phi2,) = res.phi1.values(), res.phi2.values()
     return ExactDeltaResult(feasible=True, gamma=res.gamma, lam=res.lam,
                             phi1=phi1, phi2=phi2, iterations=res.iterations)
@@ -363,11 +363,12 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     if m == 0:
         raise ModelError("robust synthesis needs control matrices B and D")
     spec.validate(m, n)
-    for point in _wellposed_points(psys.domain):
-        if not numlin.is_nonnegative(psys.E.eval(point), tol=1e-12) or \
-                not numlin.is_nonnegative(psys.F.eval(point), tol=1e-12):
-            raise ClassificationError(
-                f"E(delta), F(delta) must be nonnegative on the box; fails at {point}")
+    points = _wellposed_points(psys.domain)
+    ok = np.logical_and(*[np.all(mat.eval_many(points) >= -1e-12, axis=(1, 2))
+                          for mat in (psys.E, psys.F)])
+    if not ok.all():
+        raise ClassificationError("E(delta), F(delta) must be nonnegative on the box; "
+                                  f"fails at {points[int(np.argmin(ok))]}")
 
     zero = (0,) * psys.nparams
     state, inputs = ("A", "B", "E"), ("C", "D", "F")
@@ -409,10 +410,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
 def solve_robust_synthesis(rlp, b=None, form="reduced"):
     """Solve a robust synthesis program and recover K column-wise."""
     res = solve_robust(rlp, b, form)
-    k = np.column_stack([res.mu[j] / res.lam[j] for j in range(len(res.lam))])
-    for (i, j) in rlp.blocks.get("zero_pattern", ()):
-        k[i, j] = 0.0
-    return replace(res, K=k)
+    return replace(res, K=recover_k(res.lam, res.mu, rlp.blocks.get("zero_pattern", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +434,8 @@ def certification_grid(domain, points):
     """Sweep points: `points` per parameter for one parameter; for several,
     the per-axis count shrinks so the total stays near `points`, and the box
     vertices are always included."""
+    if points < 0:
+        raise ValidationError(f"the certification grid needs points >= 0, got {points}")
     n = domain.nparams
     if n <= 1:
         return domain.grid(points)

@@ -155,11 +155,18 @@ def stabilize_linf(sys, spec=None, policy=None, lp=None):
     n, m = sys.n, sys.m
     lam = sol.x[:n]
     mu = [sol.x[n + j * m: n + (j + 1) * m] for j in range(n)]
-    k = np.column_stack([mu[j] / lam[j] for j in range(n)])
-    for (i, j) in spec.zero_pattern:
-        k[i, j] = 0.0    # exact zeros; the LP pinned mu[j][i] to 0
-    return SynthesisResult(K=k, gamma=float(sol.objective_value), lam=lam,
-                           mu=mu, iterations=sol.iterations)
+    return SynthesisResult(K=recover_k(lam, mu, spec.zero_pattern),
+                           gamma=float(sol.objective_value), lam=lam, mu=mu,
+                           iterations=sol.iterations)
+
+
+def recover_k(lam, mu, zero_pattern):
+    """K = [mu_1/lam_1 ... mu_n/lam_n], with exact zeros at `zero_pattern`
+    (the LP pinned those entries of mu to 0)."""
+    k = np.column_stack([mu[j] / lam[j] for j in range(len(lam))])
+    for (i, j) in zero_pattern:
+        k[i, j] = 0.0
+    return k
 
 
 def closed_loop(sys, k):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from poslp import cli, sysmodel
+from poslp import cli, robust, sysmodel
 from poslp.cases import poly3_system
 from poslp.poly import write_polynomial_system
 from poslp.sysmodel import write_system
@@ -283,3 +283,14 @@ def test_malformed_json_input_is_refused(capsys, tmp_path):
     path.write_text("{bad")
     err = refused(capsys, ["gain", "--norm", "l1", str(path)])
     assert err.startswith("error: Expecting property name")
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+@pytest.mark.parametrize("command", ["robust-gain", "robust-synth"])
+def test_robust_commands_refuse_grid_below_one(monkeypatch, capsys, poly_file, command, grid):
+    monkeypatch.setattr(robust, "solve_robust", lambda *a, **k: pytest.fail("an LP was solved"))
+    norm = ["--norm", "l1"] if command == "robust-gain" else []
+    assert cli.main([command, poly_file, *norm, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --grid must be at least 1, got {grid}\n"

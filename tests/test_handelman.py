@@ -4,7 +4,7 @@ import pytest
 from poslp import handelman as hd
 from poslp.errors import CombinatorialCapError, DegreeError
 from poslp.lpcore import LpBuilder, solve_lp
-from poslp.poly import BoxDomain
+from poslp.poly import BoxDomain, Poly
 from poslp.robust import PolyRow, RobustLinearProgram, solve_robust
 
 
@@ -211,3 +211,35 @@ def test_certificate_reads_only_the_relaxation_columns():
     kind, q = res.certificate.blocks["q"]
     assert kind == "Q"
     assert len(q) == len(res.certificate.products) == res.lp.num_vars - 1
+
+
+def _reference_forms(box):
+    """The defining forms as the affine-form construction built them: the
+    constant term first, then each nonzero coefficient of +-e_k."""
+    n, forms = box.nparams, []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        for coeffs, const in ((e.copy(), -float(box.lower[k])), (-e, float(box.upper[k]))):
+            terms = {(0,) * n: np.asarray(const, dtype=float)}
+            terms.update((tuple(int(i == j) for i in range(n)), np.asarray(coeffs[j], dtype=float))
+                         for j in range(n) if coeffs[j] != 0.0)
+            forms.append(Poly(n, (), terms))
+    return tuple(forms)
+
+
+def test_upsilon_keeps_the_affine_form_bytes():
+    rng = np.random.Generator(np.random.PCG64(70))
+    for trial in range(40):
+        n, b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        lower = rng.uniform(-2.0, 1.0, n)
+        if trial % 4 == 0:
+            lower[0] = 0.0
+        box = BoxDomain(lower, lower + rng.uniform(0.1, 3.0, n))
+        basis = hd.HandelmanBasis.from_box(box, b)
+        for form, ref in zip(basis.forms, _reference_forms(box), strict=True):
+            assert list(form.terms) == list(ref.terms)
+        ups = hd.build_upsilon(basis)
+        ref = hd.build_upsilon(hd.HandelmanBasis(_reference_forms(box), b, n))
+        assert ups.products == ref.products and ups.monomials == ref.monomials
+        assert ups.matrix.tobytes() == ref.matrix.tobytes()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,144 @@ def test_delay_lft_shape():
     closed = lft.close_with_matrix(l, np.eye(2))
     assert np.allclose(closed.A, a + ah)
 
+
+
+# ---------------------------------------------------------------------------
+# the stacked closure against the point-by-point closure it replaced
+
+def _reference_points(domain):
+    return domain.grid({1: 11, 2: 7}.get(domain.nparams, 3))
+
+
+def _reference_loop_matrix(delta_matrix, f00, message):
+    m = np.eye(f00.shape[0]) - delta_matrix @ f00
+    if 1.0 / max(np.linalg.cond(m, 1), 1.0) < lft._WELLPOSED_RCOND:
+        raise WellPosednessError(message)
+    return m
+
+
+def _reference_check_well_posed(l):
+    if l.n0 == 0:
+        return
+    for point in _reference_points(l.domain):
+        _reference_loop_matrix(l.delta_structure.eval(point), l.F00,
+                               f"I - Delta(delta) F00 is singular near delta={point}")
+
+
+def _reference_close(l, delta_matrix):
+    """(A, C, E, F) of the loop closed with one constant Delta, one solve."""
+    if l.n0 == 0:
+        return l.A, l.C1, l.E1, l.F11
+    m = _reference_loop_matrix(np.asarray(delta_matrix, dtype=float), l.F00,
+                               "loop I - Delta F00 is singular")
+    w = np.linalg.solve(m, delta_matrix)
+    return (l.A + l.E0 @ w @ l.C0, l.C1 + l.F10 @ w @ l.C0,
+            l.E1 + l.E0 @ w @ l.F01, l.F11 + l.F10 @ w @ l.F01)
+
+
+def _outcome(fn, *args):
+    """None when `fn(*args)` returns, else the class and message it raised."""
+    try:
+        fn(*args)
+    except Exception as err:   # noqa: BLE001 -- compared by class and message
+        return type(err), str(err)
+    return None
+
+
+def _seeded_polynomial_system(seed, nparams):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = sysmodel.random_positive_system(3, 0, 2, 2, seed=seed)
+    unit = [tuple(int(i == k) for i in range(nparams)) for k in range(nparams)]
+    square = [tuple(2 * a for a in alpha) for alpha in unit]
+    zero = (0,) * nparams
+    return polynomial_system(
+        a_terms={zero: base.A, unit[0]: rng.uniform(0, 0.2, (3, 3)),
+                 square[-1]: rng.uniform(-0.1, 0.1, (3, 3))},
+        c_terms={zero: base.C, unit[-1]: rng.uniform(-0.2, 0.2, (2, 3))},
+        e_terms={zero: base.E, square[0]: rng.uniform(0, 0.2, (3, 2))},
+        f_terms={zero: base.F, unit[0]: rng.uniform(0, 0.1, (2, 2))},
+        domain=BoxDomain(rng.uniform(-1, 0, nparams), rng.uniform(0.5, 2, nparams)))
+
+
+def _ill_posed_kwargs(nparams, upper):
+    """A loop whose I - Delta F00 is singular where some delta_k is 1."""
+    n0 = nparams
+    delta = Poly(nparams, (n0, n0), {tuple(int(i == k) for i in range(nparams)):
+                                     np.diag(np.eye(n0)[k]) for k in range(nparams)})
+    return dict(A=-np.eye(1), E0=np.ones((1, n0)), E1=np.zeros((1, 0)), C0=np.ones((n0, 1)),
+                C1=np.zeros((0, 1)), F00=np.eye(n0), F01=np.zeros((n0, 0)),
+                F10=np.zeros((0, n0)), F11=np.zeros((0, 0)), delta_structure=delta,
+                domain=BoxDomain(np.zeros(nparams), np.full(nparams, upper)))
+
+
+@pytest.mark.parametrize("nparams, upper", [(1, 1.0), (2, 2.0), (3, 1.0), (1, 0.95)])
+def test_well_posedness_refusal_matches_reference_loop(nparams, upper):
+    kwargs = _ill_posed_kwargs(nparams, upper)
+    got = _outcome(lambda: lft.LftSystem(**kwargs))
+    assert got == _outcome(_reference_check_well_posed, SimpleNamespace(n0=nparams, **kwargs))
+    if upper < 1.0:
+        assert got is None
+    else:
+        assert got[0] is WellPosednessError and "near delta=" in got[1]
+
+
+def test_ill_posed_loop_names_the_first_singular_point():
+    with pytest.raises(WellPosednessError) as err:
+        lft.LftSystem(**_ill_posed_kwargs(2, 2.0))
+    # the 7 x 7 sample of [0, 2]^2 meets delta_2 = 1 at its fourth point
+    assert str(err.value) == "I - Delta(delta) F00 is singular near delta=[0. 1.]"
+
+
+def test_singular_constant_delta_keeps_its_message():
+    l = lft.LftSystem(A=[[-1.0]], E0=[[1.0]], E1=np.zeros((1, 0)), C0=[[1.0]],
+                      C1=np.zeros((0, 1)), F00=[[1.0]], F01=np.zeros((1, 0)),
+                      F10=np.zeros((0, 1)), F11=np.zeros((0, 0)),
+                      delta_structure=None, domain=None)
+    assert _outcome(lft.close_with_matrix, l, [[1.0]]) == \
+        (WellPosednessError, "loop I - Delta F00 is singular")
+    assert _outcome(lft.close_with_matrix, l, [[1.0]]) == _outcome(_reference_close, l, [[1.0]])
+
+
+@pytest.mark.parametrize("seed, nparams", [(60, 1), (61, 1), (62, 2), (63, 3)])
+def test_closures_keep_the_point_by_point_bytes(seed, nparams):
+    psys = _seeded_polynomial_system(seed, nparams)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lower, upper = psys.domain.lower, psys.domain.upper
+    points = [lower + rng.uniform(0, 1, nparams) * (upper - lower) for _ in range(10)]
+    for l in (lft.lft_from_polynomial(psys), lft.transpose_lft(psys)):
+        sample, deltas, stacks = lft._check_well_posed(l)
+        assert np.array_equal(sample, _reference_points(l.domain))
+        for g, point in enumerate(sample):
+            ref = _reference_close(l, l.delta_structure.eval(point))
+            assert [m[g].tobytes() for m in stacks] == [m.tobytes() for m in ref]
+        for point in points:
+            delta = l.delta_structure.eval(point)
+            ref = [m.tobytes() for m in _reference_close(l, delta)]
+            for closed in (lft.close_at(l, point), lft.close_with_matrix(l, delta)):
+                assert [closed.A.tobytes(), closed.C.tobytes(), closed.E.tobytes(),
+                        closed.F.tobytes()] == ref
+
+
+def test_closure_without_loop_channels_returns_the_plain_blocks():
+    s = sysmodel.random_positive_system(3, 0, 2, 2, seed=64)
+    a = s.A.copy()
+    a[0, 1] = -0.0
+    psys = polynomial_system(a_terms={0: a}, c_terms={0: s.C}, e_terms={0: s.E},
+                             f_terms={0: s.F})
+    l = lft.lft_from_polynomial(psys)
+    closed = lft.close_at(l, [0.5])
+    assert [m.tobytes() for m in (closed.A, closed.C, closed.E, closed.F)] == \
+        [m.tobytes() for m in _reference_close(l, np.zeros((0, 0)))]
+
+
+def test_transpose_lft_checks_well_posedness_once(monkeypatch):
+    calls = []
+    check = lft._check_well_posed
+
+    def spy(l):
+        calls.append(type(l))
+        return check(l)
+    monkeypatch.setattr(lft, "_check_well_posed", spy)
+    tl = lft.transpose_lft(poly3_system())
+    assert isinstance(tl, lft.TransposedLft)
+    assert calls == [lft.TransposedLft]

@@ -8,7 +8,7 @@ import pytest
 
 from poslp import cli, gains, numlin, robust, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
-from poslp.errors import SingularMatrixError, StabilityError
+from poslp.errors import SingularMatrixError, StabilityError, ValidationError
 from poslp.lpcore import lp_to_text
 from poslp.poly import BoxDomain, Poly, polynomial_system
 from poslp.sysmodel import PositiveLtiSystem
@@ -240,6 +240,14 @@ def test_grid_synthesis_verdict_matches_reference_loop(k, expect):
 def test_empty_grid_certifies_nothing():
     verdict = robust.grid_certify_gain(poly3_system(), 1.0, "l1", points=0)
     assert verdict.ok and verdict.points == 0 and verdict.max_oracle == -np.inf
+
+
+@pytest.mark.parametrize("psys", [poly3_system(), gene_expression_system(0.3)])
+def test_negative_grid_is_refused(psys):
+    with pytest.raises(ValidationError, match="points >= 0, got -1"):
+        robust.certification_grid(psys.domain, -1)
+    with pytest.raises(ValidationError):
+        robust.grid_certify_gain(psys, 1.0, "l1", points=-1)
 
 
 # ---------------------------------------------------------------------------

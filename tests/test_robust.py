@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poslp import cli, gains, handelman, ilc, lft, robust, synthesis, sysmodel
+from poslp import cli, gains, handelman, ilc, lft, numlin, robust, synthesis, sysmodel
 from poslp.cases import POLY3_REFERENCE, gene_expression_system, poly3_system
 from poslp.errors import (ClassificationError, CombinatorialCapError,
                           DegreeError, DimensionError, DomainError, StabilityError)
@@ -356,3 +356,112 @@ def test_robust_synthesis_rows_are_the_transposed_lft_rows(scaling):
     for key, (coeffs, const) in gain.items():
         assert synth[key][0] == coeffs, key
         assert synth[key][1] == const, key
+
+
+# --- batched admissibility checks against the per-point loops they replaced --
+
+def _reference_points(domain):
+    return domain.grid({1: 11, 2: 7}.get(domain.nparams, 3))
+
+
+def _reference_validate(l):
+    """Positive-LFT validation point by point: Delta >= 0, then a closed loop
+    positive at tol 1e-9."""
+    for name in ("C0", "F00", "F01"):
+        if not numlin.is_nonnegative(getattr(l, name)):
+            raise ClassificationError(f"positive LFT needs {name} >= 0")
+    for point in _reference_points(l.domain):
+        if not numlin.is_nonnegative(l.delta_structure.eval(point), tol=1e-12):
+            raise ClassificationError(f"Delta(delta) has negative entries at {point}")
+        report = sysmodel.classify(lft.close_at(l, point), tol=1e-9)
+        if not report.is_positive:
+            raise ClassificationError(
+                f"closed loop is not positive at delta={point}: {report.violations[:3]}")
+
+
+def _reference_disturbance_check(psys):
+    for point in _reference_points(psys.domain):
+        if not numlin.is_nonnegative(psys.E.eval(point), tol=1e-12) or \
+                not numlin.is_nonnegative(psys.F.eval(point), tol=1e-12):
+            raise ClassificationError(
+                f"E(delta), F(delta) must be nonnegative on the box; fails at {point}")
+
+
+def _outcome(fn, *args):
+    """None when `fn(*args)` returns, else the class and message it raised."""
+    try:
+        fn(*args)
+    except Exception as err:   # noqa: BLE001 -- compared by class and message
+        return type(err), str(err)
+    return None
+
+
+def _leaves_positivity_at_0_6():
+    # A[0, 1] = 0.5 - delta and C[0, 1] = 0.55 - delta turn negative at the
+    # sample point 0.6 of [0, 1]
+    return polynomial_system(
+        a_terms={0: [[-2.0, 0.5], [0.3, -1.5]], 1: [[0.1, -1.0], [0.0, 0.2]]},
+        c_terms={0: [[1.0, 0.55]], 1: [[0.0, -1.0]]},
+        e_terms={0: [[1.0], [0.5]], 1: [[-0.2], [0.0]]},
+        f_terms={0: [[0.0]]}, domain=BoxDomain.unit(1))
+
+
+@pytest.mark.parametrize("make, which, expect", [
+    (lambda: gene_expression_system(0.3), "l1",
+     "Delta(delta) has negative entries at [-1. -1. -1.]"),
+    (_leaves_positivity_at_0_6, "l1", "closed loop is not positive at delta=[0.6]"),
+    (_leaves_positivity_at_0_6, "linf", "closed loop is not positive at delta=[0.6]"),
+    (poly3_system, "l1", None),
+    (poly3_system, "linf", None),
+    (lambda: degree_zero_psys()[1], "l1", None),
+])
+def test_lft_validation_matches_reference_loop(make, which, expect):
+    psys = make()
+    l = lft.lft_from_polynomial(psys) if which == "l1" else lft.transpose_lft(psys)
+    assemble = robust.robust_l1 if which == "l1" else robust.robust_linf
+    got = _outcome(assemble, l, ilc.FreeConstant())
+    assert got == _outcome(_reference_validate, l)
+    if expect is None:
+        assert got is None
+    else:
+        assert got[0] is ClassificationError and got[1].startswith(expect)
+
+
+def _disturbance_plant(e_terms, f_terms, domain):
+    n = len(e_terms[next(iter(e_terms))])
+    zero = next(iter(e_terms))
+    return polynomial_system(
+        a_terms={zero: -np.eye(n)}, b_terms={zero: np.eye(n)}, c_terms={zero: np.eye(n)},
+        d_terms={zero: np.zeros((n, n))}, e_terms=e_terms, f_terms=f_terms, domain=domain)
+
+
+@pytest.mark.parametrize("psys, expect", [
+    (_disturbance_plant({0: [[1.0]], 1: [[-2.0]]}, {0: [[0.0]]}, BoxDomain.unit(1)),
+     "fails at [0.6]"),
+    (_disturbance_plant({(0, 0): [[1.0], [0.0]]}, {(0, 0): np.zeros((2, 1)),
+                                                    (0, 1): [[0.0], [-0.1]]},
+                        BoxDomain([-1.0, -1.0], [1.0, 1.0])),
+     "fails at [-1.          0.33333333]"),
+    (_disturbance_plant({0: [[1.0]], 1: [[-1.0]]}, {0: [[0.0]]}, BoxDomain.unit(1)), None),
+])
+def test_disturbance_check_matches_reference_loop(psys, expect):
+    got = _outcome(robust.robust_stabilize, psys, ilc.FreeConstant())
+    assert got == _outcome(_reference_disturbance_check, psys)
+    if expect is None:
+        assert got is None
+    else:
+        assert got[0] is ClassificationError and got[1].endswith(expect)
+
+
+def test_synthesis_recovers_k_the_same_way():
+    psys = polynomial_system(
+        a_terms={0: [[-1.0, 0.5], [0.2, -1.0]], 1: [[0.1, 0.0], [0.0, 0.2]]},
+        b_terms={0: [[1.0, 0.0], [0.0, 1.0]]}, c_terms={0: [[1.0, 0.0]]},
+        d_terms={0: [[0.0, 0.0]]}, e_terms={0: [[1.0], [0.5]]}, f_terms={0: [[0.0]]},
+        domain=BoxDomain.unit(1))
+    spec = ControllerSpec(zero_pattern=((0, 1),))
+    res = robust.solve_robust_synthesis(robust.robust_stabilize(psys, ilc.FreeConstant(), spec))
+    k = np.column_stack([res.mu[j] / res.lam[j] for j in range(len(res.lam))])
+    k[0, 1] = 0.0
+    assert res.K.tobytes() == k.tobytes()
+    assert synthesis.recover_k(res.lam, res.mu, spec.zero_pattern).tobytes() == k.tobytes()

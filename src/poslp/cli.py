@@ -214,6 +214,7 @@ def cmd_synth(args):
 
 def cmd_robust_gain(args):
     psys, policy = robust_input(args)
+    template = parse_scaling(args.scaling)
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
         verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
@@ -230,7 +231,6 @@ def cmd_robust_gain(args):
                  f"grid check: max frozen-delta oracle {verdict.max_oracle:.6f} "
                  f"-> {'ok' if verdict.ok else 'REFUTED'}"]
         return emit(args, doc, lines)
-    template = parse_scaling(args.scaling)
     if args.norm == "l1":
         rlp = robust.robust_l1(lft.lft_from_polynomial(psys), template, policy)
     else:

@@ -27,9 +27,9 @@ _WELLPOSED_RCOND = 1e-10
 class LftSystem:
     """Nine-block LFT data; the loop is w0 = Delta(delta) z0.
 
-    ``delta_structure`` is an n0 x n0 matrix polynomial describing
-    Delta(delta); it is None for operator-type uncertainty (e.g. delays)
-    analyzed only through a constant static-gain matrix."""
+    ``delta_structure`` is an n0 x n0 matrix polynomial describing Delta(delta)
+    (`closed_sample` keeps `_check_well_posed` of this LFT); it is None for
+    operator-type uncertainty (e.g. delays), analyzed only through a constant static gain."""
 
     A: np.ndarray
     E0: np.ndarray
@@ -71,7 +71,7 @@ class LftSystem:
                 raise DimensionError("delta_structure must be n0 x n0")
             if self.domain is None:
                 raise DimensionError("parametric uncertainty needs a box domain")
-            _check_well_posed(self)
+            object.__setattr__(self, "closed_sample", _check_well_posed(self))
 
     @property
     def n(self):

@@ -1,4 +1,4 @@
-"""Linear-program model and embedded dense two-phase simplex solver.
+"""Linear-program model and embedded two-phase tableau simplex with sparse pivots.
 
 All optimization in the toolbox funnels through this module.  Strict
 inequalities coming from the theory are closed with a configurable margin
@@ -319,11 +319,17 @@ def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start
 
 
 def _eliminate(t, leave, enter):
-    """Pivot on t[leave, enter]; rows with a zero entering entry are never touched."""
+    """Pivot on t[leave, enter], skipping rows whose entering entry is zero and, on
+    tall sparse pivots, columns whose pivot-row entry is zero (t - m*0 moves only zero signs)."""
     t[leave] /= t[leave, enter]
     rows = np.flatnonzero(t[:, enter])
-    rows = rows[rows != leave]
-    t[rows] -= t[rows, enter, None] * t[leave]
+    rows, pivot = rows[rows != leave], t[leave]
+    # below these sizes np.ix_ costs more than the dense row update it saves
+    if rows.size > 16 and 4 * np.count_nonzero(pivot) < pivot.size:
+        cols = np.flatnonzero(pivot)
+        t[np.ix_(rows, cols)] -= t[rows, enter, None] * pivot[cols]
+    else:
+        t[rows] -= t[rows, enter, None] * pivot
 
 
 def _basis_solve(m, rhs):

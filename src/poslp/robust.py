@@ -24,8 +24,8 @@ from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
 from .gains import add_l1_rows
-from .lft import (TransposedLft, _block_delta, _chain_coefficients, _check_well_posed,
-                  _close_stack, _loop_blocks, _wellposed_points, channel_layout, close_at)
+from .lft import (TransposedLft, _block_delta, _chain_coefficients, _close_stack,
+                  _loop_blocks, _wellposed_points, channel_layout, close_at)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows, recover_k
@@ -115,7 +115,7 @@ def _validate_positive_lft(lft):
             raise ClassificationError(f"positive LFT needs {name} >= 0")
     if lft.delta_structure is None:
         raise ModelError("parametric analysis needs a Delta(delta) structure")
-    points, deltas, closed = _check_well_posed(lft)
+    points, deltas, closed = lft.closed_sample
     delta_ok = np.all(deltas >= -1e-12, axis=(1, 2))
     refused = ~(delta_ok & sysmodel.positive_stack(*closed, tol=1e-9))
     if refused.any():

@@ -126,6 +126,20 @@ def test_robust_gain_vertices(capsys, tmp_path):
     assert json.loads(out)["gamma"] == pytest.approx(12.0003, rel=1e-3)
 
 
+def test_robust_gain_vertices_parses_scaling(capsys, tmp_path):
+    from poslp.cases import gene_expression_system
+    path = tmp_path / "gene.json"
+    write_polynomial_system(gene_expression_system(0.5), path)
+    argv = ["robust-gain", "--norm", "linf", "--vertices", str(path)]
+    assert cli.main(argv + ["--scaling", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown scaling 'bogus' (use const, poly:<d>")
+    reports = {run(capsys, *argv, "--format", "structured", *scaling)
+               for scaling in ([], ["--scaling", "const"], ["--scaling", "saturated:3"])}
+    assert len(reports) == 1 and next(iter(reports))[0] == 0
+
+
 def test_robust_synth_cli(capsys, tmp_path):
     from poslp.poly import BoxDomain, polynomial_system
     psys = polynomial_system(

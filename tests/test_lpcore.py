@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from poslp import gains, lpcore, synthesis, sysmodel
-from poslp.cases import gene_expression_system
+from poslp import gains, handelman, ilc, lft, lpcore, robust, synthesis, sysmodel
+from poslp.cases import gene_expression_system, poly3_system
 from poslp.errors import InfeasibleError, NonConvergenceError, ValidationError
 from poslp.lpcore import LinearProgram, LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
 from poslp.synthesis import ControllerSpec
@@ -364,6 +364,62 @@ def test_sparse_elimination_matches_dense_update_bit_for_bit(monkeypatch):
                          ("unbounded", "unbounded"), ("free", "optimal"),
                          ("two-sided", "optimal"), ("redundant", "optimal")):
         assert seen.get((kind, status), 0) >= 10, seen
+
+
+def tall_lps():
+    """Synthesis LPs (n^2-ish rows) with and without K bounds, and poly3's
+    reduced and full robust L1 LPs: pivots that touch more than 16 rows."""
+    for n in (8, 12, 16, 20, 24):
+        s = sysmodel.random_positive_system(n, 2, 2, 2, seed=n)
+        yield f"synth n={n}", synthesis.synthesis_lp(s)
+        spec = ControllerSpec(k_lower=-np.ones((2, n)), k_upper=np.ones((2, n)))
+        yield f"bounded synth n={n}", synthesis.synthesis_lp(s, spec)
+    rlp = robust.robust_l1(lft.lft_from_polynomial(poly3_system()), ilc.FreePolynomial(2))
+    plan = handelman.plan_relaxation(rlp, 2)
+    yield "poly3 reduced", handelman.relax_reduced(rlp, 2, plan=plan)
+    yield "poly3 full", handelman.relax_full(rlp, 2, plan=plan)
+
+
+def test_column_sparse_pivots_match_dense_update_bit_for_bit(monkeypatch):
+    # the column-restricted update keeps every pivot choice, vertex, dual and
+    # certificate of the dense rank-1 update, byte for byte
+    ix = np.ix_
+
+    def counting_ix(*index):
+        column_pivots.append(index)
+        return ix(*index)
+    for name, lp in tall_lps():
+        column_pivots = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "ix_", counting_ix)
+            got = solve_lp(lp)
+        assert column_pivots, name
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_eliminate", dense_eliminate)
+            want = solve_lp(lp)
+        assert (got.status, got.iterations) == (want.status, want.iterations), name
+        for field in ("x", "objective_value", "dual", "certificate"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g is None) == (w is None), (name, field)
+            assert np.float64(g).tobytes() == np.float64(w).tobytes(), (name, field)
+
+
+def test_column_sparse_elimination_differs_only_in_signs_of_zeros():
+    # 30 rows touched, 4 nonzero pivot-row entries of 40: the column branch;
+    # -0.0 sits in skipped columns, where t - m * 0 may flip it to +0.0
+    rng = np.random.default_rng(7)
+    t = np.zeros((31, 40))
+    t[:, [3, 17, 29]] = rng.uniform(-1, 1, (31, 3))
+    t[:, 5] = -0.0
+    t[::2, 9] = rng.uniform(-1, 1, 16)
+    t[1::2, 9] = -0.0
+    t[0, 11] = -0.0
+    got, want = t.copy(), t.copy()
+    lpcore._eliminate(got, 0, 17)
+    dense_eliminate(want, 0, 17)
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert differ.any() and np.all(got[differ] == 0.0)
 
 
 def assert_farkas_certificate(lp, y):

@@ -427,6 +427,24 @@ def test_lft_validation_matches_reference_loop(make, which, expect):
         assert got[0] is ClassificationError and got[1].startswith(expect)
 
 
+@pytest.mark.parametrize("which", ["l1", "linf"])
+def test_robust_gain_closes_the_sample_once(monkeypatch, which):
+    # the construction's well-posedness closure is the one the positivity check reads
+    calls = []
+    close = lft._close_stack
+
+    def spy(l, deltas, where):
+        calls.append(len(deltas))
+        return close(l, deltas, where)
+    monkeypatch.setattr(lft, "_close_stack", spy)
+    psys = poly3_system()
+    if which == "l1":
+        robust.robust_l1(lft.lft_from_polynomial(psys), ilc.FreeConstant())
+    else:
+        robust.robust_linf(lft.transpose_lft(psys), ilc.FreeConstant())
+    assert calls == [11]
+
+
 def _disturbance_plant(e_terms, f_terms, domain):
     n = len(e_terms[next(iter(e_terms))])
     zero = next(iter(e_terms))

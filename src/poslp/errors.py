@@ -40,6 +40,15 @@ def require_keys(doc, what, *keys):
             raise ValidationError(f"{what} is missing the key {key!r}")
 
 
+def require_sizes(doc, what, *keys):
+    """`keys`' values in `doc` (0 if absent) as ints, if all are nonnegative whole numbers."""
+    for key in keys:
+        value = doc.get(key, 0)
+        if type(value) not in (int, float) or value < 0 or value % 1:
+            raise ValidationError(f"{what} key {key!r} is {value!r}, not a whole number >= 0")
+    return [int(doc.get(key, 0)) for key in keys]
+
+
 class NonConvergenceError(PoslpError):
     """Iterative routine hit its iteration cap."""
 

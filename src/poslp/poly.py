@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import DimensionError, ValidationError, require_keys
+from .errors import DimensionError, ValidationError, require_keys, require_sizes
 
 
 def monomials(nparams, max_degree):
@@ -341,9 +341,7 @@ def polynomial_system_to_dict(psys):
 
 def polynomial_system_from_dict(doc):
     require_keys(doc, "polynomial system", "nparams", "n", "p", "q", "terms")
-    nparams = int(doc["nparams"])
-    n, m = int(doc["n"]), int(doc.get("m", 0))
-    p, q = int(doc["p"]), int(doc["q"])
+    nparams, n, m, p, q = require_sizes(doc, "polynomial system", "nparams", "n", "m", "p", "q")
     shapes = {"A": (n, n), "B": (n, m), "C": (q, n), "D": (q, m),
               "E": (n, p), "F": (q, p)}
     terms = {name: {} for name in shapes}

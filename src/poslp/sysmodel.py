@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .errors import ClassificationError, DimensionError, StabilityError, require_keys
+from .errors import (ClassificationError, DimensionError, StabilityError, require_keys,
+                     require_sizes)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 
 
@@ -256,8 +257,7 @@ def system_to_dict(sys):
 
 def system_from_dict(doc):
     require_keys(doc, "system", "n", "p", "q")
-    n, m = int(doc["n"]), int(doc.get("m", 0))
-    p, q = int(doc["p"]), int(doc["q"])
+    n, m, p, q = require_sizes(doc, "system", "n", "m", "p", "q")
     def mat(key, rows, cols):
         if key not in doc or doc[key] in ([], None):
             return np.zeros((rows, cols))

@@ -286,6 +286,44 @@ def test_polynomial_system_file_with_misshaped_term_is_refused(capsys, tmp_path,
                    f"expected a {doc['q']} x {doc['n']} matrix\n")
 
 
+@pytest.mark.parametrize("key, value", [("n", -1), ("q", -1), ("m", -1), ("n", "x"), ("n", None),
+                                        ("q", 1.9), ("p", True), ("p", float("inf"))])
+def test_system_file_with_bad_size_is_refused(capsys, tmp_path, system_file, key, value):
+    doc = json.loads(open(system_file).read())
+    doc[key] = value
+    path = tmp_path / "bad_size.json"
+    path.write_text(json.dumps(doc))
+    err = refused(capsys, ["gain", "--norm", "l1", str(path)])
+    assert err == f"error: system key {key!r} is {value!r}, not a whole number >= 0\n"
+
+
+def test_system_file_without_matrices_and_negative_n_is_refused(capsys, tmp_path):
+    # no matrix to misshape: -1 used to reach np.zeros
+    path = tmp_path / "negative_n.json"
+    path.write_text(json.dumps({"n": -1, "p": 1, "q": 1}))
+    err = refused(capsys, ["gain", "--norm", "l1", str(path)])
+    assert err == "error: system key 'n' is -1, not a whole number >= 0\n"
+
+
+def test_system_file_with_whole_float_sizes_reads_them_as_ints(capsys, tmp_path, system_file):
+    doc = json.loads(open(system_file).read())
+    doc.update({key: float(doc[key]) for key in ("n", "m", "p", "q")})
+    path = tmp_path / "float_sizes.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "gain", "--norm", "l1", str(path)) == \
+        run(capsys, "gain", "--norm", "l1", system_file)
+
+
+@pytest.mark.parametrize("key, value", [("nparams", -1), ("n", -2), ("q", -1), ("q", 1.9),
+                                        ("n", "x"), ("n", None)])
+def test_polynomial_system_file_with_bad_size_is_refused(capsys, tmp_path, poly_file, key, value):
+    doc = json.loads(open(poly_file).read())
+    doc[key] = value
+    path = tmp_path / "bad_size.json"
+    path.write_text(json.dumps(doc))
+    err = refused(capsys, ["robust-gain", "--norm", "l1", str(path)])
+    assert err == f"error: polynomial system key {key!r} is {value!r}, not a whole number >= 0\n"
+
 def test_missing_input_file_is_refused(capsys, tmp_path):
     path = tmp_path / "absent.json"
     err = refused(capsys, ["gain", "--norm", "l1", str(path)])

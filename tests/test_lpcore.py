@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,87 @@ def test_column_sparse_elimination_differs_only_in_signs_of_zeros():
     assert np.array_equal(got, want)
     differ = got.view(np.int64) != want.view(np.int64)
     assert differ.any() and np.all(got[differ] == 0.0)
+
+
+def counting_outer(patch):
+    """Spy on np.multiply.outer, which only the in-place dense branch of
+    `_eliminate` calls; returns the list of its calls' row counts."""
+    multiply, calls = np.multiply, []
+
+    class Multiply:
+        def __getattr__(self, name):
+            return getattr(multiply, name)
+
+        def __call__(self, *args, **kwargs):
+            return multiply(*args, **kwargs)
+
+        def outer(self, a, b):
+            calls.append(a.size)
+            return multiply.outer(a, b)
+    patch.setattr(np, "multiply", Multiply())
+    return calls
+
+
+def test_dense_pivots_match_dense_update_bit_for_bit(monkeypatch):
+    # square gain LPs: phase-1 pivots touch nearly every row with a pivot row
+    # about half full, so they take the in-place dense branch, and still keep
+    # every pivot choice, vertex, dual and certificate byte for byte
+    for n in (24, 72, 120):
+        s = sysmodel.random_positive_system(n, 0, 3, 3, seed=n)
+        for name, lp in ((f"l1 n={n}", gains.l1_lp(s)), (f"linf n={n}", gains.linf_lp(s))):
+            with monkeypatch.context() as patch:
+                dense_pivots = counting_outer(patch)
+                got = solve_lp(lp)
+            assert dense_pivots, name
+            with monkeypatch.context() as patch:
+                patch.setattr(lpcore, "_eliminate", dense_eliminate)
+                want = solve_lp(lp)
+            assert (got.status, got.iterations) == (want.status, want.iterations), name
+            for field in ("x", "objective_value", "dual", "certificate"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert (g is None) == (w is None), (name, field)
+                assert np.float64(g).tobytes() == np.float64(w).tobytes(), (name, field)
+
+
+def test_dense_elimination_differs_only_in_signs_of_zeros(monkeypatch):
+    # 14 of 21 rows touched and a half-full pivot row: the in-place branch;
+    # -0.0 sits in the untouched rows, where t - 0*p may flip it, and in the
+    # pivot row, which gets x - (+0.0) and so keeps every bit
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-1, 1, (21, 12)) * (rng.uniform(0, 1, (21, 12)) < 0.7)
+    t[15:] = -0.0
+    t[15:, ::3] = rng.uniform(-1, 1, (6, 4))
+    t[15:, 3] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+    t[:15, 3] = rng.uniform(0.5, 1, 15)
+    t[0, [1, 5, 7, 11]] = -0.0
+    t[0, [2, 6]] = 0.0
+    got, want = t.copy(), t.copy()
+    with monkeypatch.context() as patch:
+        dense_pivots = counting_outer(patch)
+        lpcore._eliminate(got, 0, 3)
+    assert dense_pivots == [21]
+    dense_eliminate(want, 0, 3)
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert np.all(got[differ] == 0.0)
+    assert got[0].tobytes() == (t[0] / t[0, 3]).tobytes()
+
+
+def test_dense_elimination_makes_one_tableau_sized_temporary():
+    # a 123 x 368 tableau (the n = 120 gain LP's size) whose pivot touches
+    # every row, with a half-full pivot row; a row gather and its product
+    # would peak above twice the tableau
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-1, 1, (123, 368)) * (rng.uniform(0, 1, (123, 368)) < 0.5)
+    t[:, 40] = rng.uniform(0.5, 1, 123)
+    assert 0.4 < np.count_nonzero(t[7]) / t.shape[1] < 0.6
+    tracemalloc.start()
+    try:
+        lpcore._eliminate(t, 7, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.nbytes
 
 
 def assert_farkas_certificate(lp, y):

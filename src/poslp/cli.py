@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import gains, handelman, ilc, lft, robust, synthesis, sysmodel
+from . import gains, handelman, ilc, lft, numlin, robust, synthesis, sysmodel
 from .cases import (DRUG_SEED, GENE_TABLE, POLY3_REFERENCE, drug_gain_formulas,
                     drug_system, gene_expression_system, poly3_system)
 from .errors import (InfeasibleError, PoslpError, StabilityError, ValidationError,
@@ -31,27 +31,28 @@ def build_parser():
                         help="margin closing strict inequalities (default 1e-7)")
     common.add_argument("--lambda-floor", type=float, default=1e-6,
                         help="lower bound standing in for lambda > 0 (default 1e-6)")
-    common.add_argument("--grid", type=int, default=101,
-                        help="grid points per parameter for certification sweeps (at least 1)")
-    common.add_argument("--seed", type=int, default=0, help="seed for seeded runs")
-    common.add_argument("--dump-lp", metavar="PATH",
-                        help="write the solved LP in the text interchange format")
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="human table or machine-readable JSON report")
-    common.add_argument("--tol", type=float, default=0.0,
-                        help="structural tolerance for positivity classification")
+    dump = argparse.ArgumentParser(add_help=False)
+    dump.add_argument("--dump-lp", metavar="PATH",
+                      help="write the solved LP in the text interchange format")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=101,
+                      help="grid points per parameter for certification sweeps (at least 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
                        help="positivity and stability report for a system file")
     p.add_argument("system")
+    p.add_argument("--tol", type=float, default=0.0,
+                   help="structural tolerance for positivity classification")
 
-    p = sub.add_parser("gain", parents=[common], help="compute an induced gain")
+    p = sub.add_parser("gain", parents=[common, dump], help="compute an induced gain")
     p.add_argument("system")
     p.add_argument("--norm", choices=("l1", "linf"), required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[common, dump],
                        help="state-feedback synthesis with Linf bound")
     p.add_argument("system")
     p.add_argument("--zeros", metavar="FILE",
@@ -59,7 +60,7 @@ def build_parser():
     p.add_argument("--bounds", metavar="FILE",
                    help="JSON file with K_lower / K_upper matrices")
 
-    p = sub.add_parser("robust-gain", parents=[common],
+    p = sub.add_parser("robust-gain", parents=[common, dump, grid],
                        help="robust gain of a polynomially-uncertain system")
     p.add_argument("system", help="polynomial system file")
     p.add_argument("--norm", choices=("l1", "linf"), required=True)
@@ -71,7 +72,7 @@ def build_parser():
     p.add_argument("--vertices", action="store_true",
                    help="use vertex enumeration (affine dependence only)")
 
-    p = sub.add_parser("robust-synth", parents=[common],
+    p = sub.add_parser("robust-synth", parents=[common, dump, grid],
                        help="robust state-feedback synthesis (Linf)")
     p.add_argument("system", help="polynomial system file")
     p.add_argument("--scaling", default="saturated")
@@ -84,6 +85,7 @@ def build_parser():
                        help="re-run a bundled benchmark case")
     p.add_argument("case", choices=("table2", "table3", "table4", "table5",
                                     "ex72", "delay"))
+    p.add_argument("--seed", type=int, default=0, help="seed for seeded runs")
     return parser
 
 
@@ -149,7 +151,7 @@ def cmd_check(args):
     sys_in = sysmodel.read_system(args.system)
     report = sysmodel.classify(sys_in, tol=args.tol)
     stable = None
-    if sys_in.metzler_A:
+    if numlin.is_metzler(sys_in.A):
         stable = sysmodel.is_stable(sys_in, policy_from(args))
     doc = {
         "status": "ok",
@@ -217,6 +219,7 @@ def cmd_robust_gain(args):
     template = parse_scaling(args.scaling)
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
+        maybe_dump(args, res.lp)
         verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
         doc = {
             "status": "optimal", "method": "vertices", "norm": args.norm,

@@ -40,13 +40,16 @@ def require_keys(doc, what, *keys):
             raise ValidationError(f"{what} is missing the key {key!r}")
 
 
+def require_whole(value, what):
+    """`value` as an int, if it is a nonnegative whole number (bools are not)."""
+    if type(value) not in (int, float) or value < 0 or value % 1:
+        raise ValidationError(f"{what} is {value!r}, not a whole number >= 0")
+    return int(value)
+
+
 def require_sizes(doc, what, *keys):
     """`keys`' values in `doc` (0 if absent) as ints, if all are nonnegative whole numbers."""
-    for key in keys:
-        value = doc.get(key, 0)
-        if type(value) not in (int, float) or value < 0 or value % 1:
-            raise ValidationError(f"{what} key {key!r} is {value!r}, not a whole number >= 0")
-    return [int(doc.get(key, 0)) for key in keys]
+    return [require_whole(doc.get(key, 0), f"{what} key {key!r}") for key in keys]
 
 
 class NonConvergenceError(PoslpError):

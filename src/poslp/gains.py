@@ -22,7 +22,9 @@ import numpy as np
 
 from . import sysmodel
 from .errors import ClassificationError, PoslpError, StabilityError
-from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
+from .ilc import FreeConstant
+from .lft import plain_lft
+from .lpcore import StrictnessPolicy, solve_lp
 
 
 @dataclass
@@ -35,26 +37,13 @@ class GainResult:
     iterations: int
 
 
-def add_l1_rows(b, cols, gamma, a, c, e, f, policy, prefix=""):
-    """Add the strictified L1 rows to the LpBuilder `b`, with lambda on the
-    variable columns `cols` (one per row of a and e): one row per column
-    of a, lambda^T A + 1^T C <= -eps, and one per column of e,
-    lambda^T E - gamma 1^T + 1^T F <= -eps."""
-    eps = policy.epsilon
-    b.add_rows(cols, a.T, "<=", -eps - c.sum(axis=0),
-               [f"{prefix}st{j}" for j in range(a.shape[1])])
-    b.add_rows(list(cols) + [gamma], np.hstack([e.T, -np.ones((e.shape[1], 1))]), "<=",
-               -eps - f.sum(axis=0), [f"{prefix}pf{j}" for j in range(e.shape[1])])
-
-
 def l1_lp(sys, policy=None):
-    """The strictified L1-gain LP; variables [lambda_0..lambda_{n-1}, gamma]."""
-    policy = policy or StrictnessPolicy()
-    b = LpBuilder()
-    lam = b.add_vars("lam", sys.n, lower=policy.lambda_floor)
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    add_l1_rows(b, lam, gamma, sys.A, sys.C, sys.E, sys.F, policy)
-    return b.build()
+    """The strictified L1-gain LP: the robust L1 program of the system's LFT
+    with no uncertainty channel; variables [lambda_0..lambda_{n-1}, gamma]."""
+    from .robust import _assemble_gain
+    lft = plain_lft(sys.A, sys.C, sys.E, sys.F)
+    rlp = _assemble_gain(lft, FreeConstant(), policy or StrictnessPolicy(), "l1")
+    return rlp.builder.build()
 
 
 def linf_lp(sys, policy=None):

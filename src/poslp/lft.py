@@ -238,6 +238,14 @@ def transpose_lft(psys, degree=None):
     return _canonical_lft(TransposedLft, tsys, degree)
 
 
+def plain_lft(a, c, e, f):
+    """LFT of dx/dt = A x + E w, z = C x + F w with no uncertainty channel (n0 = 0)."""
+    n, q, p = a.shape[0], c.shape[0], e.shape[1]
+    return LftSystem(A=a, E0=np.zeros((n, 0)), E1=e, C0=np.zeros((0, n)), C1=c,
+                     F00=np.zeros((0, 0)), F01=np.zeros((0, p)), F10=np.zeros((q, 0)),
+                     F11=f, delta_structure=None, domain=None)
+
+
 def delay_lft(a, a_h, e=None, c=None, f=None):
     """LFT of dx/dt = A x(t) + A_h x(t - h) (+ E w), z = C x (+ F w): the
     delayed state enters through one operator channel with unit static gain.

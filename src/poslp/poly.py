@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import DimensionError, ValidationError, require_keys, require_sizes
+from .errors import DimensionError, ValidationError, require_keys, require_sizes, require_whole
 
 
 def monomials(nparams, max_degree):
@@ -345,15 +345,26 @@ def polynomial_system_from_dict(doc):
     shapes = {"A": (n, n), "B": (n, m), "C": (q, n), "D": (q, m),
               "E": (n, p), "F": (q, p)}
     terms = {name: {} for name in shapes}
-    for rec in doc["terms"]:
+    records = doc["terms"]
+    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+        raise ValidationError(f"polynomial system key 'terms' is {records!r}, "
+                              "not a list of term objects")
+    for rec in records:
         require_keys(rec, "polynomial system term", "exponents")
-        alpha = tuple(int(a) for a in rec["exponents"])
+        exponents = rec["exponents"]
+        if not isinstance(exponents, list):
+            raise ValidationError(f"polynomial system term exponents {exponents!r} are not a list")
+        alpha = tuple(require_whole(a, "polynomial system term exponent") for a in exponents)
         for name, shape in shapes.items():
             if name in rec:
                 terms[name][alpha] = numlin.shaped(
                     rec[name], f"polynomial system term {alpha} key {name!r}", shape)
-    domain = BoxDomain(np.asarray(doc.get("domain_lower", np.zeros(nparams)), dtype=float),
-                       np.asarray(doc.get("domain_upper", np.ones(nparams)), dtype=float))
+    box = [doc.get("domain_lower", [0.0] * nparams), doc.get("domain_upper", [1.0] * nparams)]
+    if not all(isinstance(bound, list) and len(bound) == nparams
+               and all(type(x) in (int, float) for x in bound) for bound in box):
+        raise ValidationError(f"polynomial system box {box[0]!r} to {box[1]!r} is not "
+                              f"two lists of {nparams} numbers")
+    domain = BoxDomain(*(np.array(bound, dtype=float) for bound in box))
     zero = (0,) * nparams
     for name in shapes:
         terms[name].setdefault(zero, np.zeros(shapes[name]))

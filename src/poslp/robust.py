@@ -23,9 +23,8 @@ import numpy as np
 from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
-from .gains import add_l1_rows
 from .lft import (TransposedLft, _block_delta, _chain_coefficients, _close_stack,
-                  _loop_blocks, _wellposed_points, channel_layout, close_at)
+                  _loop_blocks, _wellposed_points, channel_layout, close_at, plain_lft)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows, recover_k
@@ -148,7 +147,7 @@ def _scaling_equalities(b, sset, phi1, phi2):
 
 def _ilc_rows(b, poly, zero, delta_structure, sset, phi1, phi2):
     """phi1(delta) + Delta(delta)^T phi2(delta) >= 0, one row per channel."""
-    if not sset.ilc_row:
+    if not sset.ilc_row or sset.n0 == 0:
         return
     rows = slice(None)
     parts = [(alpha, rows, ids, np.eye(sset.n0)) for alpha, ids in phi1.items()]
@@ -159,9 +158,10 @@ def _ilc_rows(b, poly, zero, delta_structure, sset, phi1, phi2):
               _terms(b.num_vars, sset.n0, parts))
 
 
-def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon):
+def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon, prefix=""):
     """The copositive-Lyapunov rows of the L1 program of `lft`, strict by
-    `epsilon`: state (st), one per loop signal (ch) and performance (pf).
+    `epsilon`: state (st), one per loop signal (ch) and performance (pf),
+    each name after `prefix`.
     `lin` holds (variable columns, block with one row per st, ch, pf row)
     pairs; the scalings enter through the loop blocks C0, F00, F01, and the
     constants are the column sums of C1, F10, F11."""
@@ -173,8 +173,8 @@ def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon):
     for a, ids in phi1.items():
         parts += [(a, st, ids, lft.C0.T), (a, ch, ids, lft.F00.T), (a, pf, ids, lft.F01.T)]
     parts += [(a, ch, ids, np.eye(n0)) for a, ids in phi2.items()]
-    names = ([f"st{j}" for j in range(n)] + [f"ch{j}" for j in range(n0)]
-             + [f"pf{j}" for j in range(p)])
+    names = ([f"{prefix}st{j}" for j in range(n)] + [f"{prefix}ch{j}" for j in range(n0)]
+             + [f"{prefix}pf{j}" for j in range(p)])
     const = np.concatenate([lft.C1.sum(axis=0), lft.F10.sum(axis=0), lft.F11.sum(axis=0)])
     _add_rows(b, poly, zero, names, "<=", _terms(b.num_vars, n + n0 + p, parts), const, epsilon)
 
@@ -307,6 +307,7 @@ class VertexResult:
     vertices: int
     epsilon: float
     iterations: int
+    lp: object                  # the solved LinearProgram
 
 
 def vertex_gain(psys, which="linf", policy=None, max_params=20):
@@ -337,14 +338,17 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     for v in range(len(verts)):
         mats = (a[v], c[v], e[v], f[v]) if which == "l1" else (a[v].T, e[v].T, c[v].T, f[v].T)
-        add_l1_rows(b, lam, gamma, *mats, policy, f"v{v}_")
-    sol = solve_lp(b.build())
+        vertex = plain_lft(*mats)
+        lin = [(lam, np.vstack([vertex.A.T, vertex.E1.T]))]
+        _lyapunov_rows(b, [], (), vertex, lin, gamma, {}, {}, policy.epsilon, f"v{v}_")
+    lp = b.build()
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InfeasibleError(f"vertex program {sol.status}",
                               certificate=sol.certificate)
     return VertexResult(which=which, gamma=float(sol.objective_value),
                         lam=sol.x[:psys.n], vertices=len(verts),
-                        epsilon=policy.epsilon, iterations=sol.iterations)
+                        epsilon=policy.epsilon, iterations=sol.iterations, lp=lp)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import numlin
 from .errors import ClassificationError, InfeasibleError, ModelError, ValidationError
-from .gains import add_l1_rows
-from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
+from .ilc import FreeConstant
+from .lpcore import solve_lp
+from .poly import BoxDomain, Poly, PolynomialLtiSystem
 
 
 @dataclass(frozen=True)
@@ -60,32 +61,21 @@ class SynthesisResult:
 
 
 def synthesis_lp(sys, spec=None, policy=None):
-    """Assemble the synthesis LP; variables [lambda, mu_0..mu_{n-1}, gamma].
-
-    Gain rows are strict (closed with epsilon): the L1 rows of the
-    transposed closed loop, in which mu_j stands for lambda_j K[:, j].  The
-    Metzler and nonnegativity rows that force closed-loop positivity are
-    non-strict, exactly as in the underlying characterization."""
+    """The synthesis LP, variables [lambda, mu_0..mu_{n-1}, gamma] with mu_j
+    standing for lambda_j K[:, j]: the robust synthesis program of the system
+    with no parameter.  Its gain rows, the L1 rows of the transposed closed
+    loop, are strict (closed with epsilon); the Metzler and nonnegativity rows
+    that force closed-loop positivity are not, as in the characterization."""
+    from .robust import robust_stabilize
     spec = spec or FULL
-    policy = policy or StrictnessPolicy()
-    n, m = sys.n, sys.m
-    if m == 0:
+    if sys.m == 0:
         raise ModelError("synthesis needs control matrices B and D")
-    spec.validate(m, n)
-    if not (sys.nonneg_E and sys.nonneg_F):
+    spec.validate(sys.m, sys.n)
+    if not (numlin.is_nonnegative(sys.E) and numlin.is_nonnegative(sys.F)):
         raise ClassificationError("synthesis requires nonnegative E and F")
-
-    b = LpBuilder()
-    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    mu = [b.add_vars(f"mu{j}_", m) for j in range(n)]
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    # every mu_j meets B^T (D^T) the way lambda meets A^T (C^T)
-    add_l1_rows(b, lam + sum(mu, []), gamma, np.vstack([sys.A.T, np.tile(sys.B.T, (n, 1))]),
-                sys.E.T, np.vstack([sys.C.T, np.tile(sys.D.T, (n, 1))]), sys.F.T, policy)
-    for names, relation, terms in controller_rows(
-            b.num_vars, lam, mu, spec, {(): (sys.A, sys.B, sys.C, sys.D)}, ()):
-        b.add_rows(slice(0, b.num_vars), terms[()], relation, 0.0, names)
-    return b.build()
+    psys = PolynomialLtiSystem(*(Poly.constant(getattr(sys, name), 0) for name in "ABCDEF"),
+                               domain=BoxDomain.unit(0))
+    return robust_stabilize(psys, FreeConstant(), spec, policy).builder.build()
 
 
 def controller_rows(num_vars, lam, mu, spec, mats, zero):
@@ -96,10 +86,9 @@ def controller_rows(num_vars, lam, mu, spec, mats, zero):
     lambda_j lower_ij <= mu_j[i] <= lambda_j upper_ij (lb, ub).
 
     `mats` maps each exponent alpha to the coefficients (A, B, C, D) of
-    delta^alpha; `zero` is the exponent of the constant term (synthesis_lp
-    has the single alpha = ()).  Returns families (names, relation, terms):
-    the rows sum_alpha delta^alpha (terms[alpha] @ x) `relation` 0, with
-    terms[alpha] of shape (rows, num_vars)."""
+    delta^alpha; `zero` is the exponent of the constant term.  Returns
+    families (names, relation, terms): the rows sum_alpha delta^alpha
+    (terms[alpha] @ x) `relation` 0, with terms[alpha] of shape (rows, num_vars)."""
     n, m = len(lam), len(mu[0])
     q = next(iter(mats.values()))[2].shape[0]
     lam, mu = np.asarray(lam), np.asarray(mu).reshape(n, m)

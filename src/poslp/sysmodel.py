@@ -6,7 +6,7 @@ role in positivity and may be empty for analysis-only models.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,6 @@ class PositiveLtiSystem:
     D: np.ndarray
     E: np.ndarray
     F: np.ndarray
-    metzler_A: bool = field(init=False)
-    nonneg_E: bool = field(init=False)
-    nonneg_C: bool = field(init=False)
-    nonneg_F: bool = field(init=False)
 
     def __post_init__(self):
         a = numlin.as_matrix(self.A, "A")
@@ -54,10 +50,6 @@ class PositiveLtiSystem:
             raise DimensionError(f"D must be {q} x {b.shape[1]}, got {d.shape}")
         for name, val in (("A", a), ("B", b), ("C", c), ("D", d), ("E", e), ("F", f)):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "metzler_A", numlin.is_metzler(a))
-        object.__setattr__(self, "nonneg_E", numlin.is_nonnegative(e))
-        object.__setattr__(self, "nonneg_C", numlin.is_nonnegative(c))
-        object.__setattr__(self, "nonneg_F", numlin.is_nonnegative(f))
 
     @property
     def n(self):
@@ -113,13 +105,12 @@ def metzler_stable(a, policy=None, tol=0.0):
     a = numlin.as_matrix(a, "A")
     if not numlin.is_metzler(a, tol):
         raise ClassificationError("stability LP is only valid for Metzler matrices")
-    from .gains import add_l1_rows
     n = a.shape[0]
     if n == 0:
         return True
     b = LpBuilder()
     lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    add_l1_rows(b, lam, None, a, np.zeros((0, n)), np.zeros((n, 0)), np.zeros((0, 0)), policy)
+    b.add_rows(lam, a.T, "<=", -policy.epsilon, [f"st{j}" for j in range(n)])
     return solve_lp(b.build()).status == "optimal"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poslp import cli, robust, sysmodel
-from poslp.cases import poly3_system
+from poslp.cases import gene_expression_system, poly3_system
 from poslp.poly import write_polynomial_system
 from poslp.sysmodel import write_system
 
@@ -323,6 +323,70 @@ def test_polynomial_system_file_with_bad_size_is_refused(capsys, tmp_path, poly_
     path.write_text(json.dumps(doc))
     err = refused(capsys, ["robust-gain", "--norm", "l1", str(path)])
     assert err == f"error: polynomial system key {key!r} is {value!r}, not a whole number >= 0\n"
+
+@pytest.mark.parametrize("edit, message", [
+    ({"exponents": [1.9]}, "polynomial system term exponent is 1.9, not a whole number >= 0"),
+    ({"exponents": ["x"]}, "polynomial system term exponent is 'x', not a whole number >= 0"),
+    ({"exponents": [-1]}, "polynomial system term exponent is -1, not a whole number >= 0"),
+    ({"exponents": [True]}, "polynomial system term exponent is True, not a whole number >= 0"),
+    ({"exponents": 1}, "polynomial system term exponents 1 are not a list"),
+    ({"domain_lower": ["x"]},
+     "polynomial system box ['x'] to [1.0] is not two lists of 1 numbers"),
+    ({"domain_upper": [1.0, 2.0]},
+     "polynomial system box [0.0] to [1.0, 2.0] is not two lists of 1 numbers"),
+    ({"domain_upper": None}, "polynomial system box [0.0] to None is not two lists of 1 numbers"),
+    ({"terms": None}, "polynomial system key 'terms' is None, not a list of term objects"),
+    ({"terms": [5]}, "polynomial system key 'terms' is [5], not a list of term objects"),
+], ids=["exponent_fraction", "exponent_string", "exponent_negative", "exponent_bool",
+        "exponents_not_a_list", "lower_string", "upper_too_long", "upper_null", "terms_null",
+        "term_not_an_object"])
+def test_malformed_polynomial_system_file_is_refused(capsys, tmp_path, poly_file, edit, message):
+    doc = json.loads(open(poly_file).read())
+    if "exponents" in edit:
+        doc["terms"][1].update(edit)
+    else:
+        doc.update(edit)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert refused(capsys, ["robust-gain", "--norm", "l1", str(path)]) == f"error: {message}\n"
+
+
+UNREAD_FLAGS = {"--tol": ("gain", "synth", "robust-gain", "robust-synth", "reproduce"),
+                "--seed": ("check", "gain", "synth", "robust-gain", "robust-synth"),
+                "--grid": ("check", "gain", "synth", "reproduce"),
+                "--dump-lp": ("check", "reproduce")}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for flag, commands in
+                                           UNREAD_FLAGS.items() for command in commands])
+def test_subcommand_refuses_flags_it_does_not_read(capsys, system_file, poly_file,
+                                                   command, flag):
+    operands = {"check": [system_file], "gain": ["--norm", "l1", system_file],
+                "synth": [system_file], "robust-gain": ["--norm", "l1", poly_file],
+                "robust-synth": [poly_file], "reproduce": ["table2"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *operands, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_vertex_method_dumps_its_lp(capsys, tmp_path, norm):
+    psys = gene_expression_system(0.3)
+    path, dump = tmp_path / "gene.json", tmp_path / "vertices.lp"
+    write_polynomial_system(psys, path)
+    code, out = run(capsys, "robust-gain", "--norm", norm, "--vertices", str(path),
+                    "--grid", "5", "--format", "structured", "--dump-lp", str(dump))
+    assert code == 0
+    vertices = psys.domain.vertices()
+    width = psys.p if norm == "l1" else psys.q
+    names = [line.split()[1] for line in dump.read_text().splitlines()
+             if line.startswith("row ")]
+    assert len(names) == len(vertices) * (psys.n + width)
+    assert names == [f"v{v}_{kind}{j}" for v in range(len(vertices))
+                     for kind, count in (("st", psys.n), ("pf", width)) for j in range(count)]
+    assert dump.read_text().splitlines()[0] == f"vars {psys.n + 1}"
+
 
 def test_missing_input_file_is_refused(capsys, tmp_path):
     path = tmp_path / "absent.json"

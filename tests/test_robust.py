@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from poslp import cli, gains, handelman, ilc, lft, numlin, robust, synthesis, sysmodel
-from poslp.cases import POLY3_REFERENCE, gene_expression_system, poly3_system
+from poslp.cases import GENE_TABLE, POLY3_REFERENCE, gene_expression_system, poly3_system
 from poslp.errors import (ClassificationError, CombinatorialCapError,
                           DegreeError, DimensionError, DomainError, StabilityError)
-from poslp.lpcore import LpBuilder, lp_to_text
+from poslp.lpcore import LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
 from poslp.poly import BoxDomain, polynomial_system
 from poslp.synthesis import ControllerSpec
 
@@ -43,6 +43,130 @@ def test_degree_zero_synthesis_collapses_byte_identical():
     s, psys = degree_zero_psys(seed=32)
     rlp = robust.robust_stabilize(psys, ilc.FreeConstant())
     assert lp_to_text(handelman.relax_reduced(rlp)) == lp_to_text(synthesis.synthesis_lp(s))
+
+
+# --- the nominal programs against a per-row reference assembly --------------
+
+def _reference_l1_rows(b, cols, gamma, a, c, e, f, policy, prefix=""):
+    """The strictified L1 rows written row block by row block: lambda^T A +
+    1^T C <= -eps (st) and lambda^T E - gamma 1^T + 1^T F <= -eps (pf)."""
+    eps = policy.epsilon
+    b.add_rows(cols, a.T, "<=", -eps - c.sum(axis=0),
+               [f"{prefix}st{j}" for j in range(a.shape[1])])
+    b.add_rows(list(cols) + [gamma], np.hstack([e.T, -np.ones((e.shape[1], 1))]), "<=",
+               -eps - f.sum(axis=0), [f"{prefix}pf{j}" for j in range(e.shape[1])])
+
+
+def _reference_gain_lp(sys, which, policy):
+    if which == "linf":
+        sys = sysmodel.transpose_system(sys)
+    b = LpBuilder()
+    lam = b.add_vars("lam", sys.n, lower=policy.lambda_floor)
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    _reference_l1_rows(b, lam, gamma, sys.A, sys.C, sys.E, sys.F, policy)
+    return b.build()
+
+
+def _reference_synthesis_lp(sys, spec, policy):
+    n, m = sys.n, sys.m
+    b = LpBuilder()
+    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
+    mu = [b.add_vars(f"mu{j}_", m) for j in range(n)]
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    _reference_l1_rows(b, lam + sum(mu, []), gamma,
+                       np.vstack([sys.A.T, np.tile(sys.B.T, (n, 1))]), sys.E.T,
+                       np.vstack([sys.C.T, np.tile(sys.D.T, (n, 1))]), sys.F.T, policy)
+    for names, relation, terms in synthesis.controller_rows(
+            b.num_vars, lam, mu, spec, {(): (sys.A, sys.B, sys.C, sys.D)}, ()):
+        b.add_rows(slice(0, b.num_vars), terms[()], relation, 0.0, names)
+    return b.build()
+
+
+def _reference_vertex_lp(psys, which, policy):
+    verts = psys.domain.vertices()
+    a, _, c, _, e, f = psys.frozen_stack(np.reshape(verts, (len(verts), psys.nparams)))
+    b = LpBuilder()
+    lam = b.add_vars("lam", psys.n, lower=policy.lambda_floor)
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    for v in range(len(verts)):
+        mats = (a[v], c[v], e[v], f[v]) if which == "l1" else (a[v].T, e[v].T, c[v].T, f[v].T)
+        _reference_l1_rows(b, lam, gamma, *mats, policy, f"v{v}_")
+    return b.build()
+
+
+def _reference_stability_lp(a, policy):
+    n = a.shape[0]
+    b = LpBuilder()
+    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
+    _reference_l1_rows(b, lam, None, a, np.zeros((0, n)), np.zeros((n, 0)),
+                       np.zeros((0, 0)), policy)
+    return b.build()
+
+
+def _assert_same_program(got, ref):
+    """Bytes of every array and name; row_rhs by value on the zero, lb and ub
+    rows (where only the sign of a zero may differ), by bytes elsewhere; then
+    status, pivots and the bytes of x, objective, dual and certificate."""
+    for key in ("objective", "row_coeffs", "var_lower", "var_upper"):
+        assert getattr(got, key).tobytes() == getattr(ref, key).tobytes(), key
+    for key in ("row_relations", "row_names", "var_names"):
+        assert getattr(got, key) == getattr(ref, key), key
+    controller = np.array([name.startswith(("zero", "lb", "ub")) for name in ref.row_names],
+                          dtype=bool)
+    assert got.row_rhs[~controller].tobytes() == ref.row_rhs[~controller].tobytes()
+    assert np.array_equal(got.row_rhs[controller], ref.row_rhs[controller])
+    mine, theirs = solve_lp(got), solve_lp(ref)
+    assert (mine.status, mine.iterations) == (theirs.status, theirs.iterations)
+    for key in ("x", "dual", "certificate"):
+        a, b = getattr(mine, key), getattr(theirs, key)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), key
+    assert np.float64(mine.objective_value).tobytes() == \
+        np.float64(theirs.objective_value).tobytes()
+    return mine.status
+
+
+def test_nominal_programs_match_per_row_reference(monkeypatch):
+    policy = StrictnessPolicy()
+    for n in (1, 2, 8, 16, 24):
+        s = sysmodel.random_positive_system(n, 0, 3, 3, seed=n)
+        _assert_same_program(gains.l1_lp(s, policy), _reference_gain_lp(s, "l1", policy))
+        _assert_same_program(gains.linf_lp(s, policy), _reference_gain_lp(s, "linf", policy))
+
+    statuses = []
+    for n in (3, 6):
+        s0 = sysmodel.random_positive_system(n, 2, 2, 2, seed=40 + n)
+        # an unstable open loop, so the controller rows carry the design
+        s = sysmodel.PositiveLtiSystem(A=s0.A + 1.5 * np.eye(n), B=s0.B, C=s0.C,
+                                       D=s0.D, E=s0.E, F=s0.F)
+        for spec in (ControllerSpec(), ControllerSpec(zero_pattern=((0, 1), (1, n - 1))),
+                     ControllerSpec(k_lower=-2 * np.ones((2, n)), k_upper=2 * np.ones((2, n))),
+                     ControllerSpec(zero_pattern=((1, 0),), k_lower=-np.ones((2, n)),
+                                    k_upper=np.zeros((2, n)))):
+            statuses.append(_assert_same_program(synthesis.synthesis_lp(s, spec, policy),
+                                                 _reference_synthesis_lp(s, spec, policy)))
+    assert {"optimal", "infeasible"} <= set(statuses)
+
+    for big_n, _ in GENE_TABLE:
+        psys = gene_expression_system(big_n)
+        for which in ("l1", "linf"):
+            got = robust.vertex_gain(psys, which, policy).lp
+            _assert_same_program(got, _reference_vertex_lp(psys, which, policy))
+
+    built = []
+    def spy(lp):
+        built.append(lp)
+        return solve_lp(lp)
+    monkeypatch.setattr(sysmodel, "solve_lp", spy)
+    rng = np.random.Generator(np.random.PCG64(77))
+    verdicts = []
+    for k in range(30):
+        n = 1 + k % 6
+        a = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -(a.sum(axis=1) + rng.uniform(-0.6, 1.0, n)))
+        verdicts.append(sysmodel.metzler_stable(a, policy))
+        _assert_same_program(built[-1], _reference_stability_lp(a, policy))
+    assert len(built) == 30 and True in verdicts and False in verdicts
 
 
 def test_benchmark_constant_scalings(bench):

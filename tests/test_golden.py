@@ -1,8 +1,10 @@
-"""Structured reports and dumped LPs stay byte-identical.
+"""Structured reports, text reports and dumped LPs stay byte-identical.
 
-The files under tests/golden/ hold the structured reports (`<case>.json`)
-and, for cases run with --dump-lp, the LP text (`<case>.lp`) written by
-earlier versions of the program: the point-by-point frozen-parameter sweep
+The files under tests/golden/ hold the structured reports (`<case>.json`),
+the `--format text` reports (`<case>.txt`) and, for cases run with
+--dump-lp, the LP text (`<case>.lp`) written by earlier versions of the
+program: the text reports from before each command formatted its text from
+its structured report, the point-by-point frozen-parameter sweep
 that the batched M-matrix oracle replaced, and the per-row LP assembly that
 the block-row builder replaced.  They were recorded with OpenBLAS on x86-64
 pinned to one thread, so each case runs in a child process with BLAS pinned
@@ -88,12 +90,12 @@ def write_inputs(directory):
                                      "K_upper": (3 * np.ones((2, 2))).tolist()})
 
 
-def run_case(name, directory):
-    """Structured stdout of one case and the LP text it dumped (or None)."""
+def run_case(name, directory, fmt="structured"):
+    """Stdout of one case in the given --format and the LP text it dumped (or None)."""
     argv = [str(directory / a[1:]) if a.startswith("@") else a for a in CASES[name]]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(Path(poslp.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-m", "poslp.cli", *argv, "--format", "structured"],
+    run = subprocess.run([sys.executable, "-m", "poslp.cli", *argv, "--format", fmt],
                          env=env, capture_output=True, text=True, check=True)
     dumped = directory / f"{name}.lp"
     return run.stdout, dumped.read_text() if "--dump-lp" in argv else None
@@ -104,5 +106,14 @@ def test_structured_report_matches_golden(name, tmp_path):
     write_inputs(tmp_path)
     report, lp_text = run_case(name, tmp_path)
     assert report == (GOLDEN / f"{name}.json").read_text()
+    if lp_text is not None:
+        assert lp_text == (GOLDEN / f"{name}.lp").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_report_matches_golden(name, tmp_path):
+    write_inputs(tmp_path)
+    report, lp_text = run_case(name, tmp_path, "text")
+    assert report == (GOLDEN / f"{name}.txt").read_text()
     if lp_text is not None:
         assert lp_text == (GOLDEN / f"{name}.lp").read_text()

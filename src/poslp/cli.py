@@ -6,6 +6,7 @@ identical inputs and seed produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,9 +16,9 @@ from . import gains, handelman, ilc, lft, numlin, robust, synthesis, sysmodel
 from .cases import (DRUG_SEED, GENE_TABLE, POLY3_REFERENCE, drug_gain_formulas,
                     drug_system, gene_expression_system, poly3_system)
 from .errors import (InfeasibleError, PoslpError, StabilityError, ValidationError,
-                     require_keys)
+                     require_keys, require_whole)
 from .lpcore import StrictnessPolicy, lp_to_text
-from .poly import read_polynomial_system
+from .poly import BoxDomain, read_polynomial_system
 from .synthesis import ControllerSpec
 
 
@@ -27,9 +28,10 @@ def build_parser():
         description="L1/Linf gains, stabilization and robustness certification "
                     "of linear positive systems by linear programming")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--epsilon", type=float, default=1e-7,
+    # None when absent, so `reproduce` can refuse the flags a case does not read
+    common.add_argument("--epsilon", type=float,
                         help="margin closing strict inequalities (default 1e-7)")
-    common.add_argument("--lambda-floor", type=float, default=1e-6,
+    common.add_argument("--lambda-floor", type=float,
                         help="lower bound standing in for lambda > 0 (default 1e-6)")
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="human table or machine-readable JSON report")
@@ -82,11 +84,19 @@ def build_parser():
     p.add_argument("--bounds", metavar="FILE")
 
     p = sub.add_parser("reproduce", parents=[common],
-                       help="re-run a bundled benchmark case")
-    p.add_argument("case", choices=("table2", "table3", "table4", "table5",
-                                    "ex72", "delay"))
-    p.add_argument("--seed", type=int, default=0, help="seed for seeded runs")
+                       help="re-run a bundled benchmark case",
+                       epilog="table2 and ex72 refuse --epsilon and --lambda-floor: "
+                              "table2 uses its own margins of 1e-9, ex72 solves no LP")
+    p.add_argument("case", choices=tuple(REPRODUCE))
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the seeded cases, table2 and delay; the others ignore it")
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser `main` uses: built on the first call, reused by every later one."""
+    return build_parser()
 
 
 def parse_scaling(text):
@@ -112,33 +122,55 @@ def robust_input(args):
 
 
 def load_spec(zeros_path, bounds_path):
+    """The controller spec of a --zeros file (whole-number [row, column] pairs)
+    and a --bounds file (numeric K_lower / K_upper matrices)."""
     pattern = ()
     lo = up = None
     if zeros_path:
         with open(zeros_path) as fh:
             doc = json.load(fh)
-        require_keys(doc, f"zeros file {zeros_path}", "zero_pattern")
-        pattern = tuple((int(i), int(j)) for i, j in doc["zero_pattern"])
+        what = f"zeros file {zeros_path}"
+        require_keys(doc, what, "zero_pattern")
+        pairs = doc["zero_pattern"]
+        if not (isinstance(pairs, list) and all(isinstance(e, list) and len(e) == 2
+                                                for e in pairs)):
+            raise ValidationError(f"{what} key 'zero_pattern' is {pairs!r}, "
+                                  "not a list of [row, column] pairs")
+        pattern = tuple(tuple(require_whole(i, f"{what} index {pair}") for i in pair)
+                        for pair in pairs)
     if bounds_path:
         with open(bounds_path) as fh:
             doc = json.load(fh)
-        require_keys(doc, f"bounds file {bounds_path}", "K_lower", "K_upper")
-        lo = np.asarray(doc["K_lower"], dtype=float)
-        up = np.asarray(doc["K_upper"], dtype=float)
+        what = f"bounds file {bounds_path}"
+        require_keys(doc, what, "K_lower", "K_upper")
+        lo, up = (numlin.as_matrix(doc[key], f"{what} key {key!r}")
+                  for key in ("K_lower", "K_upper"))
     return ControllerSpec(zero_pattern=pattern, k_lower=lo, k_upper=up)
 
 
 def policy_from(args):
-    return StrictnessPolicy(epsilon=args.epsilon, lambda_floor=args.lambda_floor)
+    """The margins given on the command line, StrictnessPolicy's defaults for the rest."""
+    return StrictnessPolicy(**{key: getattr(args, key) for key in ("epsilon", "lambda_floor")
+                               if getattr(args, key) is not None})
 
 
-def emit(args, report, text_lines):
+def emit(args, doc, text):
+    """Print the report `doc`: as canonical JSON, or under --format text as the
+    lines `text(doc)` formats from it."""
     if args.format == "structured":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(text(doc)))
     return 0
+
+
+def _array(values):
+    return np.array2string(np.array(values), precision=6)
+
+
+def _grid_line(doc):
+    return (f"grid check: max frozen-delta oracle {doc['grid_max_oracle']:.6f} "
+            f"-> {'ok' if doc['grid_verdict'] else 'REFUTED'}")
 
 
 def maybe_dump(args, lp):
@@ -150,22 +182,19 @@ def maybe_dump(args, lp):
 def cmd_check(args):
     sys_in = sysmodel.read_system(args.system)
     report = sysmodel.classify(sys_in, tol=args.tol)
-    stable = None
-    if numlin.is_metzler(sys_in.A):
-        stable = sysmodel.is_stable(sys_in, policy_from(args))
+    policy = policy_from(args)
     doc = {
-        "status": "ok",
-        "is_positive": report.is_positive,
+        "status": "ok", "is_positive": report.is_positive,
         "violations": [{"matrix": m, "index": list(idx), "value": v}
                        for m, idx, v in report.violations],
-        "is_stable": stable,
-        "epsilon": args.epsilon,
+        "is_stable": sysmodel.is_stable(sys_in, policy) if numlin.is_metzler(sys_in.A) else None,
+        "epsilon": policy.epsilon,
     }
-    lines = [f"positive: {report.is_positive}"]
-    for m, idx, v in report.violations:
-        lines.append(f"  violation: {m}{idx} = {v}")
-    lines.append(f"stable:   {stable}")
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        f"positive: {d['is_positive']}",
+        *(f"  violation: {v['matrix']}{tuple(v['index'])} = {v['value']}"
+          for v in d["violations"]),
+        f"stable:   {d['is_stable']}"])
 
 
 def cmd_gain(args):
@@ -177,18 +206,14 @@ def cmd_gain(args):
     maybe_dump(args, lp)
     res = solve(sys_in, policy, lp=lp)
     doc = {
-        "status": "optimal",
-        "norm": args.norm,
-        "gamma": res.gamma,
-        "oracle_gain": res.oracle,
-        "epsilon": res.epsilon,
-        "witness_lambda": res.lam.tolist(),
+        "status": "optimal", "norm": args.norm, "gamma": res.gamma,
+        "oracle_gain": res.oracle, "epsilon": res.epsilon, "witness_lambda": res.lam.tolist(),
     }
-    oracle = "n/a" if res.oracle is None else f"{res.oracle:.10g}"
-    lines = [f"{args.norm}-gain gamma = {res.gamma:.10g} "
-             f"(oracle {oracle}, eps bias {res.epsilon:g})",
-             f"witness lambda = {np.array2string(res.lam, precision=6)}"]
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        f"{d['norm']}-gain gamma = {d['gamma']:.10g} (oracle "
+        f"{'n/a' if d['oracle_gain'] is None else format(d['oracle_gain'], '.10g')}, "
+        f"eps bias {d['epsilon']:g})",
+        f"witness lambda = {_array(d['witness_lambda'])}"])
 
 
 def cmd_synth(args):
@@ -199,19 +224,17 @@ def cmd_synth(args):
     maybe_dump(args, lp)
     res = synthesis.stabilize_linf(sys_in, spec, policy, lp=lp)
     cl = synthesis.closed_loop(sys_in, res.K)
-    cl_gain = sysmodel.oracle_gains(cl, tol=1e-9)[1]
     doc = {
-        "status": "optimal",
-        "gamma": res.gamma,
-        "epsilon": policy.epsilon,
-        "K": res.K.tolist(),
-        "witness_lambda": res.lam.tolist(),
-        "closed_loop_linf_oracle": cl_gain,
+        "status": "optimal", "gamma": res.gamma, "epsilon": policy.epsilon,
+        "K": res.K.tolist(), "witness_lambda": res.lam.tolist(),
+        "closed_loop_linf_oracle": sysmodel.oracle_gains(cl, tol=1e-9)[1],
     }
-    lines = [f"gamma = {res.gamma:.10g} (closed-loop oracle {cl_gain:.10g})",
-             "K =",
-             np.array2string(res.K, precision=6)]
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        f"gamma = {d['gamma']:.10g} (closed-loop oracle {d['closed_loop_linf_oracle']:.10g})",
+        "K =", _array(d["K"])])
+
+
+ROBUST_NOTE = "certified upper bound; sufficiency only for parameter-independent Lyapunov vectors"
 
 
 def cmd_robust_gain(args):
@@ -219,38 +242,27 @@ def cmd_robust_gain(args):
     template = parse_scaling(args.scaling)
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
-        maybe_dump(args, res.lp)
-        verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
-        doc = {
-            "status": "optimal", "method": "vertices", "norm": args.norm,
-            "gamma": res.gamma, "epsilon": res.epsilon,
-            "witness_lambda": res.lam.tolist(),
-            "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle,
-            "conservatism_note": "vertex method is exact for affine dependence "
-                                 "up to the shared Lyapunov vector",
-        }
-        lines = [f"{args.norm}-gain (vertex method) gamma = {res.gamma:.6f} "
-                 f"over {res.vertices} vertices",
-                 f"grid check: max frozen-delta oracle {verdict.max_oracle:.6f} "
-                 f"-> {'ok' if verdict.ok else 'REFUTED'}"]
-        return emit(args, doc, lines)
-    if args.norm == "l1":
-        rlp = robust.robust_l1(lft.lft_from_polynomial(psys), template, policy)
     else:
-        rlp = robust.robust_linf(lft.transpose_lft(psys), template, policy)
-    res = robust.solve_robust(rlp, b=args.degree, form=args.form)
+        obj = lft.lft_from_polynomial(psys) if args.norm == "l1" else lft.transpose_lft(psys)
+        assemble = robust.robust_l1 if args.norm == "l1" else robust.robust_linf
+        res = robust.solve_robust(assemble(obj, template, policy), b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
     doc = {
-        "status": res.status, "method": "lft-ilc", "norm": args.norm,
-        "scaling": args.scaling, "gamma": res.gamma, "epsilon": res.epsilon,
-        "product_degree": res.b, "form": res.form,
-        "lp_vars": res.lp_vars, "lp_rows": res.lp_rows,
+        "norm": args.norm, "gamma": res.gamma, "epsilon": res.epsilon,
         "witness_lambda": res.lam.tolist(),
         "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle,
-        "conservatism_note": "certified upper bound; sufficiency only for "
-                             "parameter-independent Lyapunov vectors",
     }
+    if args.vertices:
+        doc.update(status="optimal", method="vertices",
+                   conservatism_note="vertex method is exact for affine dependence "
+                                     "up to the shared Lyapunov vector")
+        return emit(args, doc, lambda d: [
+            f"{d['norm']}-gain (vertex method) gamma = {d['gamma']:.6f} "
+            f"over {res.vertices} vertices", _grid_line(d)])
+    doc.update(status=res.status, method="lft-ilc", scaling=args.scaling,
+               product_degree=res.b, form=res.form, lp_vars=res.lp_vars,
+               lp_rows=res.lp_rows, conservatism_note=ROBUST_NOTE)
     if res.certificate is not None:
         cert = res.certificate
         doc["certificate"] = {
@@ -261,13 +273,11 @@ def cmd_robust_gain(args):
             "blocks": {name: {"kind": kind, "values": vals.tolist()}
                        for name, (kind, vals) in sorted(cert.blocks.items())},
         }
-    lines = [f"{args.norm}-gain bound gamma = {res.gamma:.6f} "
-             f"(scaling {args.scaling}, b={res.b}, {res.form} form, "
-             f"LP {res.lp_vars} vars x {res.lp_rows} rows)",
-             f"grid check: max frozen-delta oracle {verdict.max_oracle:.6f} "
-             f"-> {'ok' if verdict.ok else 'REFUTED'}",
-             f"eps policy: {res.epsilon:g} (bound is biased upward)"]
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        f"{d['norm']}-gain bound gamma = {d['gamma']:.6f} (scaling {d['scaling']}, "
+        f"b={d['product_degree']}, {d['form']} form, "
+        f"LP {d['lp_vars']} vars x {d['lp_rows']} rows)",
+        _grid_line(d), f"eps policy: {d['epsilon']:g} (bound is biased upward)"])
 
 
 def cmd_robust_synth(args):
@@ -283,34 +293,23 @@ def cmd_robust_synth(args):
         "product_degree": res.b, "form": res.form, "K": res.K.tolist(),
         "lp_vars": res.lp_vars, "lp_rows": res.lp_rows,
         "witness_lambda": res.lam.tolist(),
-        "grid_verdict": verdict.ok,
-        "grid_max_oracle": verdict.max_oracle,
-        "conservatism_note": "certified upper bound; sufficiency only for "
-                             "parameter-independent Lyapunov vectors",
+        "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle,
+        "conservatism_note": ROBUST_NOTE,
     }
-    lines = [f"robust gamma = {res.gamma:.10g}", "K =",
-             np.array2string(res.K, precision=6),
-             f"grid check: {'ok' if verdict.ok else 'REFUTED: ' + str(verdict.failure)}"]
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        f"robust gamma = {d['gamma']:.10g}", "K =", _array(d["K"]),
+        f"grid check: {'ok' if d['grid_verdict'] else 'REFUTED: ' + str(verdict.failure)}"])
 
 
 # ---------------------------------------------------------------------------
 # bundled reproductions
 
 def cmd_reproduce(args):
-    policy = policy_from(args)
-    case = args.case
-    if case == "table2":
-        return _reproduce_drug(args, policy)
-    if case == "table3":
-        return _reproduce_gene(args, policy)
-    if case in ("table4", "table5"):
-        return _reproduce_poly3(args, policy, "l1" if case == "table4" else "linf")
-    if case == "ex72":
-        return _reproduce_interval_products(args)
-    if case == "delay":
-        return _reproduce_delay(args, policy)
-    raise AssertionError(case)
+    for key in ("epsilon", "lambda_floor"):
+        if args.case in ("table2", "ex72") and getattr(args, key) is not None:
+            raise ValidationError(f"reproduce {args.case} does not read "
+                                  f"--{key.replace('_', '-')}")
+    return REPRODUCE[args.case](args, policy_from(args))
 
 
 def _reproduce_drug(args, policy):
@@ -327,14 +326,13 @@ def _reproduce_drug(args, policy):
                      "l1_lp": got_l1, "l1_formula": ref_l1,
                      "linf_lp": got_linf, "linf_formula": ref_linf})
     doc = {"status": "ok", "case": "table2", "epsilon": 1e-9, "rows": rows}
-    lines = ["drug distribution model: LP vs closed-form gains",
-             f"{'a11':>8} {'a12':>8} {'a21':>8} {'L1 (LP)':>12} {'L1 (formula)':>12} "
-             f"{'Linf (LP)':>12} {'Linf (formula)':>12}"]
-    for r in rows:
-        lines.append(f"{r['a11']:8.3f} {r['a12']:8.3f} {r['a21']:8.3f} "
-                     f"{r['l1_lp']:12.6f} {r['l1_formula']:12.6f} "
-                     f"{r['linf_lp']:12.6f} {r['linf_formula']:12.6f}")
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        "drug distribution model: LP vs closed-form gains",
+        f"{'a11':>8} {'a12':>8} {'a21':>8} {'L1 (LP)':>12} {'L1 (formula)':>12} "
+        f"{'Linf (LP)':>12} {'Linf (formula)':>12}",
+        *(f"{r['a11']:8.3f} {r['a12']:8.3f} {r['a21']:8.3f} "
+          f"{r['l1_lp']:12.6f} {r['l1_formula']:12.6f} "
+          f"{r['linf_lp']:12.6f} {r['linf_formula']:12.6f}" for r in d["rows"])])
 
 
 def _reproduce_gene(args, policy):
@@ -343,14 +341,14 @@ def _reproduce_gene(args, policy):
         res = robust.vertex_gain(gene_expression_system(big_n), "linf", policy)
         rows.append({"N": big_n, "linf_gain": res.gamma, "reference": reference})
     doc = {"status": "ok", "case": "table3", "epsilon": policy.epsilon, "rows": rows}
-    lines = ["gene expression model: vertex Linf-gains",
-             f"{'N':>5} {'computed':>12} {'reference':>12}"]
-    for r in rows:
-        lines.append(f"{r['N']:5.1f} {r['linf_gain']:12.4f} {r['reference']:12.4f}")
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        "gene expression model: vertex Linf-gains",
+        f"{'N':>5} {'computed':>12} {'reference':>12}",
+        *(f"{r['N']:5.1f} {r['linf_gain']:12.4f} {r['reference']:12.4f}" for r in d["rows"])])
 
 
-def _reproduce_poly3(args, policy, which):
+def _reproduce_poly3(args, policy):
+    which = "l1" if args.case == "table4" else "linf"
     psys = poly3_system()
     obj = lft.lft_from_polynomial(psys) if which == "l1" else lft.transpose_lft(psys)
     assemble = robust.robust_l1 if which == "l1" else robust.robust_linf
@@ -367,32 +365,30 @@ def _reproduce_poly3(args, policy, which):
         {"scaling": "frozen-delta sweep (step 0.001)", "gamma": sweep,
          "reference": POLY3_REFERENCE[(which, "exact")]},
     ]
-    doc = {"status": "ok", "case": "table4" if which == "l1" else "table5",
-           "norm": which, "epsilon": policy.epsilon, "rows": rows}
-    lines = [f"polynomial uncertainty benchmark, {which}-gain",
-             f"{'scaling':<34} {'computed':>10} {'reference':>10}"]
-    for r in rows:
-        lines.append(f"{r['scaling']:<34} {r['gamma']:10.4f} {r['reference']:10.4f}")
-    return emit(args, doc, lines)
+    doc = {"status": "ok", "case": args.case, "norm": which, "epsilon": policy.epsilon,
+           "rows": rows}
+    return emit(args, doc, lambda d: [
+        f"polynomial uncertainty benchmark, {d['norm']}-gain",
+        f"{'scaling':<34} {'computed':>10} {'reference':>10}",
+        *(f"{r['scaling']:<34} {r['gamma']:10.4f} {r['reference']:10.4f}" for r in d["rows"])])
 
 
-def _reproduce_interval_products(args):
-    from .poly import BoxDomain
+def _reproduce_interval_products(args, policy):
     basis = handelman.HandelmanBasis.from_box(BoxDomain.symmetric(1), 2)
     ups = handelman.build_upsilon(basis)
     order = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
-    labels = ["g1", "g2", "g1*g2", "g1^2", "g2^2"]
     table = {}
     for mono, chi in (((2,), "chi2"), ((1,), "chi1"), ((0,), "chi0")):
         table[chi] = [int(ups.matrix[ups.row_of(mono), ups.column_of(e)])
                       for e in order]
-    doc = {"status": "ok", "case": "ex72", "products": labels, "coefficients": table}
-    lines = ["quadratic products on [-1, 1]: coefficient map",
-             "p = t1*g1 + t2*g2 + t3*g1*g2 + t4*g1^2 + t5*g2^2, g1 = x+1, g2 = 1-x",
-             f"{'':>6}" + "".join(f"{l:>8}" for l in labels)]
-    for chi in ("chi2", "chi1", "chi0"):
-        lines.append(f"{chi:>6}" + "".join(f"{v:>8}" for v in table[chi]))
-    return emit(args, doc, lines)
+    doc = {"status": "ok", "case": "ex72", "products": ["g1", "g2", "g1*g2", "g1^2", "g2^2"],
+           "coefficients": table}
+    return emit(args, doc, lambda d: [
+        "quadratic products on [-1, 1]: coefficient map",
+        "p = t1*g1 + t2*g2 + t3*g1*g2 + t4*g1^2 + t5*g2^2, g1 = x+1, g2 = 1-x",
+        f"{'':>6}" + "".join(f"{l:>8}" for l in d["products"]),
+        *(f"{chi:>6}" + "".join(f"{v:>8}" for v in d["coefficients"][chi])
+          for chi in ("chi2", "chi1", "chi0"))])
 
 
 def _reproduce_delay(args, policy):
@@ -416,25 +412,23 @@ def _reproduce_delay(args, policy):
         rows.append({"n": n, "ilc_verdict": verdict, "direct_verdict": direct})
     doc = {"status": "ok", "case": "delay", "agreement": f"{agree}/20",
            "epsilon": policy.epsilon, "rows": rows}
-    lines = ["constant-delay stability: saturated-ILC LP vs direct "
-             "lambda^T (A + A_h) < 0 test",
-             f"verdict agreement: {agree}/20"]
-    return emit(args, doc, lines)
+    return emit(args, doc, lambda d: [
+        "constant-delay stability: saturated-ILC LP vs direct lambda^T (A + A_h) < 0 test",
+        f"verdict agreement: {d['agreement']}"])
 
 
-HANDLERS = {
-    "check": cmd_check,
-    "gain": cmd_gain,
-    "synth": cmd_synth,
-    "robust-gain": cmd_robust_gain,
-    "robust-synth": cmd_robust_synth,
-    "reproduce": cmd_reproduce,
-}
+# case -> runner, in the order `reproduce --help` lists them
+REPRODUCE = {"table2": _reproduce_drug, "table3": _reproduce_gene, "table4": _reproduce_poly3,
+             "table5": _reproduce_poly3, "ex72": _reproduce_interval_products,
+             "delay": _reproduce_delay}
+
+HANDLERS = {"check": cmd_check, "gain": cmd_gain, "synth": cmd_synth,
+            "robust-gain": cmd_robust_gain, "robust-synth": cmd_robust_synth,
+            "reproduce": cmd_reproduce}
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
     except (InfeasibleError, StabilityError) as err:

@@ -12,9 +12,16 @@ from .errors import DimensionError, SingularMatrixError, ValidationError
 RCOND_FLOOR = 1e-12
 
 
+def _float_array(value, what):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a numeric array") from None
+
+
 def as_matrix(a, name="matrix"):
     """Coerce to a finite 2-D float array."""
-    m = np.asarray(a, dtype=float)
+    m = _float_array(a, name)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
@@ -24,10 +31,7 @@ def as_matrix(a, name="matrix"):
 
 def shaped(value, what, shape):
     """Input data as a float array of `shape`, or a ValidationError naming `what`."""
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} is not a numeric array") from None
+    m = _float_array(value, what)
     if m.size != shape[0] * shape[1]:
         raise ValidationError(f"{what} has {m.size} entries, expected a "
                               f"{shape[0]} x {shape[1]} matrix")

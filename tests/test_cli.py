@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poslp
 from poslp import cli, robust, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
 from poslp.poly import write_polynomial_system
@@ -410,3 +415,85 @@ def test_robust_commands_refuse_grid_below_one(monkeypatch, capsys, poly_file, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --grid must be at least 1, got {grid}\n"
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of `poslp argv` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(poslp.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "poslp.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys, system_file, poly_file):
+    builds, grids = [], []
+    build, certify = cli.build_parser, robust.grid_certify_gain
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(robust, "grid_certify_gain", lambda psys, gamma, norm, points:
+                        grids.append(points) or certify(psys, gamma, norm, points))
+    cli._parser.cache_clear()
+    gain = ["gain", "--norm", "l1", system_file, "--format", "structured"]
+    robust_gain = ["robust-gain", "--norm", "linf", poly_file, "--format", "structured"]
+    calls = [["gain", "--norm", "l3", system_file], gain + ["--epsilon", "1e-5"], gain,
+             robust_gain + ["--grid", "5"], robust_gain, ["reproduce", "table2"]]
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh_process(argv), argv
+        if argv[0] == "gain" and code == 0:
+            assert json.loads(out)["epsilon"] == (1e-5 if "--epsilon" in argv else 1e-7)
+    assert builds == [1]
+    assert grids == [5, 101]
+
+
+def test_structured_report_formats_no_text(monkeypatch, capsys, system_file):
+    monkeypatch.setattr(np, "array2string", lambda *a, **k: pytest.fail("text was formatted"))
+    for argv in (["gain", "--norm", "linf", system_file], ["synth", system_file]):
+        code, out = run(capsys, *argv, "--format", "structured")
+        assert code == 0 and json.loads(out)["status"] == "optimal"
+
+
+@pytest.mark.parametrize("case, flag", [(case, flag) for case in ("table2", "ex72")
+                                        for flag in ("--epsilon", "--lambda-floor")])
+def test_reproduce_refuses_policy_flags_a_case_does_not_read(capsys, case, flag):
+    assert refused(capsys, ["reproduce", case, flag, "1e-3"]) == \
+        f"error: reproduce {case} does not read {flag}\n"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", ["table2", "table3", "table4", "table5", "ex72", "delay"])
+def test_reproduce_accepts_seed_on_every_case(capsys, case):
+    code, out = run(capsys, "reproduce", case, "--seed", "3")
+    assert code == 0 and out.strip()
+
+
+@pytest.mark.parametrize("case", ["table3", "delay"])
+def test_reproduce_reads_the_given_epsilon(capsys, case):
+    code, out = run(capsys, "reproduce", case, "--epsilon", "1e-6", "--format", "structured")
+    assert code == 0 and json.loads(out)["epsilon"] == 1e-6
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("zeros", {"zero_pattern": [[0]]},
+     "key 'zero_pattern' is [[0]], not a list of [row, column] pairs"),
+    ("zeros", {"zero_pattern": [["a", 1]]}, "index ['a', 1] is 'a', not a whole number >= 0"),
+    ("zeros", {"zero_pattern": [[0.5, 1]]}, "index [0.5, 1] is 0.5, not a whole number >= 0"),
+    ("zeros", {"zero_pattern": None},
+     "key 'zero_pattern' is None, not a list of [row, column] pairs"),
+    ("bounds", {"K_lower": "low", "K_upper": [[1.0, 1.0]]},
+     "key 'K_lower' is not a numeric array"),
+    ("bounds", {"K_lower": [[-1.0, -1.0]], "K_upper": [[1.0, 1.0], [1.0]]},
+     "key 'K_upper' is not a numeric array"),
+], ids=["pair_too_short", "index_string", "index_fraction", "pattern_null", "bound_string",
+        "bound_ragged"])
+@pytest.mark.parametrize("command", ["synth", "robust-synth"])
+def test_malformed_spec_file_is_refused(capsys, tmp_path, system_file, poly_file, command,
+                                        kind, doc, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    operand = system_file if command == "synth" else poly_file
+    err = refused(capsys, [command, operand, f"--{kind}", str(path)])
+    assert err == f"error: {kind} file {path} {message}\n"

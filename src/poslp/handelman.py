@@ -82,8 +82,8 @@ class UpsilonData:
         return self.monomials.index(tuple(alpha))
 
 
-def build_upsilon(basis, cap=PRODUCT_CAP):
-    prods = enumerate_products(basis, cap)
+def build_upsilon(basis):
+    prods = enumerate_products(basis)
     mons = monomials(basis.nparams, basis.degree)
     u = np.zeros((len(mons), len(prods)))
     mon_index = {m: i for i, m in enumerate(mons)}
@@ -114,7 +114,7 @@ class RelaxationPlan:
     b: int
 
 
-def plan_relaxation(rlp, b=None, cap=PRODUCT_CAP):
+def plan_relaxation(rlp, b=None):
     if not rlp.poly_rows:
         return None
     d = max(row.degree() for row in rlp.poly_rows)
@@ -123,7 +123,7 @@ def plan_relaxation(rlp, b=None, cap=PRODUCT_CAP):
     if b < d:
         raise DegreeError(f"product degree b={b} below row degree {d}")
     basis = HandelmanBasis.from_box(rlp.domain, b)
-    ups = build_upsilon(basis, cap)
+    ups = build_upsilon(basis)
     return RelaxationPlan(basis=basis, ups=ups, b=b)
 
 
@@ -163,33 +163,39 @@ def _relaxed(rlp, plan, certify):
     return builder.build(cert)
 
 
-def relax_full(rlp, b=None, cap=PRODUCT_CAP, plan=None):
+def relax_full(rlp, b=None, plan=None):
     """Full-form finite LP: per row, one nonpositive coefficient block Q_k per
     product and one coefficient-matching equality per monomial.  ``plan``
-    is `plan_relaxation(rlp, b, cap)` when the caller has it already."""
-    plan = plan or plan_relaxation(rlp, b, cap)
+    is `plan_relaxation(rlp, b)` when the caller has it already."""
+    plan = plan or plan_relaxation(rlp, b)
     return _relaxed(rlp, plan, lambda a, c: ("Q", "hm", "==", a, plan.ups.matrix, c))
 
 
-def relax_reduced(rlp, b=None, cap=PRODUCT_CAP, plan=None):
+def relax_reduced(rlp, b=None, plan=None):
     """Reduced-form finite LP: the invertible pure-power block of Upsilon is
     eliminated, leaving only the cross-product tail blocks R_k <= 0 plus the
     inequality Upsilon_2^{-1}(P - Upsilon_1 R) <= 0.  ``plan`` is
-    `plan_relaxation(rlp, b, cap)` when the caller has it already.
+    `plan_relaxation(rlp, b)` when the caller has it already.
 
-    Falls back to the full form if the selected block is numerically
-    singular (cannot happen for boxes, kept as a safety net)."""
-    plan = plan or plan_relaxation(rlp, b, cap)
+    Falls back to the full form (kind Q blocks, see `relaxation_form`) when
+    1/cond(Upsilon_2) < 1e-12: on [10, 11] from b = 6, on [1, 2] from b = 22."""
+    plan = plan or plan_relaxation(rlp, b)
     if plan is None:
         return _relaxed(rlp, plan, None)
     sel = pure_power_columns(plan.basis, plan.ups)
     u2 = plan.ups.matrix[:, sel]
     if 1.0 / max(np.linalg.cond(u2), 1.0) < 1e-12:
-        return relax_full(rlp, b, cap, plan)
-    tail = [k for k in range(len(plan.ups.products)) if k not in set(sel)]
+        return relax_full(rlp, b, plan)
+    tail = sorted(set(range(len(plan.ups.products))) - set(sel))
     w = np.linalg.inv(u2)
     g = w @ plan.ups.matrix[:, tail]
     return _relaxed(rlp, plan, lambda a, c: ("R", "hr", "<=", w @ a, g, w @ c))
+
+
+def relaxation_form(lp, requested):
+    """The form of relaxation `lp` by its block kinds (Q full, R reduced), else `requested`."""
+    kinds = {kind for kind, _ in lp.var_blocks.values()}
+    return "full" if "Q" in kinds else "reduced" if "R" in kinds else requested
 
 
 def certificate_blocks(lp, solution):
@@ -212,8 +218,8 @@ class HandelmanCertificate:
     eliminated_columns: tuple | None    # Upsilon_2 product columns (reduced)
 
 
-def extract_certificate(rlp, lp, solution, plan, form="reduced"):
-    """Certificate of a solved relaxation `lp` of `rlp` made with `plan`."""
+def extract_certificate(lp, solution, plan, form):
+    """Certificate of a solved relaxation `lp` made with `plan` in `form`."""
     if plan is None:
         return None
     blocks = certificate_blocks(lp, solution)

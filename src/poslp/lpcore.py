@@ -25,18 +25,19 @@ class StrictnessPolicy:
     """How strict inequalities and open positivity constraints are closed.
 
     ``expr < 0`` becomes ``expr <= -epsilon``; ``x > 0`` becomes
-    ``x >= lambda_floor``.  Both margins bias computed gains upward, never
-    downward, and are echoed in every report.  The frozen-parameter oracle
-    (`sysmodel.frozen_oracle`) needs neither: its Hurwitz test -A^{-1} >= 0
-    has only the rounding tolerance `sysmodel.MMATRIX_TOL`.
+    ``x >= lambda_floor``.  Both margins (finite, > 0) bias computed gains
+    upward, never downward, and are echoed in every report.  The
+    frozen-parameter oracle (`sysmodel.frozen_oracle`) needs neither: its
+    Hurwitz test -A^{-1} >= 0 has only the rounding tolerance `sysmodel.MMATRIX_TOL`.
     """
 
     epsilon: float = 1e-7
     lambda_floor: float = 1e-6
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.lambda_floor > 0):
-            raise ValidationError("strictness margins must be strictly positive")
+        if not all(0 < m < np.inf for m in (self.epsilon, self.lambda_floor)):
+            raise ValidationError(f"strictness margins epsilon={self.epsilon!r} and lambda_floor="
+                                  f"{self.lambda_floor!r} must be finite and strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +53,9 @@ class LinearProgram:
     var_names: tuple = ()
     row_names: tuple = ()
     var_blocks: dict = field(default_factory=dict)  # name -> (kind, columns) to recover
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def num_vars(self):
@@ -176,7 +180,7 @@ class LpBuilder:
             rels += [rel] * k
             names += blk_names
             i += k
-        lp = LinearProgram(
+        return LinearProgram(
             objective=np.array(self._obj),
             row_coeffs=coeffs,
             row_relations=tuple(rels),
@@ -187,8 +191,6 @@ class LpBuilder:
             row_names=tuple(names),
             var_blocks=var_blocks or {},
         )
-        lp.validate()
-        return lp
 
 
 def _fmt(x):
@@ -215,15 +217,16 @@ def lp_to_text(lp):
 class _Standardizer:
     """Rewrite an LP into equality standard form with nonnegative variables.
 
-    x = offset + sub @ x_std, where standard column k is variable var[k]
-    with sign sign[k]: finite lower bounds are shifted out, upper-only
-    variables negated, free variables split in two columns; two-sided bounds
-    add an identity block of upper rows, inequalities an identity block of
-    slack columns, and rows with a negative rhs are negated.
+    Standard column k is variable var[k] with sign sign[k], so the structural
+    rows are the signed column gather row_coeffs[:, var] * sign and x is
+    offset plus each variable's signed columns of x_std: finite lower bounds
+    are shifted out, upper-only variables negated, free variables split in
+    two columns; two-sided bounds add an identity block of upper rows,
+    inequalities an identity block of slack columns, and rows with a
+    negative rhs are negated.
     """
 
     def __init__(self, lp):
-        lp.validate()
         lo, up = lp.var_lower, lp.var_upper
         has_lo, has_up = np.isfinite(lo), np.isfinite(up)
         free = ~has_lo & ~has_up
@@ -234,14 +237,12 @@ class _Standardizer:
         self.sign = sign = np.ones(num_std)
         sign[first[has_up & ~has_lo]] = -1.0
         sign[first[free] + 1] = -1.0
-        sub = np.zeros((lp.num_vars, num_std))
-        sub[var, np.arange(num_std)] = sign
         self.offset = np.where(has_lo, lo, np.where(has_up, up, 0.0))
 
         boxed = np.flatnonzero(has_lo & has_up)
         upper = np.zeros((boxed.size, num_std))
         upper[np.arange(boxed.size), first[boxed]] = 1.0
-        rows = np.vstack([lp.row_coeffs @ sub, upper])
+        rows = np.vstack([lp.row_coeffs[:, var] * sign, upper])
         rhs = np.concatenate([lp.row_rhs - lp.row_coeffs @ self.offset, up[boxed] - lo[boxed]])
         is_ineq = np.concatenate([np.array(lp.row_relations) == "<=",
                                   np.ones(boxed.size, dtype=bool)])
@@ -268,12 +269,12 @@ class _Standardizer:
         return self._add_columns(np.zeros_like(self.offset), ray_std)
 
     def _add_columns(self, x, x_std):
-        """x + sub @ x_std, adding each variable's signed columns in order."""
+        """x plus each variable's signed columns of x_std, in order."""
         np.add.at(x, self.var, self.sign * x_std[:self.num_std])
         return x
 
 
-def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start_iter):
+def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     """Primal simplex on a canonical tableau, in place.
 
     Dantzig pricing, switching permanently to Bland's rule once the degenerate
@@ -287,8 +288,7 @@ def _simplex_loop(t, basis, cost, allowed, num_structural, max_iterations, start
     while True:
         if it >= max_iterations:
             raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
-        red = cost[:ncols] - cost[basis] @ t[:, :ncols]
-        red[~allowed[:ncols]] = 0.0
+        red = cost - cost[basis] @ t[:, :ncols]
         red[basis] = 0.0
         if bland:
             cand = np.flatnonzero(red < -_RCOST_TOL)
@@ -364,6 +364,7 @@ def _dual_multipliers(std, basis, struct_cost, art_rows):
 def solve_lp(lp, max_iterations=1_000_000):
     """Solve the LP with a dense two-phase primal simplex.
 
+    Phase 2 runs on the structural tableau, the artificial columns dropped.
     Optimal solutions are re-derived from the final basis with a fresh linear
     solve and verified (primal feasibility, duality gap) before being
     returned; failure to verify raises NonConvergenceError.
@@ -371,8 +372,6 @@ def solve_lp(lp, max_iterations=1_000_000):
     std = _Standardizer(lp)
     a, b = std.a, std.b
     num_rows, ncols = a.shape
-    if num_rows == 0:
-        return _solve_bounds_only(lp, std)
 
     # a slack with a positive coefficient starts in the basis, other rows
     # get an artificial column
@@ -386,14 +385,12 @@ def solve_lp(lp, max_iterations=1_000_000):
     art[art_rows, np.arange(art_rows.size)] = 1.0
     basis[art_rows] = ncols + np.arange(art_rows.size)
     t = np.hstack([a, art, b[:, None]])
-    total_cols = ncols + art_rows.size
     iters = 0
 
     if art_rows.size:
-        cost1 = np.zeros(total_cols)
+        cost1 = np.zeros(ncols + art_rows.size)
         cost1[ncols:] = 1.0
-        status, iters, _ = _simplex_loop(t, basis, cost1, np.ones(total_cols, dtype=bool),
-                                         ncols, max_iterations, 0)
+        status, iters, _ = _simplex_loop(t, basis, cost1, ncols, max_iterations, 0)
         phase1 = float(cost1[basis] @ t[:, -1])
         if phase1 > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
             y = _dual_multipliers(std, basis, np.zeros(ncols), art_rows)
@@ -401,22 +398,16 @@ def solve_lp(lp, max_iterations=1_000_000):
             return LpSolution("infeasible", None, np.nan, iters, certificate=cert)
         t, basis = _drive_out_artificials(t, basis, ncols)
 
-    cost2 = np.zeros(total_cols)
-    cost2[:ncols] = std.cost
-    allowed2 = np.arange(total_cols) < ncols
-    status, iters, enter = _simplex_loop(t, basis, cost2, allowed2, ncols,
-                                         max_iterations, iters)
-    structural = basis < ncols
-    bas = basis[structural]
+    status, iters, enter = _simplex_loop(t, basis, std.cost, ncols, max_iterations, iters)
     if status == "unbounded":
         ray_std = np.zeros(ncols)
         ray_std[enter] = 1.0
-        ray_std[bas] = -t[structural, enter]
+        ray_std[basis] = -t[:, enter]
         return LpSolution("unbounded", None, -np.inf, iters,
                           certificate=std.ray_back(ray_std))
 
     x_std = np.zeros(ncols)
-    x_std[bas] = _basis_solve(std.a[:, bas], std.b)
+    x_std[basis] = _basis_solve(std.a[:, basis], std.b)
     x = std.back_substitute(x_std)
     obj = float(lp.objective @ x)
 
@@ -426,19 +417,8 @@ def solve_lp(lp, max_iterations=1_000_000):
     return LpSolution("optimal", x, obj, iters, dual=dual)
 
 
-def _solve_bounds_only(lp, std):
-    """No rows: each variable sits at the bound its cost points to."""
-    c = lp.objective
-    ray = np.where((c < 0) & np.isinf(lp.var_upper), 1.0,
-                   np.where((c > 0) & np.isinf(lp.var_lower), -1.0, 0.0))
-    if ray.any():
-        return LpSolution("unbounded", None, -np.inf, 0, certificate=ray)
-    x = np.where(c < 0, lp.var_upper, std.offset)
-    return LpSolution("optimal", x, float(lp.objective @ x), 0, dual=np.zeros(0))
-
-
 def _drive_out_artificials(t, basis, ncols):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
+    """Pivot zero-level artificials out; keep the structural columns and nonredundant rows."""
     keep = np.ones(t.shape[0], dtype=bool)
     for i in range(t.shape[0]):
         if basis[i] >= ncols:
@@ -448,10 +428,8 @@ def _drive_out_artificials(t, basis, ncols):
                 _eliminate(t, i, basis[i])
             else:
                 keep[i] = False
-    if not np.all(keep):
-        t = t[keep]
-        basis = basis[keep]
-    return t, basis
+    cols = np.append(np.arange(ncols), t.shape[1] - 1)
+    return t[np.ix_(keep, cols)], basis[keep]
 
 
 def _verify_optimal(lp, std, x, x_std, y, obj):

@@ -244,6 +244,7 @@ def solve_robust(rlp, b=None, form="reduced"):
         raise DimensionError(f"unknown relaxation form {form!r}")
     plan = handelman.plan_relaxation(rlp, b)
     lp = relax(rlp, b, plan=plan)
+    form = handelman.relaxation_form(lp, form)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InfeasibleError(
@@ -261,7 +262,7 @@ def solve_robust(rlp, b=None, form="reduced"):
                         epsilon=rlp.epsilon, conservative=rlp.conservative,
                         lp_vars=lp.num_vars, lp_rows=lp.num_rows,
                         iterations=sol.iterations, mu=mu,
-                        certificate=handelman.extract_certificate(rlp, lp, sol, plan, form),
+                        certificate=handelman.extract_certificate(lp, sol, plan, form),
                         lp=lp)
 
 

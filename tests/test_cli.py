@@ -497,3 +497,33 @@ def test_malformed_spec_file_is_refused(capsys, tmp_path, system_file, poly_file
     operand = system_file if command == "synth" else poly_file
     err = refused(capsys, [command, operand, f"--{kind}", str(path)])
     assert err == f"error: {kind} file {path} {message}\n"
+
+
+@pytest.mark.parametrize("command, flag", [("gain", "--epsilon"), ("check", "--epsilon"),
+                                           ("gain", "--lambda-floor"), ("synth", "--epsilon")])
+def test_non_finite_margins_are_refused(capsys, system_file, command, flag):
+    norm = ["--norm", "l1"] if command == "gain" else []
+    err = refused(capsys, [command, *norm, system_file, flag, "inf"])
+    assert err.startswith("error: strictness margins epsilon=") and "must be finite" in err
+    assert capsys.readouterr().out == ""
+
+
+def test_reduced_form_reports_its_fallback_to_the_full_form(capsys, tmp_path):
+    # on the box [10, 11] the pure-power block of Upsilon is numerically
+    # singular from b = 6, where the reduced form solves the full-form LP
+    from poslp.poly import BoxDomain, polynomial_system
+    plant = tmp_path / "plant.json"
+    write_polynomial_system(polynomial_system(
+        a_terms={0: [[-20.0]], 1: [[1.0]]}, c_terms={0: [[1.0]]}, e_terms={0: [[1.0]]},
+        f_terms={0: [[0.0]]}, domain=BoxDomain([10.0], [11.0])), plant)
+
+    def report(degree, form):
+        code, out = run(capsys, "robust-gain", "--norm", "l1", str(plant), "--degree",
+                        str(degree), "--form", form, "--format", "structured")
+        assert code == 0
+        return out
+    assert report(6, "reduced") == report(6, "full")
+    assert json.loads(report(6, "reduced"))["form"] == "full"
+    doc = json.loads(report(5, "reduced"))
+    assert doc["form"] == "reduced" and doc["certificate"]["eliminated_columns"]
+    assert {block["kind"] for block in doc["certificate"]["blocks"].values()} == {"R"}

@@ -543,3 +543,68 @@ def test_infeasibility_certificate_has_the_dual_sign(monkeypatch):
     with pytest.raises(InfeasibleError) as err:
         synthesis.stabilize_linf(s, spec, lp=lp)
     assert_farkas_certificate(lp, err.value.certificate)
+
+
+def test_policy_margins_must_be_finite():
+    for margins in ({"epsilon": np.inf}, {"lambda_floor": np.inf}, {"epsilon": np.nan}):
+        with pytest.raises(ValidationError, match="must be finite and strictly positive"):
+            StrictnessPolicy(**margins)
+
+
+def test_linear_program_validates_on_construction():
+    # no call to validate or solve_lp: the constructor refuses bad data
+    good = dict(objective=np.ones(2), row_coeffs=np.ones((1, 2)), row_relations=("<=",),
+                row_rhs=np.ones(1), var_lower=np.zeros(2), var_upper=np.full(2, np.inf))
+    for field, bad, message in (("row_coeffs", np.ones((1, 3)), "shape"),
+                                ("row_relations", ("<",), "relations"),
+                                ("objective", np.array([1.0, np.nan]), "non-finite"),
+                                ("var_lower", np.array([0.0, np.inf]), "empty variable domain"),
+                                ("var_names", ("x",), "var_names")):
+        with pytest.raises(ValidationError, match=message):
+            LinearProgram(**{**good, field: bad})
+
+
+def test_built_and_solved_lp_is_validated_once(monkeypatch):
+    calls = []
+    validate = LinearProgram.validate
+    monkeypatch.setattr(LinearProgram, "validate",
+                        lambda self: calls.append(1) or validate(self))
+    b, x = simple_lp()
+    b.add_row({x: 1.0}, ">=", 1.0, "floor")
+    sol = solve_lp(b.build())
+    assert sol.status == "optimal" and sol.x.tolist() == [1.0]
+    assert calls == [1]
+
+
+def test_lps_without_rows_put_each_variable_at_its_cost_bound():
+    # lower-only, upper-only, free, two-sided and fixed variables, costs of
+    # both signs and zero; the bounds are multiples of 1/8, so a two-sided
+    # variable shifted by its lower bound, lo + (up - lo), lands on up exactly
+    rng = np.random.default_rng(12)
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        kind = rng.integers(0, 5, n)
+        lo = rng.integers(-16, 16, n) / 8
+        up = np.where(kind == 4, lo, lo + rng.integers(1, 16, n) / 8)
+        lo[(kind == 1) | (kind == 2)] = -np.inf
+        up[(kind == 0) | (kind == 2)] = np.inf
+        obj = rng.integers(-1, 2, n) * rng.uniform(0.5, 2.0, n)
+        lp = LinearProgram(obj, np.zeros((0, n)), (), np.zeros(0), lo, up)
+        sol = solve_lp(lp)
+        to_infinity = ((obj < 0) & (up == np.inf)) | ((obj > 0) & (lo == -np.inf))
+        seen.add((sol.status, to_infinity.any()))
+        if to_infinity.any():
+            assert sol.status == "unbounded", trial
+            ray = sol.certificate
+            assert obj @ ray < 0, trial
+            assert np.all(up[ray > 0] == np.inf) and np.all(lo[ray < 0] == -np.inf), trial
+            continue
+        # a zero cost keeps the standard form's origin: the finite lower
+        # bound, else the upper one, else 0
+        origin = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
+        want = np.where(obj < 0, up, np.where(obj > 0, lo, origin))
+        assert sol.status == "optimal", trial
+        assert sol.x.tobytes() == want.tobytes(), trial
+        assert sol.objective_value == float(obj @ want) and sol.dual.size == 0, trial
+    assert seen == {("optimal", False), ("unbounded", True)}

@@ -83,12 +83,19 @@ class UpsilonData:
 
 
 def build_upsilon(basis):
+    """Products made as `product_poly` makes them, left to right, with one
+    `poly_mul` each: a product is its prefix (lower degree, so made earlier)
+    times its last factor."""
     prods = enumerate_products(basis)
     mons = monomials(basis.nparams, basis.degree)
     u = np.zeros((len(mons), len(prods)))
     mon_index = {m: i for i, m in enumerate(mons)}
+    made = {}
     for k, expo in enumerate(prods):
-        for alpha, coeff in product_poly(basis, expo).terms.items():
+        j = max((i for i, e in enumerate(expo) if e), default=-1)
+        made[expo] = Poly.constant(1.0, basis.nparams) if j < 0 else \
+            poly_mul(made[expo[:j] + (expo[j] - 1,) + expo[j + 1:]], basis.forms[j])
+        for alpha, coeff in made[expo].terms.items():
             u[mon_index[alpha], k] = float(coeff)
     return UpsilonData(monomials=tuple(mons), products=tuple(prods), matrix=u)
 

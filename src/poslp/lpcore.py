@@ -239,27 +239,24 @@ class _Standardizer:
         sign[first[free] + 1] = -1.0
         self.offset = np.where(has_lo, lo, np.where(has_up, up, 0.0))
 
-        boxed = np.flatnonzero(has_lo & has_up)
-        upper = np.zeros((boxed.size, num_std))
-        upper[np.arange(boxed.size), first[boxed]] = 1.0
-        rows = np.vstack([lp.row_coeffs[:, var] * sign, upper])
-        rhs = np.concatenate([lp.row_rhs - lp.row_coeffs @ self.offset, up[boxed] - lo[boxed]])
-        is_ineq = np.concatenate([np.array(lp.row_relations) == "<=",
-                                  np.ones(boxed.size, dtype=bool)])
-        ineq = np.flatnonzero(is_ineq)
+        m, boxed = lp.num_rows, np.flatnonzero(has_lo & has_up)
+        self.is_eq = np.array(lp.row_relations, dtype=object) == "=="
+        ineq = np.flatnonzero(np.concatenate([~self.is_eq, np.ones(boxed.size, dtype=bool)]))
         self.num_slack = ineq.size
-        slack = np.zeros((rows.shape[0], ineq.size))
-        slack[ineq, np.arange(ineq.size)] = 1.0
-        self.slack_of_row = np.full(rows.shape[0], -1, dtype=int)
+        self.a = a = np.zeros((m + boxed.size, num_std + ineq.size))
+        np.multiply(lp.row_coeffs[:, var], sign, out=a[:m, :num_std])
+        a[m + np.arange(boxed.size), first[boxed]] = 1.0
+        a[ineq, num_std + np.arange(ineq.size)] = 1.0
+        self.slack_of_row = np.full(a.shape[0], -1, dtype=int)
         self.slack_of_row[ineq] = num_std + np.arange(ineq.size)
 
+        rhs = np.concatenate([lp.row_rhs - lp.row_coeffs @ self.offset, up[boxed] - lo[boxed]])
         neg = rhs < 0
-        self.a = np.hstack([rows, slack])
-        self.a[neg] *= -1.0
+        a[neg] *= -1.0
         rhs[neg] = -rhs[neg]
         self.b = rhs
         self.row_sign = np.where(neg, -1.0, 1.0)
-        self.cost = np.zeros(self.a.shape[1])
+        self.cost = np.zeros(a.shape[1])
         self.cost[:num_std] = lp.objective[var] * sign
 
     def back_substitute(self, x_std):
@@ -282,40 +279,43 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     (status, iterations, entering_column) with status "optimal"/"unbounded".
     """
     ncols = t.shape[1] - 1
+    body, rhs = t[:, :ncols], t[:, -1]
+    cb = cost[basis]                # cost of each row's basic column
+    budget = 10 * max(1, num_structural)
     degenerate = 0
     bland = False
     it = start_iter
     while True:
         if it >= max_iterations:
             raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
-        red = cost - cost[basis] @ t[:, :ncols]
+        red = cost - cb @ body
         red[basis] = 0.0
         if bland:
-            cand = np.flatnonzero(red < -_RCOST_TOL)
+            cand = (red < -_RCOST_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", it, -1
             enter = int(cand[0])
         else:
-            enter = int(np.argmin(red))
+            enter = int(red.argmin())
             if red[enter] >= -_RCOST_TOL:
                 return "optimal", it, -1
-        col = t[:, enter]
-        pos = np.flatnonzero(col > _PIVOT_TOL)
+        col = body[:, enter]
+        pos = (col > _PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
             return "unbounded", it, enter
-        ratios = t[pos, -1] / col[pos]
-        rmin = float(ratios.min())
-        ties = pos[ratios <= rmin * (1 + 1e-9) + 1e-12]
-        if bland:
-            leave = int(ties[np.argmin(basis[ties])])
+        ratios = rhs[pos] / col[pos]
+        if pos.size == 1:
+            leave, rmin = int(pos[0]), float(ratios[0])
         else:
-            leave = int(ties[np.argmax(col[ties])])
+            rmin = float(ratios.min())
+            ties = pos[ratios <= rmin * (1 + 1e-9) + 1e-12]
+            leave = int(ties[basis[ties].argmin() if bland else col[ties].argmax()])
         if rmin <= 1e-12:
             degenerate += 1
-            if degenerate > 10 * max(1, num_structural):
-                bland = True
+            bland = bland or degenerate > budget
         _eliminate(t, leave, enter)
         basis[leave] = enter
+        cb[leave] = cost[enter]
         it += 1
 
 
@@ -324,11 +324,11 @@ def _eliminate(t, leave, enter):
     signs): over 16 rows touched and under 1/4 of the pivot row nonzero, only its nonzero
     columns; over half the rows touched, the whole tableau in place; else the touched rows."""
     t[leave] /= t[leave, enter]
-    rows = np.flatnonzero(t[:, enter])
+    rows = t[:, enter].nonzero()[0]
     rows, pivot = rows[rows != leave], t[leave]
     # below these sizes np.ix_ costs more than the dense row update it saves
     if rows.size > 16 and 4 * np.count_nonzero(pivot) < pivot.size:
-        cols = np.flatnonzero(pivot)
+        cols = pivot.nonzero()[0]
         t[np.ix_(rows, cols)] -= t[rows, enter, None] * pivot[cols]
     elif 2 * rows.size > t.shape[0]:    # a row gather and its product: two tableau temporaries
         prod = np.multiply.outer(t[:, enter], pivot)
@@ -353,6 +353,8 @@ def _dual_multipliers(std, basis, struct_cost, art_rows):
     artificial column ncols + k is the unit vector of row art_rows[k]."""
     ncols = std.a.shape[1]
     art = basis >= ncols
+    if not art.any():
+        return _basis_solve(std.a[:, basis].T, struct_cost[basis])
     bmat = np.zeros((std.a.shape[0], basis.size))
     bmat[:, ~art] = std.a[:, basis[~art]]
     bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
@@ -380,11 +382,12 @@ def solve_lp(lp, max_iterations=1_000_000):
     start = start[a[start, slack[start]] > 0]
     basis = np.full(num_rows, -1)
     basis[start] = slack[start]
-    art_rows = np.flatnonzero(basis < 0)
-    art = np.zeros((num_rows, art_rows.size))
-    art[art_rows, np.arange(art_rows.size)] = 1.0
+    art_rows = (basis < 0).nonzero()[0]
     basis[art_rows] = ncols + np.arange(art_rows.size)
-    t = np.hstack([a, art, b[:, None]])
+    t = np.zeros((num_rows, ncols + art_rows.size + 1))
+    t[:, :ncols] = a
+    t[art_rows, basis[art_rows]] = 1.0
+    t[:, -1] = b
     iters = 0
 
     if art_rows.size:
@@ -420,22 +423,24 @@ def solve_lp(lp, max_iterations=1_000_000):
 def _drive_out_artificials(t, basis, ncols):
     """Pivot zero-level artificials out; keep the structural columns and nonredundant rows."""
     keep = np.ones(t.shape[0], dtype=bool)
-    for i in range(t.shape[0]):
-        if basis[i] >= ncols:
-            pivots = np.flatnonzero(np.abs(t[i, :ncols]) > 1e-7)
-            if pivots.size:
-                basis[i] = pivots[0]
-                _eliminate(t, i, basis[i])
-            else:
-                keep[i] = False
-    cols = np.append(np.arange(ncols), t.shape[1] - 1)
-    return t[np.ix_(keep, cols)], basis[keep]
+    for i in (basis >= ncols).nonzero()[0]:     # a pivot changes only its own row's basis
+        pivots = (np.abs(t[i, :ncols]) > 1e-7).nonzero()[0]
+        if pivots.size:
+            basis[i] = pivots[0]
+            _eliminate(t, i, basis[i])
+        else:
+            keep[i] = False
+    if not keep.all():
+        t, basis = t[keep], basis[keep]
+    t2 = np.empty((t.shape[0], ncols + 1))
+    t2[:, :ncols] = t[:, :ncols]
+    t2[:, -1] = t[:, -1]
+    return t2, basis
 
 
 def _verify_optimal(lp, std, x, x_std, y, obj):
     resid = lp.row_coeffs @ x - lp.row_rhs
-    eq = np.array(lp.row_relations) == "=="
-    bad = np.where(eq, np.abs(resid), resid) > _FEAS_TOL * (1.0 + np.abs(lp.row_rhs))
+    bad = np.where(std.is_eq, np.abs(resid), resid) > _FEAS_TOL * (1.0 + np.abs(lp.row_rhs))
     if bad.any():
         i = int(np.argmax(bad))
         raise NonConvergenceError(

@@ -4,7 +4,7 @@ import pytest
 from poslp import handelman as hd
 from poslp.errors import CombinatorialCapError, DegreeError
 from poslp.lpcore import LpBuilder, solve_lp
-from poslp.poly import BoxDomain, Poly
+from poslp.poly import BoxDomain, Poly, monomials
 from poslp.robust import PolyRow, RobustLinearProgram, solve_robust
 
 
@@ -243,3 +243,32 @@ def test_upsilon_keeps_the_affine_form_bytes():
         ref = hd.build_upsilon(hd.HandelmanBasis(_reference_forms(box), b, n))
         assert ups.products == ref.products and ups.monomials == ref.monomials
         assert ups.matrix.tobytes() == ref.matrix.tobytes()
+
+
+def per_product_upsilon(basis):
+    """Reference Upsilon: every product made afresh by `product_poly`."""
+    prods = hd.enumerate_products(basis)
+    mons = monomials(basis.nparams, basis.degree)
+    u = np.zeros((len(mons), len(prods)))
+    for k, expo in enumerate(prods):
+        for alpha, coeff in hd.product_poly(basis, expo).terms.items():
+            u[mons.index(alpha), k] = float(coeff)
+    return u
+
+
+@pytest.mark.parametrize("box, degrees", [
+    (BoxDomain([0.0], [1.0]), range(1, 9)),
+    (BoxDomain.unit(2), range(1, 9)),
+    (BoxDomain([10.0], [11.0]), range(1, 9)),
+    (BoxDomain([-0.7, 0.2, 1.5], [0.4, 2.9, 1.75]), range(1, 7)),
+])
+def test_upsilon_makes_each_product_with_one_multiplication(box, degrees, monkeypatch):
+    mul, calls = hd.poly_mul, []
+    for b in degrees:
+        basis = hd.HandelmanBasis.from_box(box, b)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(hd, "poly_mul", lambda p, q: calls.append(1) or mul(p, q))
+            ups = hd.build_upsilon(basis)
+        assert len(calls) == len(ups.products) - 1, b
+        assert ups.matrix.tobytes() == per_product_upsilon(basis).tobytes(), b

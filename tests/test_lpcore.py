@@ -608,3 +608,113 @@ def test_lps_without_rows_put_each_variable_at_its_cost_bound():
         assert sol.x.tobytes() == want.tobytes(), trial
         assert sol.objective_value == float(obj @ want) and sol.dual.size == 0, trial
     assert seen == {("optimal", False), ("unbounded", True)}
+
+
+def reference_simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter,
+                           bland_fired=None):
+    """The simplex loop as it was before it kept the basic costs alongside
+    the basis: a cost[basis] gather per pivot and np.* wrappers.  Appends
+    the iteration at which Bland's rule takes over to `bland_fired`."""
+    ncols = t.shape[1] - 1
+    degenerate = 0
+    bland = False
+    it = start_iter
+    while True:
+        if it >= max_iterations:
+            raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
+        red = cost - cost[basis] @ t[:, :ncols]
+        red[basis] = 0.0
+        if bland:
+            cand = np.flatnonzero(red < -lpcore._RCOST_TOL)
+            if cand.size == 0:
+                return "optimal", it, -1
+            enter = int(cand[0])
+        else:
+            enter = int(np.argmin(red))
+            if red[enter] >= -lpcore._RCOST_TOL:
+                return "optimal", it, -1
+        col = t[:, enter]
+        pos = np.flatnonzero(col > lpcore._PIVOT_TOL)
+        if pos.size == 0:
+            return "unbounded", it, enter
+        ratios = t[pos, -1] / col[pos]
+        rmin = float(ratios.min())
+        ties = pos[ratios <= rmin * (1 + 1e-9) + 1e-12]
+        if bland:
+            leave = int(ties[np.argmin(basis[ties])])
+        else:
+            leave = int(ties[np.argmax(col[ties])])
+        if rmin <= 1e-12:
+            degenerate += 1
+            if degenerate > 10 * max(1, num_structural):
+                if not bland and bland_fired is not None:
+                    bland_fired.append(it)
+                bland = True
+        lpcore._eliminate(t, leave, enter)
+        basis[leave] = enter
+        it += 1
+
+
+def loop_reference_lps():
+    """Gain, synthesis and poly3 robust LPs, and random LPs of every kind."""
+    for n in (8, 24, 48):
+        s = sysmodel.random_positive_system(n, 0, 3, 3, seed=n)
+        yield f"l1 n={n}", gains.l1_lp(s)
+        yield f"linf n={n}", gains.linf_lp(s)
+    yield from tall_lps()
+    kinds = ("degenerate", "infeasible", "unbounded", "free", "two-sided", "redundant")
+    rng = np.random.default_rng(2027)
+    for trial in range(120):
+        yield f"random {trial}", random_lp(rng, kinds[trial % len(kinds)])
+
+
+def test_simplex_loop_matches_reference_loop_bit_for_bit(monkeypatch):
+    seen = set()
+    for name, lp in loop_reference_lps():
+        got = solve_lp(lp)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_simplex_loop", reference_simplex_loop)
+            want = solve_lp(lp)
+        seen.add(got.status)
+        assert (got.status, got.iterations) == (want.status, want.iterations), name
+        for field in ("x", "objective_value", "dual", "certificate"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g is None) == (w is None), (name, field)
+            assert np.float64(g).tobytes() == np.float64(w).tobytes(), (name, field)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def degenerate_tableau(seed, m=12, n=30):
+    """[A | I | 0] with slack basis: every pivot is degenerate."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((m, n + m + 1))
+    t[:, :n] = rng.uniform(-1, 1, (m, n)) * (rng.uniform(0, 1, (m, n)) < 0.6)
+    t[:, n:n + m] = np.eye(m)
+    cost = np.zeros(n + m)
+    cost[:n] = rng.uniform(-1, 1, n)
+    return t, np.arange(n, n + m), cost
+
+
+def run_loop(loop, seed, num_structural, patch, **kwargs):
+    """(result, pivots, tableau, basis) of `loop` on `degenerate_tableau(seed)`."""
+    t, basis, cost = degenerate_tableau(seed)
+    eliminate, pivots = lpcore._eliminate, []
+    with patch.context() as p:
+        p.setattr(lpcore, "_eliminate",
+                  lambda t, leave, enter: pivots.append((leave, enter)) or eliminate(t, leave, enter))
+        result = loop(t, basis, cost, num_structural, 1000, 0, **kwargs)
+    return result, pivots, t, basis
+
+
+def test_simplex_loop_matches_reference_loop_under_blands_rule(monkeypatch):
+    # num_structural = 0 spends the degenerate budget after 10 pivots
+    for seed, status in ((99, "optimal"), (18, "unbounded")):
+        fired = []
+        want = run_loop(reference_simplex_loop, seed, 0, monkeypatch, bland_fired=fired)
+        got = run_loop(lpcore._simplex_loop, seed, 0, monkeypatch)
+        dantzig = run_loop(reference_simplex_loop, seed, 10**6, monkeypatch)
+        assert fired == [10] and want[0][0] == status, seed
+        # the first 11 pivots are Dantzig's; Bland's rule then picks others
+        assert dantzig[1][:11] == want[1][:11] and dantzig[1] != want[1], seed
+        assert got[:2] == want[:2], seed
+        assert got[2].tobytes() == want[2].tobytes() and np.array_equal(got[3], want[3])

@@ -260,14 +260,14 @@ def cmd_robust_gain(args):
         return emit(args, doc, lambda d: [
             f"{d['norm']}-gain (vertex method) gamma = {d['gamma']:.6f} "
             f"over {res.vertices} vertices", _grid_line(d)])
-    doc.update(status=res.status, method="lft-ilc", scaling=args.scaling,
-               product_degree=res.b, form=res.form, lp_vars=res.lp_vars,
-               lp_rows=res.lp_rows, conservatism_note=ROBUST_NOTE)
+    doc.update(status="optimal", method="lft-ilc", scaling=args.scaling,
+               product_degree=res.b, form=res.form, lp_vars=res.lp.num_vars,
+               lp_rows=res.lp.num_rows, conservatism_note=ROBUST_NOTE)
     if res.certificate is not None:
         cert = res.certificate
         doc["certificate"] = {
             "products": [list(e) for e in cert.products],
-            "upsilon_shape": list(cert.upsilon_shape),
+            "upsilon_shape": [len(cert.monomials), len(cert.products)],
             "eliminated_columns": ([list(e) for e in cert.eliminated_columns]
                                    if cert.eliminated_columns else None),
             "blocks": {name: {"kind": kind, "values": vals.tolist()}
@@ -289,9 +289,9 @@ def cmd_robust_synth(args):
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid)
     doc = {
-        "status": res.status, "gamma": res.gamma, "epsilon": res.epsilon,
+        "status": "optimal", "gamma": res.gamma, "epsilon": res.epsilon,
         "product_degree": res.b, "form": res.form, "K": res.K.tolist(),
-        "lp_vars": res.lp_vars, "lp_rows": res.lp_rows,
+        "lp_vars": res.lp.num_vars, "lp_rows": res.lp.num_rows,
         "witness_lambda": res.lam.tolist(),
         "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle,
         "conservatism_note": ROBUST_NOTE,

@@ -25,6 +25,7 @@ from .errors import ClassificationError, PoslpError, StabilityError
 from .ilc import FreeConstant
 from .lft import plain_lft
 from .lpcore import StrictnessPolicy, solve_lp
+from .robust import _assemble_gain
 
 
 @dataclass
@@ -34,15 +35,13 @@ class GainResult:
     oracle: float | None      # static-gain value, for visibility of the eps bias;
                               # None where the M-matrix oracle refuses A
     epsilon: float
-    iterations: int
 
 
 def l1_lp(sys, policy=None):
     """The strictified L1-gain LP: the robust L1 program of the system's LFT
     with no uncertainty channel; variables [lambda_0..lambda_{n-1}, gamma]."""
-    from .robust import _assemble_gain
     lft = plain_lft(sys.A, sys.C, sys.E, sys.F)
-    rlp = _assemble_gain(lft, FreeConstant(), policy or StrictnessPolicy(), "l1")
+    rlp = _assemble_gain(lft, FreeConstant(), policy or StrictnessPolicy())
     return rlp.builder.build()
 
 
@@ -66,8 +65,7 @@ def _run(sys, lp, which, policy):
     except PoslpError:     # the oracle refuses A it cannot invert reliably
         oracle = None
     return GainResult(gamma=float(sol.objective_value), lam=sol.x[:sys.n],
-                      oracle=oracle, epsilon=policy.epsilon,
-                      iterations=sol.iterations)
+                      oracle=oracle, epsilon=policy.epsilon)
 
 
 def l1_gain(sys, policy=None, lp=None):

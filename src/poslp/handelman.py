@@ -184,8 +184,8 @@ def relax_reduced(rlp, b=None, plan=None):
     inequality Upsilon_2^{-1}(P - Upsilon_1 R) <= 0.  ``plan`` is
     `plan_relaxation(rlp, b)` when the caller has it already.
 
-    Falls back to the full form (kind Q blocks, see `relaxation_form`) when
-    1/cond(Upsilon_2) < 1e-12: on [10, 11] from b = 6, on [1, 2] from b = 22."""
+    Falls back to the full form (kind Q blocks) when 1/cond(Upsilon_2) < 1e-12:
+    on [10, 11] from b = 6, on [1, 2] from b = 22."""
     plan = plan or plan_relaxation(rlp, b)
     if plan is None:
         return _relaxed(rlp, plan, None)
@@ -199,12 +199,6 @@ def relax_reduced(rlp, b=None, plan=None):
     return _relaxed(rlp, plan, lambda a, c: ("R", "hr", "<=", w @ a, g, w @ c))
 
 
-def relaxation_form(lp, requested):
-    """The form of relaxation `lp` by its block kinds (Q full, R reduced), else `requested`."""
-    kinds = {kind for kind, _ in lp.var_blocks.values()}
-    return "full" if "Q" in kinds else "reduced" if "R" in kinds else requested
-
-
 def certificate_blocks(lp, solution):
     """The Q/R blocks of a solved relaxation, keyed by polynomial row name."""
     if solution.x is None:
@@ -216,25 +210,23 @@ def certificate_blocks(lp, solution):
 class HandelmanCertificate:
     """Solved certificate data: the product list, the nonpositive coefficient
     blocks per polynomial row (Q for the full form, tail R for the reduced
-    form), and the shape/split of the coefficient-matching matrix."""
+    form), and the split of the coefficient-matching matrix."""
 
     products: tuple
     monomials: tuple
     blocks: dict                  # row name -> (kind, values)
-    upsilon_shape: tuple
     eliminated_columns: tuple | None    # Upsilon_2 product columns (reduced)
 
 
-def extract_certificate(lp, solution, plan, form):
-    """Certificate of a solved relaxation `lp` made with `plan` in `form`."""
+def extract_certificate(lp, solution, plan):
+    """Certificate of a solved relaxation `lp` made with `plan`; it lists the
+    eliminated columns unless `lp` holds full-form (Q) blocks."""
     if plan is None:
         return None
     blocks = certificate_blocks(lp, solution)
     eliminated = None
-    if form == "reduced":
+    if all(kind != "Q" for kind, _ in lp.var_blocks.values()):
         sel = pure_power_columns(plan.basis, plan.ups)
         eliminated = tuple(plan.ups.products[k] for k in sel)
-    return HandelmanCertificate(
-        products=plan.ups.products, monomials=plan.ups.monomials,
-        blocks=blocks, upsilon_shape=plan.ups.matrix.shape,
-        eliminated_columns=eliminated)
+    return HandelmanCertificate(products=plan.ups.products, monomials=plan.ups.monomials,
+                                blocks=blocks, eliminated_columns=eliminated)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import DegreeError, DimensionError, ModelError, WellPosednessError
+from .errors import DimensionError, ModelError, WellPosednessError
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
 from .sysmodel import PositiveLtiSystem
 
@@ -195,17 +195,15 @@ def _loop_blocks(layout, n0, n, p):
     return c0, f00, f01
 
 
-def lft_from_polynomial(psys, degree=None):
+def lft_from_polynomial(psys):
     """Canonical positive LFT of a polynomial system (disturbance channel only).
 
     Control matrices B, D are ignored; robust synthesis builds the loop of
     its transposed closed loop from the same layout."""
-    return _canonical_lft(LftSystem, psys, degree)
+    return _canonical_lft(LftSystem, psys)
 
 
-def _canonical_lft(cls, psys, degree):
-    if degree is not None and psys.degree() > degree:
-        raise DegreeError(f"system degree {psys.degree()} exceeds requested {degree}")
+def _canonical_lft(cls, psys):
     blocks, n0 = channel_layout(psys)
     n, p, q = psys.n, psys.p, psys.q
     zero = (0,) * psys.nparams
@@ -228,14 +226,14 @@ def _block_delta(nparams, blocks, n0):
     return Poly(nparams, (n0, n0), terms)
 
 
-def transpose_lft(psys, degree=None):
+def transpose_lft(psys):
     """Canonical LFT of the coefficient-wise transposed polynomial system
     (A^T, C^T in, E^T out, F^T)."""
     tsys = PolynomialLtiSystem(
         A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
         D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
         domain=psys.domain)
-    return _canonical_lft(TransposedLft, tsys, degree)
+    return _canonical_lft(TransposedLft, tsys)
 
 
 def plain_lft(a, c, e, f):

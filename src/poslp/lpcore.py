@@ -326,10 +326,10 @@ def _eliminate(t, leave, enter):
     t[leave] /= t[leave, enter]
     rows = t[:, enter].nonzero()[0]
     rows, pivot = rows[rows != leave], t[leave]
-    # below these sizes np.ix_ costs more than the dense row update it saves
+    # below these sizes the block gather and scatter cost more than the row update they save
     if rows.size > 16 and 4 * np.count_nonzero(pivot) < pivot.size:
         cols = pivot.nonzero()[0]
-        t[np.ix_(rows, cols)] -= t[rows, enter, None] * pivot[cols]
+        t[rows[:, None], cols] -= t[rows, enter, None] * pivot[cols]
     elif 2 * rows.size > t.shape[0]:    # a row gather and its product: two tableau temporaries
         prod = np.multiply.outer(t[:, enter], pivot)
         prod[leave] = 0.0               # x - (+0.0) is x, -0.0 included

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import numlin
 from .errors import DimensionError, ValidationError, require_keys, require_sizes, require_whole
+from .sysmodel import PositiveLtiSystem
 
 
 def monomials(nparams, max_degree):
@@ -260,7 +261,6 @@ class PolynomialLtiSystem:
 
     def frozen_at(self, delta):
         """Plain system with the matrices evaluated at one parameter point."""
-        from .sysmodel import PositiveLtiSystem
         return PositiveLtiSystem(
             A=self.A.eval(delta), B=self.B.eval(delta), C=self.C.eval(delta),
             D=self.D.eval(delta), E=self.E.eval(delta), F=self.F.eval(delta))
@@ -274,46 +274,31 @@ class PolynomialLtiSystem:
                      for poly in (self.A, self.B, self.C, self.D, self.E, self.F))
 
 
+def _system(nparams, shapes, terms, domain):
+    """The PolynomialLtiSystem whose matrix `name` has the coefficient shape
+    `shapes[name]` and the {exponent tuple: matrix} terms `terms[name]`."""
+    return PolynomialLtiSystem(*(Poly(nparams, shapes[name], terms[name]) for name in "ABCDEF"),
+                               domain=domain)
+
+
 def polynomial_system(a_terms, c_terms, e_terms, f_terms, b_terms=None, d_terms=None,
-                      domain=None, nparams=None):
+                      domain=None):
     """Build a PolynomialLtiSystem from {exponent tuple: matrix} maps.
 
     Single-parameter systems may use integer exponents as keys."""
-    def norm_terms(terms):
-        out = {}
-        for alpha, mat in (terms or {}).items():
-            if isinstance(alpha, int):
-                alpha = (alpha,)
-            out[tuple(alpha)] = np.asarray(mat, dtype=float)
-        return out
-
-    a_terms = norm_terms(a_terms)
-    c_terms = norm_terms(c_terms)
-    e_terms = norm_terms(e_terms)
-    f_terms = norm_terms(f_terms)
-    b_terms = norm_terms(b_terms)
-    d_terms = norm_terms(d_terms)
-    if nparams is None:
-        if domain is not None:
-            nparams = domain.nparams
-        else:
-            keys = [k for t in (a_terms, c_terms, e_terms, f_terms, b_terms, d_terms)
-                    for k in t]
-            nparams = len(keys[0]) if keys else 1
-    domain = domain or BoxDomain.unit(nparams)
-    zero = (0,) * nparams
-    n = a_terms[zero].shape[0]
-    q = c_terms[zero].shape[0]
-    p = e_terms[zero].shape[1]
-    m = b_terms[zero].shape[1] if b_terms else 0
-    return PolynomialLtiSystem(
-        A=Poly(nparams, (n, n), a_terms),
-        B=Poly(nparams, (n, m), b_terms) if b_terms else Poly.zero(nparams, (n, 0)),
-        C=Poly(nparams, (q, n), c_terms),
-        D=Poly(nparams, (q, m), d_terms) if d_terms else Poly.zero(nparams, (q, 0)),
-        E=Poly(nparams, (n, p), e_terms),
-        F=Poly(nparams, (q, p), f_terms),
-        domain=domain)
+    terms = {}
+    for name, given in zip("ACEFBD", (a_terms, c_terms, e_terms, f_terms, b_terms, d_terms)):
+        terms[name] = {(alpha,) if isinstance(alpha, int) else tuple(alpha):
+                       np.asarray(mat, dtype=float) for alpha, mat in (given or {}).items()}
+    if domain is None:
+        keys = [alpha for given in terms.values() for alpha in given]
+        domain = BoxDomain.unit(len(keys[0]) if keys else 1)
+    zero = (0,) * domain.nparams
+    n, q, p = terms["A"][zero].shape[0], terms["C"][zero].shape[0], terms["E"][zero].shape[1]
+    m = terms["B"][zero].shape[1] if terms["B"] else 0
+    shapes = {"A": (n, n), "B": (n, m), "C": (q, n), "D": (q, m if terms["D"] else 0),
+              "E": (n, p), "F": (q, p)}
+    return _system(domain.nparams, shapes, terms, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +349,8 @@ def polynomial_system_from_dict(doc):
                and all(type(x) in (int, float) for x in bound) for bound in box):
         raise ValidationError(f"polynomial system box {box[0]!r} to {box[1]!r} is not "
                               f"two lists of {nparams} numbers")
-    domain = BoxDomain(*(np.array(bound, dtype=float) for bound in box))
-    zero = (0,) * nparams
-    for name in shapes:
-        terms[name].setdefault(zero, np.zeros(shapes[name]))
-    return PolynomialLtiSystem(
-        A=Poly(nparams, shapes["A"], terms["A"]),
-        B=Poly(nparams, shapes["B"], terms["B"]),
-        C=Poly(nparams, shapes["C"], terms["C"]),
-        D=Poly(nparams, shapes["D"], terms["D"]),
-        E=Poly(nparams, shapes["E"], terms["E"]),
-        F=Poly(nparams, shapes["F"], terms["F"]),
-        domain=domain)
+    return _system(nparams, shapes, terms,
+                   BoxDomain(*(np.array(bound, dtype=float) for bound in box)))
 
 
 def write_polynomial_system(psys, path):

@@ -6,12 +6,12 @@ sweep of frozen-parameter oracle gains runs after every solve as an
 independent sanity check that can refute, but never certify, a bound.
 
 The gain bounds certified with free or polynomial scalings are sufficient
-only (the Lyapunov vector does not depend on the parameter), so each gain
-result carries a `conservative` marker; the constant static-gain analysis
-(`exact_constant_delta`) is lossless.  Two unrelated quantities share the
-letter mu in the underlying theory: the delay-derivative bound lives on the
-TimeVaryingDelay template, while the controller columns form the `mu`
-variable block of synthesis programs; they never meet in one namespace.
+only (the Lyapunov vector does not depend on the parameter); the constant
+static-gain analysis (`exact_constant_delta`) is lossless.  Two unrelated
+quantities share the letter mu in the underlying theory: the delay-derivative
+bound lives on the TimeVaryingDelay template, while the controller columns
+form the `mu` variable block of synthesis programs; they never meet in one
+namespace.
 """
 
 
@@ -53,8 +53,6 @@ class RobustLinearProgram:
     domain: object
     blocks: dict
     epsilon: float
-    which: str
-    conservative: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon, prefix="
     _add_rows(b, poly, zero, names, "<=", _terms(b.num_vars, n + n0 + p, parts), const, epsilon)
 
 
-def _assemble_gain(lft, template, policy, which):
+def _assemble_gain(lft, template, policy):
     sset = ilc.instantiate(template, lft)
     zero = (0,) * sset.nparams
     b = LpBuilder()
@@ -192,7 +190,7 @@ def _assemble_gain(lft, template, policy, which):
     _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
     blocks = {"lam": lam, "gamma": gamma, "phi1": phi1, "phi2": phi2}
-    return RobustLinearProgram(b, tuple(poly), lft.domain, blocks, policy.epsilon, which)
+    return RobustLinearProgram(b, tuple(poly), lft.domain, blocks, policy.epsilon)
 
 
 def robust_l1(lft, template, policy=None):
@@ -200,11 +198,11 @@ def robust_l1(lft, template, policy=None):
 
     Feasibility at gain gamma certifies stability and an L1 bound for every
     delta in the box; the converse generally fails (constant Lyapunov
-    vector), hence the conservative marker."""
+    vector), so the bound is sufficient only."""
     if isinstance(lft, TransposedLft):
         raise DimensionError("robust_l1 expects the plain LFT, not the transposed one")
     _validate_positive_lft(lft)
-    return _assemble_gain(lft, template, policy or StrictnessPolicy(), "l1")
+    return _assemble_gain(lft, template, policy or StrictnessPolicy())
 
 
 def robust_linf(tlft, template, policy=None):
@@ -212,24 +210,18 @@ def robust_linf(tlft, template, policy=None):
     if not isinstance(tlft, TransposedLft):
         raise DimensionError("robust_linf expects a TransposedLft")
     _validate_positive_lft(tlft)
-    return _assemble_gain(tlft, template, policy or StrictnessPolicy(), "linf")
+    return _assemble_gain(tlft, template, policy or StrictnessPolicy())
 
 
 @dataclass
 class RobustResult:
-    which: str
     gamma: float
     lam: np.ndarray
     phi1: dict
     phi2: dict
-    status: str
     form: str
     b: int | None
     epsilon: float
-    conservative: bool
-    lp_vars: int
-    lp_rows: int
-    iterations: int
     mu: list | None = None
     certificate: object | None = None
     lp: object | None = None            # the relaxed LinearProgram that was solved
@@ -244,7 +236,8 @@ def solve_robust(rlp, b=None, form="reduced"):
         raise DimensionError(f"unknown relaxation form {form!r}")
     plan = handelman.plan_relaxation(rlp, b)
     lp = relax(rlp, b, plan=plan)
-    form = handelman.relaxation_form(lp, form)
+    kinds = {kind for kind, _ in lp.var_blocks.values()}
+    form = "full" if "Q" in kinds else "reduced" if "R" in kinds else form
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InfeasibleError(
@@ -256,14 +249,9 @@ def solve_robust(rlp, b=None, form="reduced"):
     phi1, phi2 = ({a: x[ids] for a, ids in rlp.blocks.get(key, {}).items()}
                   for key in ("phi1", "phi2"))
     mu = [x[col] for col in rlp.blocks["mu"]] if "mu" in rlp.blocks else None
-    return RobustResult(which=rlp.which, gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1,
-                        phi2=phi2, status=sol.status, form=form,
-                        b=None if plan is None else plan.b,
-                        epsilon=rlp.epsilon, conservative=rlp.conservative,
-                        lp_vars=lp.num_vars, lp_rows=lp.num_rows,
-                        iterations=sol.iterations, mu=mu,
-                        certificate=handelman.extract_certificate(lp, sol, plan, form),
-                        lp=lp)
+    return RobustResult(gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1, phi2=phi2,
+                        form=form, b=None if plan is None else plan.b, epsilon=rlp.epsilon,
+                        lp=lp, mu=mu, certificate=handelman.extract_certificate(lp, sol, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +264,6 @@ class ExactDeltaResult:
     lam: np.ndarray | None = None
     phi1: np.ndarray | None = None
     phi2: np.ndarray | None = None
-    iterations: int | None = None      # simplex pivots of a feasible solve
 
 
 def exact_constant_delta(lft, delta0, policy=None):
@@ -286,15 +273,14 @@ def exact_constant_delta(lft, delta0, policy=None):
     scalings phi1 = -Delta0^T phi2 characterize every LTI positive channel
     with static gain Delta0 exactly."""
     template = ilc.SaturatedStaticGain(delta0)
-    rlp = _assemble_gain(lft, template, policy or StrictnessPolicy(), "l1")
+    rlp = _assemble_gain(lft, template, policy or StrictnessPolicy())
     _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")
     try:
         res = solve_robust(rlp)
     except InfeasibleError:
         return ExactDeltaResult(feasible=False, gamma=np.nan)
     (phi1,), (phi2,) = res.phi1.values(), res.phi2.values()
-    return ExactDeltaResult(feasible=True, gamma=res.gamma, lam=res.lam,
-                            phi1=phi1, phi2=phi2, iterations=res.iterations)
+    return ExactDeltaResult(feasible=True, gamma=res.gamma, lam=res.lam, phi1=phi1, phi2=phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +288,10 @@ def exact_constant_delta(lft, delta0, policy=None):
 
 @dataclass
 class VertexResult:
-    which: str
     gamma: float
     lam: np.ndarray
     vertices: int
     epsilon: float
-    iterations: int
     lp: object                  # the solved LinearProgram
 
 
@@ -347,9 +331,8 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
     if sol.status != "optimal":
         raise InfeasibleError(f"vertex program {sol.status}",
                               certificate=sol.certificate)
-    return VertexResult(which=which, gamma=float(sol.objective_value),
-                        lam=sol.x[:psys.n], vertices=len(verts),
-                        epsilon=policy.epsilon, iterations=sol.iterations, lp=lp)
+    return VertexResult(gamma=float(sol.objective_value), lam=sol.x[:psys.n],
+                        vertices=len(verts), epsilon=policy.epsilon, lp=lp)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +392,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
         _add_rows(b, poly, zero, names, relation, terms)
     blocks = {"lam": lam, "mu": mu, "gamma": gamma, "zero_pattern": tuple(spec.zero_pattern),
               "phi1": phi1, "phi2": phi2}
-    return RobustLinearProgram(b, tuple(poly), psys.domain, blocks, policy.epsilon, "linf-synth")
+    return RobustLinearProgram(b, tuple(poly), psys.domain, blocks, policy.epsilon)
 
 
 def solve_robust_synthesis(rlp, b=None, form="reduced"):
@@ -426,7 +409,6 @@ class GridVerdict:
     ok: bool
     points: int
     max_oracle: float
-    bound: float
     worst_point: np.ndarray | None
     failure: str | None = None
 
@@ -460,7 +442,7 @@ def _grid_sweep(psys, gamma, which, points, k=None):
     `which`-gain (first occurrence) is compared to gamma."""
     grid = certification_grid(psys.domain, points)
     if not grid:
-        return GridVerdict(_bound_ok(-np.inf, gamma), 0, -np.inf, gamma, None)
+        return GridVerdict(_bound_ok(-np.inf, gamma), 0, -np.inf, None)
     a, b, c, d, e, f = psys.frozen_stack(np.reshape(grid, (len(grid), psys.nparams)))
     loop = ""
     if k is not None:
@@ -470,12 +452,12 @@ def _grid_sweep(psys, gamma, which, points, k=None):
     if failed is not None:
         point, why = failed
         what = "positive" if why == "structure" else "Hurwitz"
-        return GridVerdict(False, len(grid), np.nan, gamma, grid[point],
+        return GridVerdict(False, len(grid), np.nan, grid[point],
                            failure=f"{loop}not {what} at {grid[point]}")
     vals = sysmodel.gain_norms(gain)[0 if which == "l1" else 1]
     point = int(np.argmax(vals))
     worst = float(vals[point])
-    return GridVerdict(_bound_ok(worst, gamma), len(grid), worst, gamma, grid[point])
+    return GridVerdict(_bound_ok(worst, gamma), len(grid), worst, grid[point])
 
 
 def grid_certify_gain(psys, gamma, which="l1", points=101):

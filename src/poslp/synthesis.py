@@ -22,6 +22,7 @@ from .errors import ClassificationError, InfeasibleError, ModelError, Validation
 from .ilc import FreeConstant
 from .lpcore import solve_lp
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
+from .sysmodel import PositiveLtiSystem
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class SynthesisResult:
     gamma: float
     lam: np.ndarray
     mu: list                     # mu[j] = lambda_j * K[:, j]
-    iterations: int
 
 
 def synthesis_lp(sys, spec=None, policy=None):
@@ -66,7 +66,7 @@ def synthesis_lp(sys, spec=None, policy=None):
     with no parameter.  Its gain rows, the L1 rows of the transposed closed
     loop, are strict (closed with epsilon); the Metzler and nonnegativity rows
     that force closed-loop positivity are not, as in the characterization."""
-    from .robust import robust_stabilize
+    from .robust import robust_stabilize    # not at the top: robust imports this module
     spec = spec or FULL
     if sys.m == 0:
         raise ModelError("synthesis needs control matrices B and D")
@@ -145,8 +145,7 @@ def stabilize_linf(sys, spec=None, policy=None, lp=None):
     lam = sol.x[:n]
     mu = [sol.x[n + j * m: n + (j + 1) * m] for j in range(n)]
     return SynthesisResult(K=recover_k(lam, mu, spec.zero_pattern),
-                           gamma=float(sol.objective_value), lam=lam, mu=mu,
-                           iterations=sol.iterations)
+                           gamma=float(sol.objective_value), lam=lam, mu=mu)
 
 
 def recover_k(lam, mu, zero_pattern):
@@ -160,6 +159,5 @@ def recover_k(lam, mu, zero_pattern):
 
 def closed_loop(sys, k):
     """The closed-loop analysis system (A + BK, E, C + DK, F)."""
-    from .sysmodel import PositiveLtiSystem
     return PositiveLtiSystem(A=sys.A + sys.B @ k, B=None, C=sys.C + sys.D @ k,
                              D=None, E=sys.E, F=sys.F)

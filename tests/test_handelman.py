@@ -16,7 +16,7 @@ def make_rlp(poly_rows, num_vars=1, objective=None, lower=None, domain=None,
                         np.full(num_vars, np.inf), objective)
     return RobustLinearProgram(
         builder=builder, poly_rows=tuple(poly_rows), domain=domain or BoxDomain.unit(1),
-        blocks={"lam": [], "gamma": 0}, epsilon=1e-7, which="test")
+        blocks={"lam": [], "gamma": 0}, epsilon=1e-7)
 
 
 def interval_basis(lo, hi, b):

@@ -146,11 +146,6 @@ def test_cross_parameter_terms_rejected():
         lft.lft_from_polynomial(psys)
 
 
-def test_degree_cap_enforced():
-    with pytest.raises(Exception):
-        lft.lft_from_polynomial(poly3_system(), degree=1)
-
-
 def test_ill_posed_user_lft_rejected():
     delta = Poly(1, (1, 1), {(1,): np.eye(1)})
     with pytest.raises(WellPosednessError):

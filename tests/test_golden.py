@@ -61,6 +61,8 @@ CASES = {
                                      "--form", "full", "--zeros", "@plant_zeros.json",
                                      "--bounds", "@plant_bounds.json",
                                      "--dump-lp", "@robust_synth_plant_full_spec.lp"],
+    "robust_synth_uncertain_input": ["robust-synth", "@plant_b.json",
+                                     "--dump-lp", "@robust_synth_uncertain_input.lp"],
 }
 
 
@@ -73,6 +75,16 @@ def small_plant():
         f_terms={0: np.zeros((2, 2))}, domain=BoxDomain.unit(1))
 
 
+def uncertain_input_plant():
+    """One-parameter plant whose B and D have higher degree than A, C, E
+    and F, so robust synthesis's channel chains are longer than A's."""
+    return polynomial_system(
+        a_terms={0: [[-1.0, 0.3], [0.2, 0.5]], 1: [[0.1, 0.0], [0.1, 0.1]]},
+        b_terms={0: [[0.0], [1.0]], 2: [[0.0], [0.3]]}, c_terms={0: [[1.0, 0.5]]},
+        d_terms={0: [[0.2]], 3: [[0.1]]}, e_terms={0: [[1.0], [0.5]], 1: [[0.1], [0.0]]},
+        f_terms={0: [[0.1]]}, domain=BoxDomain.unit(1))
+
+
 def write_inputs(directory):
     """Write every input file the cases name with '@'."""
     def write_json(name, doc):
@@ -80,6 +92,7 @@ def write_inputs(directory):
     write_polynomial_system(poly3_system(), directory / "poly3.json")
     write_polynomial_system(gene_expression_system(0.3), directory / "gene.json")
     write_polynomial_system(small_plant(), directory / "plant.json")
+    write_polynomial_system(uncertain_input_plant(), directory / "plant_b.json")
     write_system(random_positive_system(6, 0, 3, 2, seed=301), directory / "gain.json")
     write_system(random_positive_system(5, 2, 2, 3, seed=302), directory / "synth.json")
     write_json("zeros.json", {"zero_pattern": [[0, 1], [1, 3]]})

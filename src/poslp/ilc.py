@@ -111,14 +111,13 @@ def _saturation_equalities(delta_structure, nparams, n0, phi1_degree, phi2_degre
 def instantiate(template, channel):
     """Turn a template into the constraint set for one LFT channel.
 
-    ``channel`` is the loop the scalings certify (an LftSystem or robust
-    synthesis's loop blocks); only n0, delta_structure and domain are read."""
+    ``channel`` is the LftSystem whose loop the scalings certify; only n0,
+    delta_structure and domain are read."""
     n0 = channel.n0
     nparams = channel.domain.nparams if channel.domain is not None else 0
 
     if isinstance(template, FreeConstant):
-        return ScalingConstraintSet(n0=n0, nparams=nparams, phi1_degree=0,
-                                    phi2_degree=0, equalities=(), ilc_row=True)
+        template = FreePolynomial(0, saturated=False)
 
     if isinstance(template, FreePolynomial):
         if template.degree < 0:
@@ -142,26 +141,18 @@ def instantiate(template, channel):
                                     phi2_degree=phi2_degree,
                                     equalities=eqs, ilc_row=False)
 
+    # constant scalings tied by c1 phi1 + c2 phi2 = 0
     if isinstance(template, SaturatedStaticGain):
-        d0 = template.delta0
-        if d0.shape != (n0, n0):
-            raise DimensionError(f"Delta0 must be {n0} x {n0}, got {d0.shape}")
-        zero = (0,) * nparams
-        eq = ((1, zero, 1.0), (2, zero, d0.T.copy()))
-        return ScalingConstraintSet(n0=n0, nparams=nparams, phi1_degree=0,
-                                    phi2_degree=0, equalities=(eq,), ilc_row=False)
-
-    if isinstance(template, ConstantDelay):
-        zero = (0,) * nparams
-        eq = ((1, zero, 1.0), (2, zero, 1.0))
-        return ScalingConstraintSet(n0=n0, nparams=nparams, phi1_degree=0,
-                                    phi2_degree=0, equalities=(eq,), ilc_row=False)
-
-    if isinstance(template, TimeVaryingDelay):
-        zero = (0,) * nparams
-        eq = ((1, zero, 1.0 - template.mu), (2, zero, 1.0))
-        return ScalingConstraintSet(n0=n0, nparams=nparams, phi1_degree=0,
-                                    phi2_degree=0, equalities=(eq,), ilc_row=False,
-                                    phi1_lower=0.0)
-
-    raise DimensionError(f"unknown scaling template {template!r}")
+        if template.delta0.shape != (n0, n0):
+            raise DimensionError(f"Delta0 must be {n0} x {n0}, got {template.delta0.shape}")
+        c1, c2, phi1_lower = 1.0, template.delta0.T.copy(), None
+    elif isinstance(template, ConstantDelay):
+        c1, c2, phi1_lower = 1.0, 1.0, None
+    elif isinstance(template, TimeVaryingDelay):
+        c1, c2, phi1_lower = 1.0 - template.mu, 1.0, 0.0
+    else:
+        raise DimensionError(f"unknown scaling template {template!r}")
+    zero = (0,) * nparams
+    return ScalingConstraintSet(n0=n0, nparams=nparams, phi1_degree=0, phi2_degree=0,
+                                equalities=(((1, zero, c1), (2, zero, c2)),), ilc_row=False,
+                                phi1_lower=phi1_lower)

@@ -198,13 +198,13 @@ def _loop_blocks(layout, n0, n, p):
 def lft_from_polynomial(psys):
     """Canonical positive LFT of a polynomial system (disturbance channel only).
 
-    Control matrices B, D are ignored; robust synthesis builds the loop of
-    its transposed closed loop from the same layout."""
+    Control matrices B, D are ignored; robust synthesis writes its program on
+    the `transpose_lft` of its own layout."""
     return _canonical_lft(LftSystem, psys)
 
 
-def _canonical_lft(cls, psys):
-    blocks, n0 = channel_layout(psys)
+def _canonical_lft(cls, psys, layout=None):
+    blocks, n0 = layout or channel_layout(psys)
     n, p, q = psys.n, psys.p, psys.q
     zero = (0,) * psys.nparams
     e_cols, f10_cols = _chain_coefficients(psys, blocks)
@@ -226,14 +226,16 @@ def _block_delta(nparams, blocks, n0):
     return Poly(nparams, (n0, n0), terms)
 
 
-def transpose_lft(psys):
+def transpose_lft(psys, layout=None):
     """Canonical LFT of the coefficient-wise transposed polynomial system
-    (A^T, C^T in, E^T out, F^T)."""
+    (A^T, C^T in, E^T out, F^T), on `layout`, a `channel_layout` of `psys`
+    (robust synthesis passes one whose chains also cover B and D), or else on
+    the transposed system's own layout."""
     tsys = PolynomialLtiSystem(
         A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
         D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
         domain=psys.domain)
-    return _canonical_lft(TransposedLft, tsys)
+    return _canonical_lft(TransposedLft, tsys, layout)
 
 
 def plain_lft(a, c, e, f):

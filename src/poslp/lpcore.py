@@ -242,7 +242,6 @@ class _Standardizer:
         m, boxed = lp.num_rows, np.flatnonzero(has_lo & has_up)
         self.is_eq = np.array(lp.row_relations, dtype=object) == "=="
         ineq = np.flatnonzero(np.concatenate([~self.is_eq, np.ones(boxed.size, dtype=bool)]))
-        self.num_slack = ineq.size
         self.a = a = np.zeros((m + boxed.size, num_std + ineq.size))
         np.multiply(lp.row_coeffs[:, var], sign, out=a[:m, :num_std])
         a[m + np.arange(boxed.size), first[boxed]] = 1.0

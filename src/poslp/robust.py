@@ -16,15 +16,14 @@ namespace.
 
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
-from .lft import (TransposedLft, _block_delta, _chain_coefficients, _close_stack,
-                  _loop_blocks, _wellposed_points, channel_layout, close_at, plain_lft)
+from .lft import (TransposedLft, _chain_coefficients, _close_stack, _wellposed_points,
+                  channel_layout, close_at, plain_lft, transpose_lft)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows, recover_k
@@ -177,19 +176,25 @@ def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon, prefix="
     _add_rows(b, poly, zero, names, "<=", _terms(b.num_vars, n + n0 + p, parts), const, epsilon)
 
 
-def _assemble_gain(lft, template, policy):
+def _assemble_gain(lft, template, policy, mu_block=None):
+    """The L1 program of `lft`; with `mu_block` (one row per st, ch, pf row)
+    also the controller columns mu_j, j < n, entering every row through it."""
     sset = ilc.instantiate(template, lft)
     zero = (0,) * sset.nparams
     b = LpBuilder()
     lam = b.add_vars("lam", lft.n, lower=policy.lambda_floor)
+    blocks = {"lam": lam}
+    lin = [(lam, np.vstack([lft.A.T, lft.E0.T, lft.E1.T]))]
+    if mu_block is not None:
+        blocks["mu"] = [b.add_vars(f"mu{j}_", mu_block.shape[1]) for j in range(lft.n)]
+        lin.append((sum(blocks["mu"], []), np.tile(mu_block, (1, lft.n))))
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     phi1, phi2 = _phi_blocks(b, sset)
     poly = []
-    _lyapunov_rows(b, poly, zero, lft, [(lam, np.vstack([lft.A.T, lft.E0.T, lft.E1.T]))],
-                   gamma, phi1, phi2, policy.epsilon)
+    _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, policy.epsilon)
     _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
-    blocks = {"lam": lam, "gamma": gamma, "phi1": phi1, "phi2": phi2}
+    blocks.update(gamma=gamma, phi1=phi1, phi2=phi2)
     return RobustLinearProgram(b, tuple(poly), lft.domain, blocks, policy.epsilon)
 
 
@@ -347,10 +352,9 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     beforehand."""
     policy = policy or StrictnessPolicy()
     spec = spec or ControllerSpec()
-    n, m, q = psys.n, psys.m, psys.q
-    if m == 0:
+    if psys.m == 0:
         raise ModelError("robust synthesis needs control matrices B and D")
-    spec.validate(m, n)
+    spec.validate(psys.m, psys.n)
     points = _wellposed_points(psys.domain)
     ok = np.logical_and(*[np.all(mat.eval_many(points) >= -1e-12, axis=(1, 2))
                           for mat in (psys.E, psys.F)])
@@ -359,40 +363,21 @@ def robust_stabilize(psys, template, spec=None, policy=None):
                                   f"fails at {points[int(np.argmin(ok))]}")
 
     zero = (0,) * psys.nparams
-    state, inputs = ("A", "B", "E"), ("C", "D", "F")
-    layout, n0 = channel_layout(psys, state, inputs, q, "robust synthesis")
-    lam_chain, mu_chain, const_chain = _chain_coefficients(psys, layout, state, inputs)
-    # the loop blocks of the transposed closed loop, whose L1 program this is
-    c0, f00, f01 = _loop_blocks(layout, n0, n, q)
-    channel = SimpleNamespace(
-        n0=n0, C0=c0, F00=f00, F01=f01, C1=psys.E.coeff(zero).T,
-        F10=np.vstack([np.zeros((0, psys.p))] + const_chain).T, F11=psys.F.coeff(zero).T,
-        delta_structure=_block_delta(psys.nparams, layout, n0), domain=psys.domain)
-    sset = ilc.instantiate(template, channel)
-
-    b = LpBuilder()
-    lam = b.add_vars("lam", n, lower=policy.lambda_floor)
-    mu = [b.add_vars(f"mu{j}_", m) for j in range(n)]
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    phi1, phi2 = _phi_blocks(b, sset)
+    # the L1 program of the transposed closed loop, on chains that cover B and D:
     # mu_j = lam_j K[:, j], so (A + B K) lam = A lam + B sum_j mu_j, and so for C + D K
-    lam_block = np.vstack([psys.A.coeff(zero)] + lam_chain + [psys.C.coeff(zero)])
+    layout = channel_layout(psys, ("A", "B", "E"), ("C", "D", "F"), psys.q, "robust synthesis")
+    (mu_chain,) = _chain_coefficients(psys, layout[0], ("B",), ("D",))
     mu_block = np.vstack([psys.B.coeff(zero)] + mu_chain + [psys.D.coeff(zero)])
-    lin = [(lam, lam_block), (sum(mu, []), np.tile(mu_block, (1, n)))]
-    poly = []
-    _lyapunov_rows(b, poly, zero, channel, lin, gamma, phi1, phi2, policy.epsilon)
-    _ilc_rows(b, poly, zero, channel.delta_structure, sset, phi1, phi2)
-    _scaling_equalities(b, sset, phi1, phi2)
+    rlp = _assemble_gain(transpose_lft(psys, layout), template, policy, mu_block)
 
-    mats = (psys.A, psys.B, psys.C, psys.D)
+    b, poly, mats = rlp.builder, list(rlp.poly_rows), (psys.A, psys.B, psys.C, psys.D)
     alphas = {zero}.union(*(mat.terms for mat in mats))
     for names, relation, terms in controller_rows(
-            b.num_vars, lam, mu, spec, {a: tuple(mat.coeff(a) for mat in mats)
-                                        for a in alphas}, zero):
+            b.num_vars, rlp.blocks["lam"], rlp.blocks["mu"], spec,
+            {a: tuple(mat.coeff(a) for mat in mats) for a in alphas}, zero):
         _add_rows(b, poly, zero, names, relation, terms)
-    blocks = {"lam": lam, "mu": mu, "gamma": gamma, "zero_pattern": tuple(spec.zero_pattern),
-              "phi1": phi1, "phi2": phi2}
-    return RobustLinearProgram(b, tuple(poly), psys.domain, blocks, policy.epsilon)
+    return replace(rlp, poly_rows=tuple(poly),
+                   blocks=dict(rlp.blocks, zero_pattern=tuple(spec.zero_pattern)))
 
 
 def solve_robust_synthesis(rlp, b=None, form="reduced"):

@@ -180,6 +180,8 @@ def maybe_dump(args, lp):
 
 
 def cmd_check(args):
+    if not 0.0 <= args.tol < float("inf"):
+        raise ValidationError(f"--tol must be finite and at least 0, got {args.tol}")
     sys_in = sysmodel.read_system(args.system)
     report = sysmodel.classify(sys_in, tol=args.tol)
     policy = policy_from(args)

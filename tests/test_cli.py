@@ -41,6 +41,24 @@ def test_check(capsys, system_file):
     assert "stable:   True" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1e-3"])
+def test_check_takes_only_a_finite_nonnegative_tolerance(capsys, tmp_path, tol):
+    path = tmp_path / "nonpositive.json"
+    write_system(sysmodel.PositiveLtiSystem(
+        A=[[-1.0, -0.5], [0.2, -1.0]], B=None, C=[[1.0, 0.2]], D=None,
+        E=[[1.0], [0.2]], F=[[-3.0]]), path)
+    code = cli.main(["check", str(path), "--tol", tol, "--format", "structured"])
+    captured = capsys.readouterr()
+    if tol in ("nan", "inf", "-1"):
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --tol must be finite and at least 0, got {float(tol)}\n"
+        return
+    doc = json.loads(captured.out)
+    assert code == 0 and doc["is_positive"] is False
+    assert [(v["matrix"], v["index"], v["value"]) for v in doc["violations"]] == [
+        ("A", [0, 1], -0.5), ("F", [0, 0], -3.0)]
+
+
 def test_gain_text_and_structured(capsys, system_file):
     code, out = run(capsys, "gain", "--norm", "l1", system_file)
     assert code == 0 and "l1-gain gamma" in out

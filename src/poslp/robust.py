@@ -370,7 +370,8 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     mu_block = np.vstack([psys.B.coeff(zero)] + mu_chain + [psys.D.coeff(zero)])
     rlp = _assemble_gain(transpose_lft(psys, layout), template, policy, mu_block)
 
-    b, poly, mats = rlp.builder, list(rlp.poly_rows), (psys.A, psys.B, psys.C, psys.D)
+    b, poly = rlp.builder, list(rlp.poly_rows)
+    mats = (psys.A, psys.B, psys.C, psys.D)
     alphas = {zero}.union(*(mat.terms for mat in mats))
     for names, relation, terms in controller_rows(
             b.num_vars, rlp.blocks["lam"], rlp.blocks["mu"], spec,

@@ -3,8 +3,9 @@
 All optimization in the toolbox funnels through this module.  Strict inequalities coming
 from the theory are closed with a configurable margin (`StrictnessPolicy`) before they
 reach the solver, so computed gains carry a small, explicitly reported upward bias.  A pivot
-(`_eliminate`) updates only the rows it touches, only the pivot row's nonzero columns on tall
-sparse pivots, and the whole tableau in place when most rows are touched; every bit is kept.
+(`_eliminate`) takes one of four updates, each keeping every bit: the rows it touches; on tall
+sparse pivots only the pivot row's nonzero columns, of the touched rows or whole when most of
+a tall tableau's rows are touched; and the whole tableau in place when most rows are touched.
 """
 
 from dataclasses import dataclass, field
@@ -321,14 +322,22 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
 def _eliminate(t, leave, enter):
     """Pivot on t[leave, enter] with the dense rank-1 update's bits (t - m*0 moves only zero
     signs): over 16 rows touched and under 1/4 of the pivot row nonzero, only its nonzero
-    columns; over half the rows touched, the whole tableau in place; else the touched rows."""
+    columns, whole if over 200 and over half the rows are touched, else of the touched rows;
+    over half the rows touched, the whole tableau in place; else the touched rows."""
     t[leave] /= t[leave, enter]
     rows = t[:, enter].nonzero()[0]
     rows, pivot = rows[rows != leave], t[leave]
     # below these sizes the block gather and scatter cost more than the row update they save
     if rows.size > 16 and 4 * np.count_nonzero(pivot) < pivot.size:
         cols = pivot.nonzero()[0]
-        t[rows[:, None], cols] -= t[rows, enter, None] * pivot[cols]
+        # past this many touched rows a whole-column update is cheaper than the gather per entry
+        if rows.size > 200 and 2 * rows.size > t.shape[0]:
+            mult = t[:, enter].copy()
+            mult[leave] = 0.0           # the pivot row's entries in cols are nonzero: x - 0 is x
+            for j in cols:
+                t[:, j] -= mult * pivot[j]
+        else:
+            t[rows[:, None], cols] -= t[rows, enter, None] * pivot[cols]
     elif 2 * rows.size > t.shape[0]:    # a row gather and its product: two tableau temporaries
         prod = np.multiply.outer(t[:, enter], pivot)
         prod[leave] = 0.0               # x - (+0.0) is x, -0.0 included

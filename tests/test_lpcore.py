@@ -410,21 +410,42 @@ def test_solve_lp_agrees_with_highs():
                     ("two-sided", "optimal"), ("redundant", "optimal")}, seen
 
 
-def test_column_sparse_pivots_match_dense_update_bit_for_bit(monkeypatch):
-    # the column-restricted update keeps every pivot choice, vertex, dual and
-    # certificate of the dense rank-1 update, byte for byte
-    eliminate = lpcore._eliminate
+class RecordingTableau(np.ndarray):
+    """A tableau view that records the index of each item assignment into it
+    or into an array computed from it."""
+
+    keys = []
+
+    def __setitem__(self, key, value):
+        RecordingTableau.keys.append(key)
+        super().__setitem__(key, value)
+
+
+def update_taken(eliminate, t, leave, enter):
+    """Pivot with `eliminate` through a `RecordingTableau` view of t; returns
+    "whole" if it assigned whole columns (`t[:, j] -= ...`), "gather" if it
+    assigned a block at two index arrays (`t[rows[:, None], cols] -= ...`),
+    else None."""
+    RecordingTableau.keys.clear()
+    eliminate(t.view(RecordingTableau), leave, enter)
+    firsts = [type(key[0]) for key in RecordingTableau.keys if isinstance(key, tuple)]
+    return "whole" if slice in firsts else "gather" if np.ndarray in firsts else None
+
+
+def tall_solves_match_dense_update(monkeypatch, branch):
+    """Solve each tall LP, counting the pivots that take `branch` ("whole" or
+    "gather", as `update_taken` names them) of the column-sparse update, and
+    check every pivot choice, vertex, dual and certificate against the dense
+    rank-1 update, byte for byte; returns {name: count}."""
+    eliminate, counts = lpcore._eliminate, {}
 
     def recording_eliminate(t, leave, enter):
-        touched = np.count_nonzero(t[:, enter]) - 1      # the rows other than the pivot's
-        column_pivots.append(touched > 16 and 4 * np.count_nonzero(t[leave]) < t.shape[1])
-        return eliminate(t, leave, enter)
+        counts[name] += update_taken(eliminate, t, leave, enter) == branch
     for name, lp in tall_lps():
-        column_pivots = []
+        counts[name] = 0
         with monkeypatch.context() as patch:
             patch.setattr(lpcore, "_eliminate", recording_eliminate)
             got = solve_lp(lp)
-        assert any(column_pivots), name
         with monkeypatch.context() as patch:
             patch.setattr(lpcore, "_eliminate", dense_eliminate)
             want = solve_lp(lp)
@@ -433,6 +454,23 @@ def test_column_sparse_pivots_match_dense_update_bit_for_bit(monkeypatch):
             g, w = getattr(got, field), getattr(want, field)
             assert (g is None) == (w is None), (name, field)
             assert np.float64(g).tobytes() == np.float64(w).tobytes(), (name, field)
+    return counts
+
+
+def test_column_sparse_pivots_match_dense_update_bit_for_bit(monkeypatch):
+    # the update gathered over the touched rows and the pivot row's nonzero
+    # columns runs on every tall LP and keeps the dense update's bits
+    counts = tall_solves_match_dense_update(monkeypatch, "gather")
+    assert all(counts.values()), counts
+
+
+def test_column_loop_pivots_match_dense_update_bit_for_bit(monkeypatch):
+    # the whole-column update runs on the synthesis LPs with n >= 16, whose
+    # sparse pivots touch over 200 rows and most of the tableau, and keeps the
+    # dense update's bits
+    counts = tall_solves_match_dense_update(monkeypatch, "whole")
+    assert all(counts[f"{kind}synth n={n}"] for kind in ("", "bounded ") for n in (16, 20, 24)), \
+        counts
 
 
 def test_column_sparse_elimination_differs_only_in_signs_of_zeros():
@@ -451,6 +489,45 @@ def test_column_sparse_elimination_differs_only_in_signs_of_zeros():
     assert np.array_equal(got, want)
     differ = got.view(np.int64) != want.view(np.int64)
     assert differ.any() and np.all(got[differ] == 0.0)
+
+
+def whole_column_tableau():
+    """A 400 x 60 tableau whose pivot t[0, 30] touches 300 rows with 7 of 60
+    pivot-row entries nonzero: the whole-column update; -0.0 sits in a skipped
+    column of the touched rows, in the pivot row and in untouched rows."""
+    rng = np.random.default_rng(13)
+    t = np.zeros((400, 60))
+    t[:, [2, 9, 23, 41, 57]] = rng.uniform(-1, 1, (400, 5))
+    t[::3, 11] = rng.uniform(-1, 1, 134)
+    t[:301, 30] = rng.uniform(0.5, 1, 301)
+    t[301::2, 30] = -0.0
+    t[1:301:2, 5] = -0.0
+    t[301:, 47] = -0.0
+    t[0, [5, 13]] = -0.0
+    return t
+
+
+def test_column_loop_elimination_differs_only_in_signs_of_zeros():
+    t = whole_column_tableau()
+    got, want = t.copy(), t.copy()
+    assert update_taken(lpcore._eliminate, got, 0, 30) == "whole"
+    dense_eliminate(want, 0, 30)
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert differ.any() and np.all(got[differ] == 0.0)
+    assert got[0].tobytes() == (t[0] / t[0, 30]).tobytes()
+
+
+def test_column_loop_elimination_makes_no_tableau_sized_temporary():
+    # the gather over 300 rows and 7 columns would hold two 16.8 KB blocks
+    t = whole_column_tableau()
+    tracemalloc.start()
+    try:
+        lpcore._eliminate(t, 0, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * t.nbytes
 
 
 def counting_outer(patch):

@@ -5,7 +5,9 @@ from the theory are closed with a configurable margin (`StrictnessPolicy`) befor
 reach the solver, so computed gains carry a small, explicitly reported upward bias.  A pivot
 (`_eliminate`) takes one of four updates, each keeping every bit: the rows it touches; on tall
 sparse pivots only the pivot row's nonzero columns, of the touched rows or whole when most of
-a tall tableau's rows are touched; and the whole tableau in place when most rows are touched.
+a tall tableau's rows are touched; and the whole tableau in place, with einsum's products, when
+most rows are touched.  Phase 2 runs on a view of the phase-1 tableau, and an objective with one
+nonzero cost is priced from one tableau row.
 """
 
 from dataclasses import dataclass, field
@@ -275,12 +277,16 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     """Primal simplex on a canonical tableau, in place.
 
     Dantzig pricing, switching permanently to Bland's rule once the degenerate
-    pivot budget (10 * structural variable count) is spent.  Returns
-    (status, iterations, entering_column) with status "optimal"/"unbounded".
+    pivot budget (10 * structural variable count) is spent.  Reduced costs are
+    cost - cb @ body by one gemv; when cost has one nonzero entry, cb has at
+    most one too, and they are cost minus that row times it, the gemv's bits
+    up to the sign of a zero.  Returns (status, iterations, entering_column)
+    with status "optimal"/"unbounded".
     """
     ncols = t.shape[1] - 1
     body, rhs = t[:, :ncols], t[:, -1]
     cb = cost[basis]                # cost of each row's basic column
+    one_row = np.count_nonzero(cost) == 1
     budget = 10 * max(1, num_structural)
     degenerate = 0
     bland = False
@@ -288,7 +294,11 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     while True:
         if it >= max_iterations:
             raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
-        red = cost - cb @ body
+        if one_row:                 # cb has at most one nonzero: cb @ body is its row times it
+            k = cb.nonzero()[0]
+            red = cost - cb[k] * body[k[0]] if k.size else cost.copy()
+        else:
+            red = cost - cb @ body
         red[basis] = 0.0
         if bland:
             cand = (red < -_RCOST_TOL).nonzero()[0]
@@ -323,7 +333,8 @@ def _eliminate(t, leave, enter):
     """Pivot on t[leave, enter] with the dense rank-1 update's bits (t - m*0 moves only zero
     signs): over 16 rows touched and under 1/4 of the pivot row nonzero, only its nonzero
     columns, whole if over 200 and over half the rows are touched, else of the touched rows;
-    over half the rows touched, the whole tableau in place; else the touched rows."""
+    over half the rows touched, the whole tableau in place, its products by einsum (the bits of
+    multiply.outer in about half the time); else the touched rows."""
     t[leave] /= t[leave, enter]
     rows = t[:, enter].nonzero()[0]
     rows, pivot = rows[rows != leave], t[leave]
@@ -339,7 +350,7 @@ def _eliminate(t, leave, enter):
         else:
             t[rows[:, None], cols] -= t[rows, enter, None] * pivot[cols]
     elif 2 * rows.size > t.shape[0]:    # a row gather and its product: two tableau temporaries
-        prod = np.multiply.outer(t[:, enter], pivot)
+        prod = np.einsum("i,j->ij", t[:, enter], pivot)
         prod[leave] = 0.0               # x - (+0.0) is x, -0.0 included
         t -= prod
     else:
@@ -374,7 +385,7 @@ def _dual_multipliers(std, basis, struct_cost, art_rows):
 def solve_lp(lp, max_iterations=1_000_000):
     """Solve the LP with a dense two-phase primal simplex.
 
-    Phase 2 runs on the structural tableau, the artificial columns dropped.
+    Phase 2 runs on a view of the phase-1 tableau without its artificial columns.
     Optimal solutions are re-derived from the final basis with a fresh linear
     solve and verified (primal feasibility, duality gap) before being
     returned; failure to verify raises NonConvergenceError.
@@ -429,7 +440,8 @@ def solve_lp(lp, max_iterations=1_000_000):
 
 
 def _drive_out_artificials(t, basis, ncols):
-    """Pivot zero-level artificials out; keep the structural columns and nonredundant rows."""
+    """Pivot zero-level artificials out; return a view of the nonredundant rows' structural
+    columns, the rhs moved into the first artificial column (a copy if a row is dropped)."""
     keep = np.ones(t.shape[0], dtype=bool)
     for i in (basis >= ncols).nonzero()[0]:     # a pivot changes only its own row's basis
         pivots = (np.abs(t[i, :ncols]) > 1e-7).nonzero()[0]
@@ -440,10 +452,8 @@ def _drive_out_artificials(t, basis, ncols):
             keep[i] = False
     if not keep.all():
         t, basis = t[keep], basis[keep]
-    t2 = np.empty((t.shape[0], ncols + 1))
-    t2[:, :ncols] = t[:, :ncols]
-    t2[:, -1] = t[:, -1]
-    return t2, basis
+    t[:, ncols] = t[:, -1]
+    return t[:, :ncols + 1], basis
 
 
 def _verify_optimal(lp, std, x, x_std, y, obj):

@@ -530,22 +530,15 @@ def test_column_loop_elimination_makes_no_tableau_sized_temporary():
     assert peak < 0.1 * t.nbytes
 
 
-def counting_outer(patch):
-    """Spy on np.multiply.outer, which only the in-place dense branch of
-    `_eliminate` calls; returns the list of its calls' row counts."""
-    multiply, calls = np.multiply, []
+def counting_einsum(patch):
+    """Spy on np.einsum, which only the in-place dense branch of `_eliminate`
+    calls; returns the list of its calls' row counts."""
+    einsum, calls = np.einsum, []
 
-    class Multiply:
-        def __getattr__(self, name):
-            return getattr(multiply, name)
-
-        def __call__(self, *args, **kwargs):
-            return multiply(*args, **kwargs)
-
-        def outer(self, a, b):
-            calls.append(a.size)
-            return multiply.outer(a, b)
-    patch.setattr(np, "multiply", Multiply())
+    def spy(subscripts, a, b):
+        calls.append(a.size)
+        return einsum(subscripts, a, b)
+    patch.setattr(np, "einsum", spy)
     return calls
 
 
@@ -557,7 +550,7 @@ def test_dense_pivots_match_dense_update_bit_for_bit(monkeypatch):
         s = sysmodel.random_positive_system(n, 0, 3, 3, seed=n)
         for name, lp in ((f"l1 n={n}", gains.l1_lp(s)), (f"linf n={n}", gains.linf_lp(s))):
             with monkeypatch.context() as patch:
-                dense_pivots = counting_outer(patch)
+                dense_pivots = counting_einsum(patch)
                 got = solve_lp(lp)
             assert dense_pivots, name
             with monkeypatch.context() as patch:
@@ -584,7 +577,7 @@ def test_dense_elimination_differs_only_in_signs_of_zeros(monkeypatch):
     t[0, [2, 6]] = 0.0
     got, want = t.copy(), t.copy()
     with monkeypatch.context() as patch:
-        dense_pivots = counting_outer(patch)
+        dense_pivots = counting_einsum(patch)
         lpcore._eliminate(got, 0, 3)
     assert dense_pivots == [21]
     dense_eliminate(want, 0, 3)
@@ -609,6 +602,23 @@ def test_dense_elimination_makes_one_tableau_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * t.nbytes
+
+
+def test_einsum_products_match_multiply_outer():
+    # the dense branch's products: einsum forms np.multiply.outer's IEEE
+    # products, overflow, underflow and subnormals included, without its
+    # overflow warning; only the signs of zero products may differ
+    v = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  1e-300, -3e-301, 3e300, -7e299, -1.7976931348623157e308])
+    a, b = np.concatenate([v, 0.75 * v[::-1]]), np.concatenate([-0.5 * v, v])
+    with np.errstate(over="raise"):
+        got = np.einsum("i,j->ij", a, b)
+    with np.errstate(over="ignore"):
+        want = np.multiply.outer(a, b)
+    assert np.isinf(want).any() and (np.abs(want[want != 0]) < 2.3e-308).any()
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert np.all(want[differ] == 0.0)
 
 
 def assert_farkas_certificate(lp, y):
@@ -824,3 +834,145 @@ def test_simplex_loop_matches_reference_loop_under_blands_rule(monkeypatch):
         assert dantzig[1][:11] == want[1][:11] and dantzig[1] != want[1], seed
         assert got[:2] == want[:2], seed
         assert got[2].tobytes() == want[2].tobytes() and np.array_equal(got[3], want[3])
+
+
+def recording_cost(cost, record):
+    """A view of `cost` whose derived arrays record how the simplex loop
+    prices: record["gemv"] counts `cb @ body` products, record["one_row"]
+    the searches for cb's nonzero entry (`nonzero` of a float array), and
+    record["reds"] keeps each reduced-cost vector as priced, before its
+    basic entries are zeroed."""
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            record["gemv"] += 1
+            return super().__matmul__(other)
+
+        def nonzero(self):
+            record["one_row"] += self.dtype == float
+            return super().nonzero()
+
+        def __setitem__(self, key, value):
+            if isinstance(key, np.ndarray):
+                record["reds"].append(np.array(self))
+            super().__setitem__(key, value)
+    return cost.view(Recording)
+
+
+def new_record():
+    return {"gemv": 0, "one_row": 0, "reds": []}
+
+
+def test_one_row_pricing_is_the_gemv_result():
+    # widths 40..43 cover the gemv kernel's N mod 4 tails; one cost of either
+    # sign, basic or not, -0.0 in the body and among the zero costs; the
+    # first pricing equals the gemv's, bit for bit at every nonzero
+    rng = np.random.default_rng(17)
+    for trial in range(48):
+        m, ncols = 9, 40 + trial % 4
+        t = rng.uniform(-1, 1, (m, ncols + 1)) * 10.0 ** rng.uniform(-3, 3, (m, ncols + 1))
+        t[rng.uniform(0, 1, t.shape) < 0.3] = 0.0
+        t[rng.uniform(0, 1, t.shape) < 0.2] = -0.0
+        t[:, -1] = rng.uniform(0, 1, m)
+        basis = rng.choice(ncols, m, replace=False)
+        cost = np.where(rng.uniform(0, 1, ncols) < 0.5, 0.0, -0.0)
+        nonbasic = np.setdiff1d(np.arange(ncols), basis)
+        j = basis[trial % m] if trial % 3 else nonbasic[trial % 5]
+        cost[j] = rng.uniform(0.5, 2.0) * (-1.0) ** trial
+        want = cost - cost[basis] @ t[:, :ncols]
+        record = new_record()
+        try:
+            lpcore._simplex_loop(t, basis, recording_cost(cost, record), ncols, 1, 0)
+        except NonConvergenceError:
+            pass
+        got = record["reds"][0]
+        assert (record["gemv"], record["one_row"]) == (0, 1), trial
+        assert np.array_equal(got, want), trial
+        assert got[want != 0].tobytes() == want[want != 0].tobytes(), trial
+
+
+def test_synthesis_phase_2_prices_one_row_and_phase_1_the_gemv(monkeypatch):
+    # the synthesis objective is gamma alone; every phase 1 of the tall LPs
+    # has several artificial columns with cost 1 and keeps the gemv
+    loop, calls = lpcore._simplex_loop, []
+
+    def recording_loop(t, basis, cost, *args):
+        record = new_record()
+        calls[-1].append((np.count_nonzero(cost), record))
+        return loop(t, basis, recording_cost(cost, record), *args)
+    monkeypatch.setattr(lpcore, "_simplex_loop", recording_loop)
+    for name, lp in tall_lps():
+        calls.append([name])
+        solve_lp(lp)
+    for name, *loops in calls:
+        assert len(loops) == 2 and loops[0][0] > 1, name
+        for nonzeros, record in loops:
+            priced = len(record["reds"])
+            assert priced and record["gemv"] + record["one_row"] == priced, name
+            if nonzeros > 1:
+                assert record["one_row"] == 0, name
+        if "synth" in name:
+            assert loops[1][0] == 1 and loops[1][1]["gemv"] == 0, name
+
+
+def copying_drive_out_artificials(t, basis, ncols):
+    """The drive-out as it was before phase 2 ran on a view of the phase-1
+    tableau: pivot zero-level artificials out, drop redundant rows, then
+    copy the structural columns and the rhs into a new tableau."""
+    keep = np.ones(t.shape[0], dtype=bool)
+    for i in (basis >= ncols).nonzero()[0]:
+        pivots = (np.abs(t[i, :ncols]) > 1e-7).nonzero()[0]
+        if pivots.size:
+            basis[i] = pivots[0]
+            lpcore._eliminate(t, i, basis[i])
+        else:
+            keep[i] = False
+    t, basis = t[keep], basis[keep]
+    return np.hstack([t[:, :ncols], t[:, -1:]]), basis
+
+
+def test_phase_2_runs_on_a_view_of_the_phase_1_tableau(monkeypatch):
+    # with no row dropped phase 2's tableau shares phase 1's memory; with a
+    # redundant row dropped it is a copy; either way every pivot, vertex,
+    # dual and certificate is the copying drive-out's, byte for byte
+    loop, tableaus = lpcore._simplex_loop, []
+
+    def recording_loop(t, *args):
+        tableaus.append(t)
+        return loop(t, *args)
+    rng = np.random.default_rng(2028)
+    randoms = [(f"random {trial}", random_lp(rng, ("redundant", "degenerate")[trial % 2]))
+               for trial in range(40)]
+    seen = set()
+    for name, lp in list(tall_lps()) + randoms:
+        tableaus.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_simplex_loop", recording_loop)
+            got = solve_lp(lp)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_drive_out_artificials", copying_drive_out_artificials)
+            want = solve_lp(lp)
+        assert (got.status, got.iterations) == (want.status, want.iterations), name
+        for field in ("x", "objective_value", "dual", "certificate"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g is None) == (w is None), (name, field)
+            assert np.float64(g).tobytes() == np.float64(w).tobytes(), (name, field)
+        if len(tableaus) == 2:
+            dropped = tableaus[1].shape[0] < tableaus[0].shape[0]
+            assert np.shares_memory(*tableaus) != dropped, name
+            seen.add((name.split()[0], dropped))
+    assert {("synth", False), ("random", True)} <= seen, seen
+
+
+def test_solve_lp_holds_no_phase_2_copy():
+    # the n = 24 synthesis LP: a 626 x 747 standard form, a phase-1 tableau 27
+    # columns wider and a basis matrix; a phase-2 tableau copied out of the
+    # phase-1 one would peak at 3.05 times the standard form
+    lp = synthesis.synthesis_lp(sysmodel.random_positive_system(24, 2, 2, 2, seed=24))
+    size = lpcore._Standardizer(lp).a.nbytes
+    tracemalloc.start()
+    try:
+        solve_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size

@@ -3,11 +3,12 @@
 A robust row  P(x, delta) <= 0 on a box  is certified by writing
 P = sum_k Q_k(y) g^{(k)}(delta)  over all products g^{(k)} of the box's
 defining linear forms up to total degree b, with every coefficient block
-Q_k <= 0.  Matching coefficients monomial-by-monomial gives the full form;
-eliminating an invertible block Upsilon_2 of the coefficient-matching matrix
-gives the reduced form with fewer additional variables.  Cross-products of
-the defining forms are included (pure powers of a single form would not span
-the matched monomials).
+Q_k <= 0.  Matching coefficients monomial-by-monomial gives the full form,
+on any box.  Robust programs are written on [0, 1]^N (`on_unit_box` of a
+`PolynomialLtiSystem`), where the block Upsilon_2 of the pure powers
+theta^alpha is the identity; the reduced form keeps only the other blocks,
+with fewer additional variables.  Cross-products of the defining forms are
+included (pure powers of a single form would not span the matched monomials).
 
 The relaxation is sound for any b >= deg P and becomes necessary for some
 finite b; since no a-priori bound on that b is used here, b is caller
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialCapError, DegreeError
+from .errors import CombinatorialCapError, DegreeError, DomainError
 from .poly import Poly, monomials, poly_mul
 
 PRODUCT_CAP = 10_000
@@ -101,24 +102,16 @@ def build_upsilon(basis):
 
 
 def pure_power_columns(basis, ups):
-    """Per-monomial product built from the lower forms only: the product
-    prod_k g_{lower,k}^{alpha_k}.  In graded-lex order these columns form a
-    triangular block with unit diagonal, hence an always-invertible
-    Upsilon_2."""
-    sel = []
-    for alpha in ups.monomials:
-        expo = [0] * len(basis.forms)
-        for k, a in enumerate(alpha):
-            expo[2 * k] = a
-        sel.append(ups.column_of(expo))
-    return sel
+    """The products of the lower forms only (no exponent on an upper form,
+    every second form of `basis`): one per monomial, in monomial order, the
+    block Upsilon_2, triangular with unit diagonal (I where lower bounds are 0)."""
+    return [k for k, expo in enumerate(ups.products) if not any(expo[1::2])]
 
 
 @dataclass(frozen=True, eq=False)
 class RelaxationPlan:
     basis: HandelmanBasis
     ups: UpsilonData
-    b: int
 
 
 def plan_relaxation(rlp, b=None):
@@ -130,8 +123,7 @@ def plan_relaxation(rlp, b=None):
     if b < d:
         raise DegreeError(f"product degree b={b} below row degree {d}")
     basis = HandelmanBasis.from_box(rlp.domain, b)
-    ups = build_upsilon(basis)
-    return RelaxationPlan(basis=basis, ups=ups, b=b)
+    return RelaxationPlan(basis=basis, ups=build_upsilon(basis))
 
 
 def _row_tables(row, ups, num_vars):
@@ -145,27 +137,26 @@ def _row_tables(row, ups, num_vars):
     return a, c
 
 
-def _relaxed(rlp, plan, certify):
+def _relaxed(rlp, plan, kind, tag, relation, u):
     """A copy of the builder of `rlp` (its variables and delta-free rows)
     with, per polynomial row r, either the row itself (degree 0) or the
-    block rows `certify(a, c)` = (kind, tag, relation, a', u, c') over the
-    row's tables: `[a' | -u] (x, y) relation -c'` with fresh certificate
-    variables y = kind{r}_k <= 0, one per column of u.  The LP's
-    `var_blocks` maps each such row's name to (kind, y)."""
+    block rows tag{r}_i, `[a | -u] (x, y) relation -c` over the row's tables
+    (a, c), with fresh certificate variables y = kind{r}_k <= 0, one per
+    column of u.  The LP's `var_blocks` maps each such row's name to (kind, y)."""
     builder = rlp.builder.copy()
     x = list(range(builder.num_vars))
     cert = {}
     for r, row in enumerate(rlp.poly_rows):
-        if row.degree() > plan.b:
-            raise DegreeError(f"row {row.name} degree {row.degree()} > b={plan.b}")
+        if row.degree() > plan.basis.degree:
+            raise DegreeError(f"row {row.name} degree {row.degree()} > b={plan.basis.degree}")
         if row.degree() == 0:
             coeffs, const = row.terms[next(iter(row.terms))]
             builder.add_row(coeffs, "<=", -const, row.name)
             continue
-        kind, tag, rel, a, u, c = certify(*_row_tables(row, plan.ups, len(x)))
+        a, c = _row_tables(row, plan.ups, len(x))
         y = builder.add_vars(f"{kind}{r}_", u.shape[1], upper=0.0)
         cert[row.name] = (kind, y)
-        builder.add_rows(x + y, np.hstack([a, -u]), rel, -c,
+        builder.add_rows(x + y, np.hstack([a, -u]), relation, -c,
                          [f"{tag}{r}_{i}" for i in range(len(c))])
     return builder.build(cert)
 
@@ -175,28 +166,23 @@ def relax_full(rlp, b=None, plan=None):
     product and one coefficient-matching equality per monomial.  ``plan``
     is `plan_relaxation(rlp, b)` when the caller has it already."""
     plan = plan or plan_relaxation(rlp, b)
-    return _relaxed(rlp, plan, lambda a, c: ("Q", "hm", "==", a, plan.ups.matrix, c))
+    return _relaxed(rlp, plan, "Q", "hm", "==", None if plan is None else plan.ups.matrix)
 
 
 def relax_reduced(rlp, b=None, plan=None):
-    """Reduced-form finite LP: the invertible pure-power block of Upsilon is
-    eliminated, leaving only the cross-product tail blocks R_k <= 0 plus the
-    inequality Upsilon_2^{-1}(P - Upsilon_1 R) <= 0.  ``plan`` is
-    `plan_relaxation(rlp, b)` when the caller has it already.
-
-    Falls back to the full form (kind Q blocks) when 1/cond(Upsilon_2) < 1e-12:
-    on [10, 11] from b = 6, on [1, 2] from b = 22."""
+    """Reduced-form finite LP where the pure-power block Upsilon_2 is the
+    identity (lower bounds 0, as on [0, 1]^N): per row only the tail blocks
+    R_k <= 0 plus P - Upsilon_tail R <= 0, one row per monomial.  ``plan``
+    is `plan_relaxation(rlp, b)` when the caller has it already.  Another
+    box is refused; `relax_full` takes any box."""
     plan = plan or plan_relaxation(rlp, b)
     if plan is None:
-        return _relaxed(rlp, plan, None)
+        return _relaxed(rlp, plan, "R", "hr", "<=", None)
     sel = pure_power_columns(plan.basis, plan.ups)
-    u2 = plan.ups.matrix[:, sel]
-    if 1.0 / max(np.linalg.cond(u2), 1.0) < 1e-12:
-        return relax_full(rlp, b, plan)
-    tail = sorted(set(range(len(plan.ups.products))) - set(sel))
-    w = np.linalg.inv(u2)
-    g = w @ plan.ups.matrix[:, tail]
-    return _relaxed(rlp, plan, lambda a, c: ("R", "hr", "<=", w @ a, g, w @ c))
+    if not np.array_equal(plan.ups.matrix[:, sel], np.eye(len(sel))):
+        raise DomainError("reduced form needs lower bounds 0 (Upsilon_2 = I); use the full form")
+    tail = plan.ups.matrix[:, sorted(set(range(len(plan.ups.products))) - set(sel))]
+    return _relaxed(rlp, plan, "R", "hr", "<=", tail)
 
 
 def certificate_blocks(lp, solution):

@@ -1,12 +1,12 @@
 """Positive linear-fractional representations of polynomially-uncertain systems.
 
-The canonical construction works parameter by parameter: for parameter k with
-state-channel degree s_k and input-channel degree t_k it stacks the loop
-signals
+The canonical construction works on [0, 1]^N (`PolynomialLtiSystem.on_unit_box`
+maps another box there), parameter by parameter: for parameter k with
+state-channel degree s_k and input-channel degree t_k it stacks the loop signals
 
     z0 = [x, delta_k x, ..., delta_k^{s_k-1} x, w1, delta_k w1, ...]
 
-so that closing w0 = Delta(delta) z0 with Delta = blockdiag(delta_k I)
+so that closing w0 = Delta(delta) z0 with Delta = blockdiag(delta_k I) >= 0
 reproduces the polynomial system exactly.  Cross-parameter monomials are not
 representable by this layout and are rejected.
 """
@@ -204,6 +204,7 @@ def lft_from_polynomial(psys):
 
 
 def _canonical_lft(cls, psys, layout=None):
+    psys = psys.on_unit_box()
     blocks, n0 = layout or channel_layout(psys)
     n, p, q = psys.n, psys.p, psys.q
     zero = (0,) * psys.nparams

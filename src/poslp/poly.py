@@ -273,6 +273,27 @@ class PolynomialLtiSystem:
         return tuple(poly._eval_stack(pts, powers)
                      for poly in (self.A, self.B, self.C, self.D, self.E, self.F))
 
+    def on_unit_box(self):
+        """The same system in theta on [0, 1]^N, delta = lower + (upper - lower)
+        theta; `self` when the box is already the unit box."""
+        lower, width = self.domain.lower, self.domain.upper - self.domain.lower
+        if not lower.any() and np.all(width == 1.0):
+            return self
+        n = self.nparams
+        forms = [Poly(n, (), {(0,) * n: lower[k], alpha: width[k]})
+                 for k, alpha in enumerate(monomials(n, 1)[1:])]
+
+        def substitute(poly):
+            out = Poly.zero(n, poly.shape)
+            for alpha, coeff in poly.terms.items():
+                term = Poly.constant(coeff, n)
+                for k in np.repeat(np.arange(n), alpha):
+                    term = poly_mul(forms[k], term)
+                out = out + term
+            return out
+        return PolynomialLtiSystem(*(substitute(getattr(self, name)) for name in "ABCDEF"),
+                                   domain=BoxDomain.unit(n))
+
 
 def _system(nparams, shapes, terms, domain):
     """The PolynomialLtiSystem whose matrix `name` has the coefficient shape

@@ -220,6 +220,9 @@ def robust_linf(tlft, template, policy=None):
 
 @dataclass
 class RobustResult:
+    """A solved robust program in the form requested; on a box other than
+    [0, 1]^N, `phi1`, `phi2` and the certificate are in theta (`on_unit_box`)."""
+
     gamma: float
     lam: np.ndarray
     phi1: dict
@@ -241,8 +244,6 @@ def solve_robust(rlp, b=None, form="reduced"):
         raise DimensionError(f"unknown relaxation form {form!r}")
     plan = handelman.plan_relaxation(rlp, b)
     lp = relax(rlp, b, plan=plan)
-    kinds = {kind for kind, _ in lp.var_blocks.values()}
-    form = "full" if "Q" in kinds else "reduced" if "R" in kinds else form
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InfeasibleError(
@@ -254,8 +255,8 @@ def solve_robust(rlp, b=None, form="reduced"):
     phi1, phi2 = ({a: x[ids] for a, ids in rlp.blocks.get(key, {}).items()}
                   for key in ("phi1", "phi2"))
     mu = [x[col] for col in rlp.blocks["mu"]] if "mu" in rlp.blocks else None
-    return RobustResult(gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1, phi2=phi2,
-                        form=form, b=None if plan is None else plan.b, epsilon=rlp.epsilon,
+    return RobustResult(gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1, phi2=phi2, form=form,
+                        b=None if plan is None else plan.basis.degree, epsilon=rlp.epsilon,
                         lp=lp, mu=mu, certificate=handelman.extract_certificate(lp, sol, plan))
 
 
@@ -361,6 +362,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     if not ok.all():
         raise ClassificationError("E(delta), F(delta) must be nonnegative on the box; "
                                   f"fails at {points[int(np.argmin(ok))]}")
+    psys = psys.on_unit_box()
 
     zero = (0,) * psys.nparams
     # the L1 program of the transposed closed loop, on chains that cover B and D:

@@ -526,9 +526,9 @@ def test_non_finite_margins_are_refused(capsys, system_file, command, flag):
     assert capsys.readouterr().out == ""
 
 
-def test_reduced_form_reports_its_fallback_to_the_full_form(capsys, tmp_path):
-    # on the box [10, 11] the pure-power block of Upsilon is numerically
-    # singular from b = 6, where the reduced form solves the full-form LP
+def test_reduced_form_stays_reduced_on_a_shifted_box(capsys, tmp_path):
+    # the LFT writes the box [10, 11] as theta in [0, 1], where the reduced
+    # form needs no inverse; it keeps its smaller LP and the full form's gamma
     from poslp.poly import BoxDomain, polynomial_system
     plant = tmp_path / "plant.json"
     write_polynomial_system(polynomial_system(
@@ -539,9 +539,22 @@ def test_reduced_form_reports_its_fallback_to_the_full_form(capsys, tmp_path):
         code, out = run(capsys, "robust-gain", "--norm", "l1", str(plant), "--degree",
                         str(degree), "--form", form, "--format", "structured")
         assert code == 0
-        return out
-    assert report(6, "reduced") == report(6, "full")
-    assert json.loads(report(6, "reduced"))["form"] == "full"
-    doc = json.loads(report(5, "reduced"))
-    assert doc["form"] == "reduced" and doc["certificate"]["eliminated_columns"]
-    assert {block["kind"] for block in doc["certificate"]["blocks"].values()} == {"R"}
+        return json.loads(out)
+    for degree in (6, 9):
+        reduced, full = report(degree, "reduced"), report(degree, "full")
+        assert reduced["form"] == "reduced" and reduced["certificate"]["eliminated_columns"]
+        assert {block["kind"] for block in reduced["certificate"]["blocks"].values()} == {"R"}
+        assert reduced["lp_vars"] < full["lp_vars"]
+        assert reduced["gamma"] == pytest.approx(full["gamma"], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_gene_model_robust_gain_takes_the_lft_path(capsys, tmp_path, norm):
+    # the gene model's box [-1, 1]^3 is written as [0, 1]^3 on the LFT path
+    path = tmp_path / "gene.json"
+    write_polynomial_system(gene_expression_system(0.3), path)
+    code, out = run(capsys, "robust-gain", "--norm", norm, str(path), "--grid", "5",
+                    "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "lft-ilc" and doc["grid_verdict"] is True

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poslp import handelman as hd
-from poslp.errors import CombinatorialCapError, DegreeError
+from poslp.errors import CombinatorialCapError, DegreeError, DomainError
 from poslp.lpcore import LpBuilder, solve_lp
 from poslp.poly import BoxDomain, Poly, monomials
 from poslp.robust import PolyRow, RobustLinearProgram, solve_robust
@@ -119,6 +119,23 @@ def test_negative_quadratic_certified_at_b2():
         total = sum(qk * float(hd.product_poly(basis, e).eval([theta]))
                     for qk, e in zip(q, prods))
         assert total == pytest.approx(-(theta ** 2 + 1.0), abs=1e-8)
+
+
+def test_reduced_form_refuses_a_box_where_upsilon_2_is_not_the_identity():
+    # the reduced form reads Upsilon_2 = I, true where the lower bounds are 0;
+    # the full form still certifies -(theta^2 + 1) <= 0 on [-1, 1]
+    row = PolyRow(name="q", terms={(0,): (np.zeros(1), -1.0),
+                                   (2,): (np.zeros(1), -1.0)})
+    rlp = make_rlp([row], num_vars=1, objective=[0.0], lower=[0.0],
+                   domain=BoxDomain.symmetric(1))
+    with pytest.raises(DomainError, match="full form"):
+        hd.relax_reduced(rlp, b=2)
+    with pytest.raises(DomainError, match="full form"):
+        solve_robust(rlp, b=2)
+    assert solve_lp(hd.relax_full(rlp, b=2)).status == "optimal"
+    on_0_2 = make_rlp([row], num_vars=1, objective=[0.0], lower=[0.0],
+                      domain=BoxDomain([0.0], [2.0]))
+    assert solve_lp(hd.relax_reduced(on_0_2, b=2)).status == "optimal"
 
 
 def test_full_and_reduced_agree_on_random_rows():

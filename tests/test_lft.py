@@ -225,6 +225,28 @@ def _seeded_polynomial_system(seed, nparams):
         domain=BoxDomain(rng.uniform(-1, 0, nparams), rng.uniform(0.5, 2, nparams)))
 
 
+def test_on_unit_box_keeps_a_unit_box_system():
+    psys = poly3_system()
+    assert psys.on_unit_box() is psys
+
+
+@pytest.mark.parametrize("seed, nparams", [(60, 1), (61, 1), (62, 2), (63, 3)])
+def test_on_unit_box_is_the_system_at_the_mapped_point(seed, nparams):
+    # delta = lower + (upper - lower) theta on boxes with negative lower bounds
+    psys = _seeded_polynomial_system(seed, nparams)
+    lower, upper = psys.domain.lower, psys.domain.upper
+    assert np.all(lower < 0)
+    unit = psys.on_unit_box()
+    assert np.array_equal(unit.domain.lower, np.zeros(nparams))
+    assert np.array_equal(unit.domain.upper, np.ones(nparams))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    theta = np.vstack([rng.uniform(0, 1, (20, nparams))] + unit.domain.vertices())
+    delta = lower + theta * (upper - lower)
+    for got, ref in zip(unit.frozen_stack(theta), psys.frozen_stack(delta), strict=True):
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+    assert lft.channel_layout(unit) == lft.channel_layout(psys)
+
+
 def _ill_posed_kwargs(nparams, upper):
     """A loop whose I - Delta F00 is singular where some delta_k is 1."""
     n0 = nparams

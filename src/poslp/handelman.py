@@ -204,14 +204,14 @@ class HandelmanCertificate:
     eliminated_columns: tuple | None    # Upsilon_2 product columns (reduced)
 
 
-def extract_certificate(lp, solution, plan):
-    """Certificate of a solved relaxation `lp` made with `plan`; it lists the
-    eliminated columns unless `lp` holds full-form (Q) blocks."""
+def extract_certificate(lp, solution, plan, form):
+    """Certificate of a solved relaxation `lp` made with `plan` in `form`; a
+    reduced one lists the eliminated columns."""
     if plan is None:
         return None
     blocks = certificate_blocks(lp, solution)
     eliminated = None
-    if all(kind != "Q" for kind, _ in lp.var_blocks.values()):
+    if form == "reduced":
         sel = pure_power_columns(plan.basis, plan.ups)
         eliminated = tuple(plan.ups.products[k] for k in sel)
     return HandelmanCertificate(products=plan.ups.products, monomials=plan.ups.monomials,

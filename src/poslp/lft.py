@@ -25,10 +25,10 @@ _WELLPOSED_RCOND = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LftSystem:
-    """Nine-block LFT data; the loop is w0 = Delta(delta) z0.
-
-    ``delta_structure`` is an n0 x n0 matrix polynomial describing Delta(delta)
-    (`closed_sample` keeps `_check_well_posed` of this LFT); it is None for
+    """Nine-block LFT data; the loop is w0 = Delta(delta) z0, well-posed on all of R^N when
+    every term of Delta times F00 is strictly lower triangular (det(I - Delta F00) = 1, as in
+    every canonical LFT) and otherwise sampled on the box by `_check_well_posed` on construction.
+    ``delta_structure`` is an n0 x n0 matrix polynomial describing Delta(delta); it is None for
     operator-type uncertainty (e.g. delays), analyzed only through a constant static gain."""
 
     A: np.ndarray
@@ -71,7 +71,11 @@ class LftSystem:
                 raise DimensionError("delta_structure must be n0 x n0")
             if self.domain is None:
                 raise DimensionError("parametric uncertainty needs a box domain")
-            object.__setattr__(self, "closed_sample", _check_well_posed(self))
+            if self.delta_structure.nparams != self.domain.nparams:
+                raise DimensionError(f"delta_structure has {self.delta_structure.nparams} "
+                                     f"parameters, the box {self.domain.nparams}")
+            if any(np.triu(d @ f00).any() for d in self.delta_structure.terms.values()):
+                _check_well_posed(self)
 
     @property
     def n(self):
@@ -120,7 +124,7 @@ def _close_stack(lft, deltas, where):
 
 
 def _check_well_posed(lft):
-    """The box's sample points, Delta at them and the loop closed there (`_close_stack`)."""
+    """Box sample, Delta there and the loop closed there, for `robust._validate_positive_lft`."""
     points = _wellposed_points(lft.domain)
     deltas = lft.delta_structure.eval_many(points)
     return points, deltas, _close_stack(

@@ -22,8 +22,8 @@ import numpy as np
 from . import handelman, ilc, numlin, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
-from .lft import (TransposedLft, _chain_coefficients, _close_stack, _wellposed_points,
-                  channel_layout, close_at, plain_lft, transpose_lft)
+from .lft import (TransposedLft, _chain_coefficients, _check_well_posed, _close_stack,
+                  _wellposed_points, channel_layout, close_at, plain_lft, transpose_lft)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows, recover_k
@@ -111,7 +111,7 @@ def _validate_positive_lft(lft):
             raise ClassificationError(f"positive LFT needs {name} >= 0")
     if lft.delta_structure is None:
         raise ModelError("parametric analysis needs a Delta(delta) structure")
-    points, deltas, closed = lft.closed_sample
+    points, deltas, closed = _check_well_posed(lft)
     delta_ok = np.all(deltas >= -1e-12, axis=(1, 2))
     refused = ~(delta_ok & sysmodel.positive_stack(*closed, tol=1e-9))
     if refused.any():
@@ -256,8 +256,8 @@ def solve_robust(rlp, b=None, form="reduced"):
                   for key in ("phi1", "phi2"))
     mu = [x[col] for col in rlp.blocks["mu"]] if "mu" in rlp.blocks else None
     return RobustResult(gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1, phi2=phi2, form=form,
-                        b=None if plan is None else plan.basis.degree, epsilon=rlp.epsilon,
-                        lp=lp, mu=mu, certificate=handelman.extract_certificate(lp, sol, plan))
+                        b=None if plan is None else plan.basis.degree, epsilon=rlp.epsilon, mu=mu,
+                        lp=lp, certificate=handelman.extract_certificate(lp, sol, plan, form))
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,18 @@ def test_constant_row_passes_through():
     assert sol.x[0] == pytest.approx(-0.5)
 
 
+
+@pytest.mark.parametrize("form, eliminated", [("full", None),
+                                              ("reduced", ((0, 0), (1, 0), (2, 0)))])
+def test_certificate_lists_eliminated_columns_of_the_reduced_form_only(form, eliminated):
+    # a degree-0 row writes no certificate block, so the blocks cannot tell the form
+    row = PolyRow(name="c", terms={(0,): (np.array([-1.0]), 0.5)})
+    res = solve_robust(make_rlp([row]), form=form)
+    assert res.form == form
+    assert res.certificate.blocks == {}
+    assert res.certificate.eliminated_columns == eliminated
+
+
 def test_negative_quadratic_certified_at_b2():
     # -(theta^2 + 1) <= 0 on [-1, 1]; half-and-half squares decomposition
     row = PolyRow(name="q", terms={(0,): (np.zeros(1), -1.0),

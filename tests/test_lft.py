@@ -1,12 +1,16 @@
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_golden import small_plant, uncertain_input_plant
 
-from poslp import lft, sysmodel
-from poslp.cases import POLY3_A, POLY3_C, POLY3_E, POLY3_F, poly3_system
-from poslp.errors import ModelError, WellPosednessError
-from poslp.poly import BoxDomain, Poly, polynomial_system
+from poslp import ilc, lft, robust, sysmodel
+from poslp.cases import (POLY3_A, POLY3_C, POLY3_E, POLY3_F, gene_expression_system,
+                         poly3_system)
+from poslp.errors import DimensionError, ModelError, WellPosednessError
+from poslp.poly import BoxDomain, Poly, polynomial_system, read_polynomial_system
 
 
 def affine_toy():
@@ -318,14 +322,104 @@ def test_closure_without_loop_channels_returns_the_plain_blocks():
         [m.tobytes() for m in _reference_close(l, np.zeros((0, 0)))]
 
 
-def test_transpose_lft_checks_well_posedness_once(monkeypatch):
+def _close_stack_calls(monkeypatch):
+    """The stack length of every `_close_stack` call from here on."""
     calls = []
-    check = lft._check_well_posed
+    close = lft._close_stack
 
-    def spy(l):
-        calls.append(type(l))
-        return check(l)
-    monkeypatch.setattr(lft, "_check_well_posed", spy)
-    tl = lft.transpose_lft(poly3_system())
-    assert isinstance(tl, lft.TransposedLft)
-    assert calls == [lft.TransposedLft]
+    def spy(l, deltas, where):
+        calls.append(len(deltas))
+        return close(l, deltas, where)
+    monkeypatch.setattr(lft, "_close_stack", spy)
+    return calls
+
+
+def test_canonical_lfts_close_no_sample(monkeypatch):
+    # their Delta F00 is strictly lower triangular, so nothing is sampled; only
+    # the positivity check of a robust gain closes the loop
+    calls = _close_stack_calls(monkeypatch)
+    assert type(lft.lft_from_polynomial(poly3_system())) is lft.LftSystem
+    assert type(lft.transpose_lft(poly3_system())) is lft.TransposedLft
+    robust.robust_stabilize(small_plant(), ilc.FreeConstant())
+    assert calls == []
+
+
+def _structure_proves_well_posed(l):
+    return not any(np.triu(d @ l.F00).any() for d in l.delta_structure.terms.values())
+
+
+def _synthesis_lft(psys):
+    """The transposed LFT robust synthesis writes its program on."""
+    unit = psys.on_unit_box()
+    layout = lft.channel_layout(unit, ("A", "B", "E"), ("C", "D", "F"), unit.q, "robust synthesis")
+    return lft.transpose_lft(unit, layout)
+
+
+def _robust_relax_inputs(directory):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.generate("robust_relax", 1, str(directory))
+    return [read_polynomial_system(path) for path in sorted(directory.glob("*.json"))
+            if not path.name.endswith("_bounds.json")]
+
+
+def test_every_canonical_lft_is_well_posed_by_structure(monkeypatch, tmp_path):
+    psystems = [poly3_system(), gene_expression_system(0.3), small_plant(),
+                uncertain_input_plant()]
+    psystems += [_seeded_polynomial_system(seed, nparams)
+                 for seed, nparams in [(60, 1), (61, 1), (62, 2), (63, 3)]]
+    psystems += _robust_relax_inputs(tmp_path)
+    calls = _close_stack_calls(monkeypatch)
+    built = []
+    for psys in psystems:
+        built += [lft.lft_from_polynomial(psys), lft.transpose_lft(psys)]
+        if psys.m:
+            built.append(_synthesis_lft(psys))
+    assert len(built) == 48
+    assert calls == []
+    assert all(l.n0 and _structure_proves_well_posed(l) for l in built)
+
+
+def _one_parameter_kwargs(f00):
+    """Two loop channels with Delta = delta I on [0, 1]."""
+    return dict(A=[[-2.0, 0.1], [0.2, -1.0]], E0=[[0.5, 0.1], [0.2, 0.3]], E1=[[1.0], [0.5]],
+                C0=np.eye(2), C1=[[1.0, 0.0]], F00=f00, F01=[[0.2], [0.1]], F10=[[0.3, 0.4]],
+                F11=[[0.0]], delta_structure=Poly(1, (2, 2), {(1,): np.eye(2)}),
+                domain=BoxDomain.unit(1))
+
+
+def test_strictly_lower_loop_closes_without_a_sample(monkeypatch):
+    calls = _close_stack_calls(monkeypatch)
+    l = lft.LftSystem(**_one_parameter_kwargs([[0.0, 0.0], [5.0, 0.0]]))
+    assert calls == []
+    for d in (0.0, 0.4, 1.0):
+        closed = lft.close_at(l, [d])
+        # (I - d F00)^{-1} d = d [[1, 0], [5 d, 1]]
+        w = d * np.array([[1.0, 0.0], [5.0 * d, 1.0]])
+        expect = (l.A + l.E0 @ w @ l.C0, l.C1 + l.F10 @ w @ l.C0,
+                  l.E1 + l.E0 @ w @ l.F01, l.F11 + l.F10 @ w @ l.F01)
+        got = (closed.A, closed.C, closed.E, closed.F)
+        assert all(np.allclose(g, e, rtol=1e-15, atol=1e-15) for g, e in zip(got, expect))
+        assert [m.tobytes() for m in got] == \
+            [m.tobytes() for m in _reference_close(l, l.delta_structure.eval([d]))]
+    assert calls == [1, 1, 1]
+
+
+def test_loop_the_structure_does_not_prove_is_sampled(monkeypatch):
+    # Delta F00 = [[0, delta], [0, 0]] is nilpotent but upper triangular: the
+    # structure test is sufficient, not necessary, so the box is sampled and passes
+    calls = _close_stack_calls(monkeypatch)
+    l = lft.LftSystem(**_one_parameter_kwargs([[0.0, 1.0], [0.0, 0.0]]))
+    assert not _structure_proves_well_posed(l)
+    assert calls == [11]
+
+
+def test_delta_parameters_must_match_the_box():
+    kwargs = _one_parameter_kwargs([[0.0, 0.0], [1.0, 0.0]])
+    kwargs["delta_structure"] = Poly(2, (2, 2), {(1, 0): np.diag([1.0, 0.0]),
+                                                 (0, 1): np.diag([0.0, 1.0])})
+    with pytest.raises(DimensionError) as err:
+        lft.LftSystem(**kwargs)
+    assert str(err.value) == "delta_structure has 2 parameters, the box 1"

@@ -7,7 +7,9 @@ reach the solver, so computed gains carry a small, explicitly reported upward bi
 sparse pivots only the pivot row's nonzero columns, of the touched rows or whole when most of
 a tall tableau's rows are touched; and the whole tableau in place, with einsum's products, when
 most rows are touched.  Phase 2 runs on a view of the phase-1 tableau, and an objective with one
-nonzero cost is priced from one tableau row.
+nonzero cost is priced from one tableau row.  A solve holds one standard-form-sized buffer at a
+time: the standard form is written straight into the phase-1 tableau, and the final basis matrix
+is rebuilt from the LP's rows once the tableau is released.
 """
 
 from dataclasses import dataclass, field
@@ -226,7 +228,8 @@ class _Standardizer:
     are shifted out, upper-only variables negated, free variables split in
     two columns; two-sided bounds add an identity block of upper rows,
     inequalities an identity block of slack columns, and rows with a
-    negative rhs are negated.
+    negative rhs are negated.  The matrix is never stored: `write` fills any
+    of its columns from the LP's rows, into the phase-1 tableau or a basis.
     """
 
     def __init__(self, lp):
@@ -245,21 +248,46 @@ class _Standardizer:
         m, boxed = lp.num_rows, np.flatnonzero(has_lo & has_up)
         self.is_eq = np.array(lp.row_relations, dtype=object) == "=="
         ineq = np.flatnonzero(np.concatenate([~self.is_eq, np.ones(boxed.size, dtype=bool)]))
-        self.a = a = np.zeros((m + boxed.size, num_std + ineq.size))
-        np.multiply(lp.row_coeffs[:, var], sign, out=a[:m, :num_std])
-        a[m + np.arange(boxed.size), first[boxed]] = 1.0
-        a[ineq, num_std + np.arange(ineq.size)] = 1.0
-        self.slack_of_row = np.full(a.shape[0], -1, dtype=int)
+        self.shape = (m + boxed.size, num_std + ineq.size)
+        self.row_coeffs = lp.row_coeffs
+        # the row of each column's unit entry: a boxed variable's upper row, a slack's own row
+        self.unit_row = np.concatenate([np.full(num_std, -1), ineq])
+        self.unit_row[first[boxed]] = m + np.arange(boxed.size)
+        self.slack_of_row = np.full(self.shape[0], -1, dtype=int)
         self.slack_of_row[ineq] = num_std + np.arange(ineq.size)
 
         rhs = np.concatenate([lp.row_rhs - lp.row_coeffs @ self.offset, up[boxed] - lo[boxed]])
         neg = rhs < 0
-        a[neg] *= -1.0
         rhs[neg] = -rhs[neg]
         self.b = rhs
         self.row_sign = np.where(neg, -1.0, 1.0)
-        self.cost = np.zeros(a.shape[1])
+        self.cost = np.zeros(self.shape[1])
         self.cost[:num_std] = lp.objective[var] * sign
+
+    @property
+    def a(self):
+        """The whole standard-form matrix, written anew on each read."""
+        return self.columns(np.arange(self.shape[1]))
+
+    def columns(self, cols):
+        """A new matrix of the standard-form columns `cols`, in order."""
+        out = np.zeros((self.shape[0], cols.size))
+        self.write(out, cols)
+        return out
+
+    def write(self, out, cols):
+        """Write standard-form column cols[j] into column j of the zeroed `out`: the
+        signed gather of row_coeffs, the unit entries, then the rows of negative rhs
+        negated (a sign flip, so the bits do not depend on the order of the two signs)."""
+        j = (cols < self.num_std).nonzero()[0]
+        k = cols[j]
+        block = self.row_coeffs[:, self.var[k]]
+        block *= self.sign[k]
+        out[:block.shape[0], j] = block
+        rows = self.unit_row[cols]
+        j = (rows >= 0).nonzero()[0]
+        out[rows[j], j] = 1.0
+        out *= self.row_sign[:, None]
 
     def back_substitute(self, x_std):
         return self._add_columns(self.offset.copy(), x_std)
@@ -367,15 +395,16 @@ def _basis_solve(m, rhs):
     return np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
-def _dual_multipliers(std, basis, struct_cost, art_rows):
-    """Simplex multipliers y with B^T y = c_B, from the pristine columns;
-    artificial column ncols + k is the unit vector of row art_rows[k]."""
-    ncols = std.a.shape[1]
+def _dual_multipliers(std, basis, struct_cost, art_rows, bmat=None):
+    """Simplex multipliers y with B^T y = c_B.  The optimal basis has only standard-form
+    columns and passes its B as `bmat`, shared with the primal solve; phase 1's basis is
+    built here, artificial column ncols + k being the unit vector of row art_rows[k]."""
+    if bmat is not None:
+        return _basis_solve(bmat.T, struct_cost[basis])
+    ncols = std.shape[1]
     art = basis >= ncols
-    if not art.any():
-        return _basis_solve(std.a[:, basis].T, struct_cost[basis])
-    bmat = np.zeros((std.a.shape[0], basis.size))
-    bmat[:, ~art] = std.a[:, basis[~art]]
+    bmat = np.zeros((std.shape[0], basis.size))
+    bmat[:, ~art] = std.columns(basis[~art])
     bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
     cb = np.ones(basis.size)
     cb[~art] = struct_cost[basis[~art]]
@@ -385,28 +414,24 @@ def _dual_multipliers(std, basis, struct_cost, art_rows):
 def solve_lp(lp, max_iterations=1_000_000):
     """Solve the LP with a dense two-phase primal simplex.
 
-    Phase 2 runs on a view of the phase-1 tableau without its artificial columns.
-    Optimal solutions are re-derived from the final basis with a fresh linear
-    solve and verified (primal feasibility, duality gap) before being
-    returned; failure to verify raises NonConvergenceError.
+    The standard form is written straight into the phase-1 tableau, and phase 2 runs on a
+    view of it without its artificial columns.  Optimal solutions are re-derived from the
+    final basis, its matrix B rebuilt from the LP's rows once the tableau is released, by
+    one LU solve of B and one of B^T, and verified (primal feasibility, duality gap) before
+    being returned; failure to verify raises NonConvergenceError.
     """
     std = _Standardizer(lp)
-    a, b = std.a, std.b
-    num_rows, ncols = a.shape
+    num_rows, ncols = std.shape
 
     # a slack with a positive coefficient starts in the basis, other rows
     # get an artificial column
-    slack = std.slack_of_row
-    start = np.flatnonzero(slack >= 0)
-    start = start[a[start, slack[start]] > 0]
-    basis = np.full(num_rows, -1)
-    basis[start] = slack[start]
+    basis = np.where(std.row_sign > 0, std.slack_of_row, -1)
     art_rows = (basis < 0).nonzero()[0]
     basis[art_rows] = ncols + np.arange(art_rows.size)
     t = np.zeros((num_rows, ncols + art_rows.size + 1))
-    t[:, :ncols] = a
+    std.write(t[:, :ncols], np.arange(ncols))
     t[art_rows, basis[art_rows]] = 1.0
-    t[:, -1] = b
+    t[:, -1] = std.b
     iters = 0
 
     if art_rows.size:
@@ -414,7 +439,8 @@ def solve_lp(lp, max_iterations=1_000_000):
         cost1[ncols:] = 1.0
         status, iters, _ = _simplex_loop(t, basis, cost1, ncols, max_iterations, 0)
         phase1 = float(cost1[basis] @ t[:, -1])
-        if phase1 > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
+        if phase1 > _FEAS_TOL * (1.0 + float(np.abs(std.b).max(initial=0.0))):
+            del t
             y = _dual_multipliers(std, basis, np.zeros(ncols), art_rows)
             cert = y[:lp.num_rows] * std.row_sign[:lp.num_rows]
             return LpSolution("infeasible", None, np.nan, iters, certificate=cert)
@@ -427,13 +453,15 @@ def solve_lp(lp, max_iterations=1_000_000):
         ray_std[basis] = -t[:, enter]
         return LpSolution("unbounded", None, -np.inf, iters,
                           certificate=std.ray_back(ray_std))
+    del t
 
+    bmat = std.columns(basis)
     x_std = np.zeros(ncols)
-    x_std[basis] = _basis_solve(std.a[:, basis], std.b)
+    x_std[basis] = _basis_solve(bmat, std.b)
     x = std.back_substitute(x_std)
     obj = float(lp.objective @ x)
 
-    y = _dual_multipliers(std, basis, std.cost, art_rows)
+    y = _dual_multipliers(std, basis, std.cost, art_rows, bmat)
     dual = y[:lp.num_rows] * std.row_sign[:lp.num_rows]
     _verify_optimal(lp, std, x, x_std, y, obj)
     return LpSolution("optimal", x, obj, iters, dual=dual)

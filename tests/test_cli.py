@@ -277,6 +277,13 @@ def test_system_file_without_n_is_refused(capsys, tmp_path, system_file):
     assert err == "error: system is missing the key 'n'\n"
 
 
+@pytest.mark.parametrize("argv", [["check"], ["gain", "--norm", "l1"]])
+def test_system_commands_refuse_a_polynomial_system_file(capsys, poly_file, argv):
+    # a file without A was read as A = 0: check called it positive, gain unstable
+    err = refused(capsys, [*argv, poly_file])
+    assert err == "error: system is missing the key 'A'\n"
+
+
 def test_polynomial_system_file_without_nparams_is_refused(capsys, tmp_path, poly_file):
     doc = json.loads(open(poly_file).read())
     del doc["nparams"]

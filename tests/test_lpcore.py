@@ -234,12 +234,11 @@ def loop_standard_form(lp):
     return a, np.array(rhs, dtype=float), cost, offset, row_sign, slack_of_row, back
 
 
-def test_standard_form_matches_loop_reference_bit_for_bit():
-    # lower-only, upper-only, free and two-sided variables, "<=" and "=="
-    # rows, zero costs of both signs; compare values and sign bits
-    from poslp.lpcore import _Standardizer
-    rng = np.random.default_rng(11)
-    for trial in range(150):
+def random_standard_lps(seed, count):
+    """LPs with lower-only, upper-only, free and two-sided variables, "<=" or
+    "==" rows of either sign of rhs, and zero costs of both signs."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
         n, m = int(rng.integers(1, 8)), int(rng.integers(0, 7))
         kind = rng.integers(0, 4, n)
         lo = np.where(kind % 3 == 0, rng.uniform(-2, 1, n), -np.inf)
@@ -250,7 +249,13 @@ def test_standard_form_matches_loop_reference_bit_for_bit():
         lp.add_rows(slice(0, n), rng.uniform(-1, 1, (m, n)),
                     "==" if trial % 4 == 0 else "<=", rng.uniform(-2, 2, m),
                     [f"r{i}" for i in range(m)])
-        lp = lp.build()
+        yield rng, lp.build()
+
+
+def test_standard_form_matches_loop_reference_bit_for_bit():
+    # compare values and sign bits
+    from poslp.lpcore import _Standardizer
+    for trial, (rng, lp) in enumerate(random_standard_lps(11, 150)):
         std = _Standardizer(lp)
         a, b, cost, offset, row_sign, slack_of_row, back = loop_standard_form(lp)
         x_std = rng.uniform(-1, 1, a.shape[1])
@@ -259,6 +264,71 @@ def test_standard_form_matches_loop_reference_bit_for_bit():
                           (std.back_substitute(x_std), back(x_std))):
             assert got.shape == want.shape
             assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes(), trial
+
+
+def reference_basis(std, basis, art_rows):
+    """B gathered from the whole standard form, artificial column ncols + k
+    the unit vector of row art_rows[k]."""
+    a = std.a
+    art = basis >= a.shape[1]
+    bmat = np.zeros((a.shape[0], basis.size))
+    bmat[:, ~art] = a[:, basis[~art]]
+    bmat[art_rows[basis[art] - a.shape[1]], np.flatnonzero(art)] = 1.0
+    return bmat
+
+
+def test_basis_matrix_matches_standard_form_columns_bit_for_bit(monkeypatch):
+    # random column subsets of the random standard forms, zero signs included
+    from poslp.lpcore import _Standardizer
+    for trial, (rng, lp) in enumerate(random_standard_lps(12, 150)):
+        std = _Standardizer(lp)
+        a = loop_standard_form(lp)[0]
+        cols = rng.permutation(a.shape[1])[:int(rng.integers(0, a.shape[1] + 1))]
+        got = std.columns(cols)
+        assert got.tobytes() == a[:, cols].tobytes() == std.a[:, cols].tobytes(), trial
+    # the final basis of every tall solve, passed to the primal and the dual
+    # LU solve, and phase 1's basis with artificial columns on infeasible LPs
+    dual, basis_solve, seen = lpcore._dual_multipliers, lpcore._basis_solve, set()
+    matrices, calls = [], []
+
+    def recording_dual(std, basis, *args):
+        calls.append((std, basis.copy(), args[1]))
+        return dual(std, basis, *args)
+
+    def recording_solve(m, rhs):
+        matrices.append(m)
+        return basis_solve(m, rhs)
+    monkeypatch.setattr(lpcore, "_dual_multipliers", recording_dual)
+    monkeypatch.setattr(lpcore, "_basis_solve", recording_solve)
+    rng = np.random.default_rng(2029)
+    infeasible = [(f"infeasible {trial}", random_lp(rng, "infeasible")) for trial in range(30)]
+    for name, lp in list(tall_lps()) + infeasible:
+        matrices.clear()
+        calls.clear()
+        status = solve_lp(lp).status
+        (std, basis, art_rows), = calls
+        want = reference_basis(std, basis, art_rows)
+        primal = [want.tobytes()] if status == "optimal" else []
+        assert [m.tobytes() for m in matrices] == primal + [want.T.tobytes()], name
+        seen.add((name.split()[0], status, bool((basis >= std.shape[1]).any())))
+    assert {("synth", "optimal", False), ("poly3", "optimal", False),
+            ("infeasible", "infeasible", True)} <= seen, seen
+
+
+def test_solve_lp_peaks_below_one_and_a_half_standard_forms():
+    # the n = 24 and n = 40 synthesis LPs: the phase-1 tableau is the standard
+    # form 27 or 43 columns wider, and the basis matrix is built only once it
+    # is released; a standard form kept beside the tableau peaks near 2.9
+    for n in (24, 40):
+        lp = synthesis.synthesis_lp(sysmodel.random_positive_system(n, 2, 2, 2, seed=n))
+        size = lpcore._Standardizer(lp).a.nbytes
+        tracemalloc.start()
+        try:
+            solve_lp(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, (n, peak / size)
 
 
 def test_validation_rejects_lower_bound_at_plus_infinity():
@@ -281,13 +351,11 @@ def dense_eliminate(t, leave, enter):
     t[other] -= np.outer(t[other, enter], t[leave])
 
 
-def lstsq_dual_multipliers(std, basis, struct_cost, art_rows):
-    """Reference duals: least squares on B^T y = c_B."""
-    ncols = std.a.shape[1]
-    art = basis >= ncols
-    bmat = np.zeros((std.a.shape[0], basis.size))
-    bmat[:, ~art] = std.a[:, basis[~art]]
-    bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
+def lstsq_dual_multipliers(std, basis, struct_cost, art_rows, bmat=None):
+    """Reference duals: least squares on B^T y = c_B, with the caller's B if given."""
+    if bmat is None:
+        bmat = reference_basis(std, basis, art_rows)
+    art = basis >= std.shape[1]
     cb = np.ones(basis.size)
     cb[~art] = struct_cost[basis[~art]]
     return np.linalg.lstsq(bmat.T, cb, rcond=None)[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialCapError, DegreeError, DomainError
+from .errors import CombinatorialCapError, DegreeError, DomainError, ValidationError
 from .poly import Poly, monomials, poly_mul
 
 PRODUCT_CAP = 10_000
@@ -40,12 +40,11 @@ class HandelmanBasis:
     def from_box(cls, box, degree):
         if degree < 1:
             raise DegreeError("product degree b must be >= 1")
-        forms = []
-        for k in range(box.nparams):
-            delta_k = Poly.variable(box.nparams, k)
-            forms.append(Poly.constant(-float(box.lower[k]), box.nparams) + delta_k)
-            forms.append(Poly.constant(float(box.upper[k]), box.nparams) - delta_k)
-        return cls(forms=tuple(forms), degree=int(degree), nparams=box.nparams)
+        n, forms = box.nparams, []
+        for k, e_k in enumerate(monomials(n, 1)[1:]):
+            forms.append(Poly(n, (), {(0,) * n: -float(box.lower[k]), e_k: 1.0}))
+            forms.append(Poly(n, (), {(0,) * n: float(box.upper[k]), e_k: -1.0}))
+        return cls(forms=tuple(forms), degree=int(degree), nparams=n)
 
 
 def enumerate_products(basis, cap=PRODUCT_CAP):
@@ -83,28 +82,54 @@ class UpsilonData:
         return self.monomials.index(tuple(alpha))
 
 
+def _affine_form(form):
+    """(c0, k, c1) of a form c0 + c1 theta_k; any other form is refused."""
+    zero = (0,) * form.nparams
+    linear = [alpha for alpha in form.terms if alpha != zero]
+    if form.shape != () or len(linear) != 1 or sum(linear[0]) != 1:
+        raise ValidationError(f"Handelman form {form} is not a constant plus one theta term")
+    return float(form.terms.get(zero, 0.0)), linear[0].index(1), float(form.terms[linear[0]])
+
+
 def build_upsilon(basis):
-    """Products made as `product_poly` makes them, left to right, with one
-    `poly_mul` each: a product is its prefix (lower degree, so made earlier)
-    times its last factor."""
+    """Products made left to right, as `product_poly` makes them: column k
+    is its prefix's column (lower degree, so made earlier) times the last
+    form c0 + c1 theta_j, that is c0 times the prefix plus c1 times the
+    prefix shifted from alpha to alpha + e_j.  Each entry sums at most these
+    two products, so it has the bits of `poly_mul`'s sum; the columns of one
+    degree and last form are made together."""
     prods = enumerate_products(basis)
     mons = monomials(basis.nparams, basis.degree)
+    forms = [_affine_form(form) for form in basis.forms]
+    col = {expo: k for k, expo in enumerate(prods)}
+    row = {alpha: i for i, alpha in enumerate(mons)}
+    low = [alpha for alpha in mons if sum(alpha) < basis.degree]   # graded: the first rows
+    up = [[row[alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]] for alpha in low]
+          for k in range(basis.nparams)]      # the rows of theta_k times them
+    groups = {}                     # (degree, last form) -> (columns, prefix columns)
+    for c, expo in enumerate(prods[1:], 1):
+        j = max(i for i, e in enumerate(expo) if e)
+        cols, prefixes = groups.setdefault((sum(expo), j), ([], []))
+        cols.append(c)
+        prefixes.append(col[expo[:j] + (expo[j] - 1,) + expo[j + 1:]])
     u = np.zeros((len(mons), len(prods)))
-    mon_index = {m: i for i, m in enumerate(mons)}
-    made = {}
-    for k, expo in enumerate(prods):
-        j = max((i for i, e in enumerate(expo) if e), default=-1)
-        made[expo] = Poly.constant(1.0, basis.nparams) if j < 0 else \
-            poly_mul(made[expo[:j] + (expo[j] - 1,) + expo[j + 1:]], basis.forms[j])
-        for alpha, coeff in made[expo].terms.items():
-            u[mon_index[alpha], k] = float(coeff)
+    u[0, 0] = 1.0
+    for (_, j), (cols, prefixes) in groups.items():
+        c0, k, c1 = forms[j]
+        prefix = u[:, prefixes]
+        block = c0 * prefix if c0 else np.zeros_like(prefix)   # no constant, no product
+        block[up[k]] += c1 * prefix[:len(low)]
+        u[:, cols] = block
+    u += 0.0                        # every zero +0.0, as a Poly's unstored terms
     return UpsilonData(monomials=tuple(mons), products=tuple(prods), matrix=u)
 
 
 def pure_power_columns(basis, ups):
     """The products of the lower forms only (no exponent on an upper form,
     every second form of `basis`): one per monomial, in monomial order, the
-    block Upsilon_2, triangular with unit diagonal (I where lower bounds are 0)."""
+    block Upsilon_2, triangular with unit diagonal.  Where the lower bounds
+    are 0 each lower form is theta_k, so the recurrence only shifts these
+    columns and Upsilon_2 is exactly I."""
     return [k for k, expo in enumerate(ups.products) if not any(expo[1::2])]
 
 
@@ -146,17 +171,19 @@ def _relaxed(rlp, plan, kind, tag, relation, u):
     builder = rlp.builder.copy()
     x = list(range(builder.num_vars))
     cert = {}
+    neg_u = None if u is None else -u
     for r, row in enumerate(rlp.poly_rows):
-        if row.degree() > plan.basis.degree:
-            raise DegreeError(f"row {row.name} degree {row.degree()} > b={plan.basis.degree}")
-        if row.degree() == 0:
+        degree = row.degree()
+        if degree > plan.basis.degree:
+            raise DegreeError(f"row {row.name} degree {degree} > b={plan.basis.degree}")
+        if degree == 0:
             coeffs, const = row.terms[next(iter(row.terms))]
             builder.add_row(coeffs, "<=", -const, row.name)
             continue
         a, c = _row_tables(row, plan.ups, len(x))
         y = builder.add_vars(f"{kind}{r}_", u.shape[1], upper=0.0)
         cert[row.name] = (kind, y)
-        builder.add_rows(x + y, np.hstack([a, -u]), relation, -c,
+        builder.add_rows(x + y, np.hstack([a, neg_u]), relation, -c,
                          [f"{tag}{r}_{i}" for i in range(len(c))])
     return builder.build(cert)
 

@@ -140,7 +140,16 @@ class LpBuilder:
         return len(self._obj) - 1
 
     def add_vars(self, prefix, count, lower=None, upper=None, objective=0.0):
-        return [self.add_var(f"{prefix}{i}", lower, upper, objective) for i in range(count)]
+        """`count` variables named prefix0, prefix1, ... with the same bounds
+        and cost; their columns."""
+        lower = -np.inf if lower is None else float(lower)
+        upper = np.inf if upper is None else float(upper)
+        objective, start = float(objective), len(self._obj)
+        self._var_names += [f"{prefix}{i}" for i in range(count)]
+        self._lower += [lower] * count
+        self._upper += [upper] * count
+        self._obj += [objective] * count
+        return list(range(start, start + count))
 
     def add_rows(self, cols, coeffs, relation, rhs, names):
         """Add one row per name: the dense block `coeffs` (rows x columns)
@@ -347,6 +356,11 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
         else:
             rmin = float(ratios.min())
             ties = pos[ratios <= rmin * (1 + 1e-9) + 1e-12]
+            if ties.size == 0:      # the tolerance lies below a negative rmin
+                row = int(pos[ratios.argmin()])
+                raise NonConvergenceError(
+                    f"simplex lost primal feasibility: tableau row {row} has rhs "
+                    f"{rhs[row]:.3e} < 0 in the ratio test")
             leave = int(ties[basis[ties].argmin() if bland else col[ties].argmax()])
         if rmin <= 1e-12:
             degenerate += 1

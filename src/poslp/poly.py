@@ -21,13 +21,15 @@ def monomials(nparams, max_degree):
     """All exponent tuples with total degree <= max_degree, graded-lex order."""
     if nparams == 0:
         return [()]
-    out = []
-    for deg in range(max_degree + 1):
-        level = [t for t in itertools.product(range(deg + 1), repeat=nparams)
-                 if sum(t) == deg]
-        level.sort(reverse=True)
-        out.extend(level)
-    return out
+    return [t for deg in range(max_degree + 1) for t in _compositions(nparams, deg)]
+
+
+def _compositions(nparams, deg):
+    """The exponent tuples of total degree `deg`, lexicographically descending."""
+    if nparams == 1:
+        return [(deg,)]
+    return [(a,) + rest for a in range(deg, -1, -1)
+            for rest in _compositions(nparams - 1, deg - a)]
 
 
 class Poly:
@@ -49,6 +51,16 @@ class Poly:
             if arr.size and np.any(arr != 0.0):
                 clean[alpha] = arr
         self.terms = clean
+
+    @classmethod
+    def _made(cls, nparams, shape, terms):
+        """The Poly of terms this module computed, float coefficients of
+        `shape` under valid exponent tuples: zero terms are dropped, nothing
+        else is checked again."""
+        out = cls.__new__(cls)
+        out.nparams, out.shape = nparams, shape
+        out.terms = {a: np.asarray(c) for a, c in terms.items() if (c != 0.0).any()}
+        return out
 
     @classmethod
     def constant(cls, value, nparams):
@@ -121,10 +133,10 @@ class Poly:
         terms = {a: c.copy() for a, c in self.terms.items()}
         for a, c in other.terms.items():
             terms[a] = terms.get(a, np.zeros(self.shape)) + c
-        return Poly(self.nparams, self.shape, terms)
+        return Poly._made(self.nparams, self.shape, terms)
 
     def __neg__(self):
-        return Poly(self.nparams, self.shape, {a: -c for a, c in self.terms.items()})
+        return Poly._made(self.nparams, self.shape, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -165,7 +177,7 @@ def poly_mul(p, q):
             key = tuple(x + y for x, y in zip(a, b))
             val = combine(ca, cb)
             terms[key] = terms.get(key, np.zeros(shape)) + val
-    return Poly(p.nparams, shape, terms)
+    return Poly._made(p.nparams, shape, terms)
 
 
 @dataclass(frozen=True, eq=False)

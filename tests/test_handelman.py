@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from poslp import handelman as hd
-from poslp.errors import CombinatorialCapError, DegreeError, DomainError
+from poslp.errors import CombinatorialCapError, DegreeError, DomainError, PoslpError
 from poslp.lpcore import LpBuilder, solve_lp
-from poslp.poly import BoxDomain, Poly, monomials
+from poslp.poly import BoxDomain, Poly, monomials, poly_mul
 from poslp.robust import PolyRow, RobustLinearProgram, solve_robust
 
 
@@ -299,5 +299,56 @@ def test_upsilon_makes_each_product_with_one_multiplication(box, degrees, monkey
         with monkeypatch.context() as patch:
             patch.setattr(hd, "poly_mul", lambda p, q: calls.append(1) or mul(p, q))
             ups = hd.build_upsilon(basis)
-        assert len(calls) == len(ups.products) - 1, b
+        assert len(calls) == 0, b
         assert ups.matrix.tobytes() == per_product_upsilon(basis).tobytes(), b
+
+
+def reference_build_upsilon(basis):
+    """The chain of `poly_mul` products `build_upsilon` ran before its
+    recurrence: a product is its prefix times its last form."""
+    prods = hd.enumerate_products(basis)
+    mons = monomials(basis.nparams, basis.degree)
+    u = np.zeros((len(mons), len(prods)))
+    mon_index = {m: i for i, m in enumerate(mons)}
+    made = {}
+    for k, expo in enumerate(prods):
+        j = max((i for i, e in enumerate(expo) if e), default=-1)
+        made[expo] = Poly.constant(1.0, basis.nparams) if j < 0 else \
+            poly_mul(made[expo[:j] + (expo[j] - 1,) + expo[j + 1:]], basis.forms[j])
+        for alpha, coeff in made[expo].terms.items():
+            u[mon_index[alpha], k] = float(coeff)
+    return hd.UpsilonData(monomials=tuple(mons), products=tuple(prods), matrix=u)
+
+
+def _random_boxes(seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        lower = rng.uniform(-3.0, 3.0, n)
+        yield BoxDomain(lower, lower + rng.uniform(0.05, 4.0, n))
+
+
+@pytest.mark.parametrize("box", [
+    BoxDomain.unit(1), BoxDomain.unit(2), BoxDomain.unit(3), BoxDomain.symmetric(3),
+    BoxDomain([10.0], [11.0]), BoxDomain([-0.7, 0.2, 1.5], [0.4, 2.9, 1.75]),
+    BoxDomain([-2.0, 0.0], [0.0, 1.5]), *_random_boxes(21, 30),
+])
+def test_upsilon_recurrence_matches_the_poly_mul_chain_bit_for_bit(box):
+    for b in range(1, 8 if box.nparams < 3 else 6):
+        basis = hd.HandelmanBasis.from_box(box, b)
+        ups, ref = hd.build_upsilon(basis), reference_build_upsilon(basis)
+        assert ups.products == ref.products and ups.monomials == ref.monomials, b
+        assert ups.matrix.tobytes() == ref.matrix.tobytes(), b
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 0): 1.0},                          # no theta term
+    {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0},  # two theta terms
+    {(1, 1): 1.0},                          # a product of thetas
+    {(0, 0): -1.0, (2, 0): 1.0},            # a square
+])
+def test_upsilon_refuses_forms_the_recurrence_cannot_make(terms):
+    good = hd.HandelmanBasis.from_box(BoxDomain.unit(2), 2)
+    basis = hd.HandelmanBasis((Poly(2, (), terms),) + good.forms[1:], 2, 2)
+    with pytest.raises(PoslpError, match="not a constant plus one theta term"):
+        hd.build_upsilon(basis)

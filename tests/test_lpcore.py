@@ -111,6 +111,16 @@ def test_iteration_cap():
         solve_lp(b.build(), max_iterations=1)
 
 
+def test_ratio_test_refuses_a_negative_rhs_that_empties_the_ties():
+    # x0 enters over the slack rows s1 = -1 (drifted below 0) and s2 = 1: the
+    # ratios are -1 and 1, and the tie filter's bound rmin (1 + 1e-9) + 1e-12
+    # lies below rmin = -1, so no ratio passes it
+    t = np.array([[1.0, 1.0, 0.0, -1.0],
+                  [1.0, 0.0, 1.0, 1.0]])
+    with pytest.raises(NonConvergenceError, match=r"primal feasibility: tableau row 0 has rhs -1\.000e\+00"):
+        lpcore._simplex_loop(t, np.array([1, 2]), np.array([-1.0, 0.0, 0.0]), 1, 100, 0)
+
+
 def test_optimal_solutions_satisfy_rows():
     rng = np.random.Generator(np.random.PCG64(12))
     for trial in range(25):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,26 @@ def scalar_poly(coeffs):
 def test_monomial_order_is_graded_lex():
     assert monomials(1, 2) == [(0,), (1,), (2,)]
     assert monomials(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def reference_monomials(nparams, max_degree):
+    """The filter of all (d + 1)^N tuples that `monomials` ran before it
+    enumerated compositions."""
+    if nparams == 0:
+        return [()]
+    out = []
+    for deg in range(max_degree + 1):
+        level = [t for t in itertools.product(range(deg + 1), repeat=nparams)
+                 if sum(t) == deg]
+        level.sort(reverse=True)
+        out.extend(level)
+    return out
+
+
+def test_monomials_enumerate_the_filtered_tuples_in_their_order():
+    for nparams in range(7):
+        for degree in range(9):
+            assert monomials(nparams, degree) == reference_monomials(nparams, degree)
 
 
 def test_eval_constant():

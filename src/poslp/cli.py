@@ -40,7 +40,8 @@ def build_parser():
                       help="write the solved LP in the text interchange format")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=int, default=101,
-                      help="grid points per parameter for certification sweeps (at least 1)")
+                      help="certification sweep points (at least 1): per axis for one parameter; "
+                           "several parameters share about this many in all, box vertices included")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,7 +16,7 @@ escalatable and defaults to deg P + 2.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,14 +47,14 @@ class HandelmanBasis:
         return cls(forms=tuple(forms), degree=int(degree), nparams=n)
 
 
-def enumerate_products(basis, cap=PRODUCT_CAP):
+def enumerate_products(basis):
     """Exponent tuples over the forms with total degree 0..b, graded-lex;
     the degree-0 tuple stands for the constant product 1."""
     nf = len(basis.forms)
     count = math.comb(nf + basis.degree, basis.degree)
-    if count > cap:
+    if count > PRODUCT_CAP:
         raise CombinatorialCapError(
-            f"{count} basis products exceed the cap of {cap}")
+            f"{count} basis products exceed the cap of {PRODUCT_CAP}")
     return monomials(nf, basis.degree)
 
 
@@ -68,12 +68,27 @@ def product_poly(basis, exponents):
 
 @dataclass(frozen=True, eq=False)
 class UpsilonData:
-    """Coefficient-matching data: matrix column k holds the monomial
-    coefficients of product k."""
+    """Coefficient-matching data, the plan of a relaxation: matrix column k
+    holds the monomial coefficients of product k.  ``pure_powers`` marks the
+    products of the lower forms only (no exponent on an upper form, every
+    second form): one per monomial, in monomial order, the block Upsilon_2,
+    triangular with unit diagonal.  Where the lower bounds are 0 each lower
+    form is theta_k, so the recurrence only shifts these columns and
+    Upsilon_2 is exactly I."""
 
     monomials: tuple
     products: tuple
     matrix: np.ndarray
+    pure_powers: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pure_powers",
+                           np.array([not any(expo[1::2]) for expo in self.products]))
+
+    @property
+    def degree(self):
+        """The product degree b, the total degree of the last product."""
+        return sum(self.products[-1])
 
     def column_of(self, exponents):
         return self.products.index(tuple(exponents))
@@ -124,21 +139,6 @@ def build_upsilon(basis):
     return UpsilonData(monomials=tuple(mons), products=tuple(prods), matrix=u)
 
 
-def pure_power_columns(basis, ups):
-    """The products of the lower forms only (no exponent on an upper form,
-    every second form of `basis`): one per monomial, in monomial order, the
-    block Upsilon_2, triangular with unit diagonal.  Where the lower bounds
-    are 0 each lower form is theta_k, so the recurrence only shifts these
-    columns and Upsilon_2 is exactly I."""
-    return [k for k, expo in enumerate(ups.products) if not any(expo[1::2])]
-
-
-@dataclass(frozen=True, eq=False)
-class RelaxationPlan:
-    basis: HandelmanBasis
-    ups: UpsilonData
-
-
 def plan_relaxation(rlp, b=None):
     if not rlp.poly_rows:
         return None
@@ -147,40 +147,33 @@ def plan_relaxation(rlp, b=None):
         b = d + 2
     if b < d:
         raise DegreeError(f"product degree b={b} below row degree {d}")
-    basis = HandelmanBasis.from_box(rlp.domain, b)
-    return RelaxationPlan(basis=basis, ups=build_upsilon(basis))
-
-
-def _row_tables(row, ups, num_vars):
-    """Dense (a_alpha, c_alpha) tables over the plan's monomials."""
-    a = np.zeros((len(ups.monomials), num_vars))
-    c = np.zeros(len(ups.monomials))
-    for alpha, (coeffs, const) in row.terms.items():
-        i = ups.row_of(alpha)
-        a[i, : coeffs.shape[0]] = coeffs
-        c[i] = const
-    return a, c
+    return build_upsilon(HandelmanBasis.from_box(rlp.domain, b))
 
 
 def _relaxed(rlp, plan, kind, tag, relation, u):
     """A copy of the builder of `rlp` (its variables and delta-free rows)
     with, per polynomial row r, either the row itself (degree 0) or the
-    block rows tag{r}_i, `[a | -u] (x, y) relation -c` over the row's tables
-    (a, c), with fresh certificate variables y = kind{r}_k <= 0, one per
-    column of u.  The LP's `var_blocks` maps each such row's name to (kind, y)."""
+    block rows tag{r}_i, `[a | -u] (x, y) relation -c` over the row's dense
+    tables (a_alpha, c_alpha) on the plan's monomials, with fresh
+    certificate variables y = kind{r}_k <= 0, one per column of u.  The LP's
+    `var_blocks` maps each such row's name to (kind, y)."""
     builder = rlp.builder.copy()
     x = list(range(builder.num_vars))
     cert = {}
     neg_u = None if u is None else -u
+    row_of = {} if plan is None else {alpha: i for i, alpha in enumerate(plan.monomials)}
     for r, row in enumerate(rlp.poly_rows):
         degree = row.degree()
-        if degree > plan.basis.degree:
-            raise DegreeError(f"row {row.name} degree {degree} > b={plan.basis.degree}")
+        if degree > plan.degree:
+            raise DegreeError(f"row {row.name} degree {degree} > b={plan.degree}")
         if degree == 0:
             coeffs, const = row.terms[next(iter(row.terms))]
-            builder.add_row(coeffs, "<=", -const, row.name)
+            builder.add_rows(slice(0, len(coeffs)), coeffs, "<=", -const, [row.name])
             continue
-        a, c = _row_tables(row, plan.ups, len(x))
+        a, c = np.zeros((len(row_of), len(x))), np.zeros(len(row_of))
+        for alpha, (coeffs, const) in row.terms.items():
+            a[row_of[alpha], : coeffs.shape[0]] = coeffs
+            c[row_of[alpha]] = const
         y = builder.add_vars(f"{kind}{r}_", u.shape[1], upper=0.0)
         cert[row.name] = (kind, y)
         builder.add_rows(x + y, np.hstack([a, neg_u]), relation, -c,
@@ -193,7 +186,7 @@ def relax_full(rlp, b=None, plan=None):
     product and one coefficient-matching equality per monomial.  ``plan``
     is `plan_relaxation(rlp, b)` when the caller has it already."""
     plan = plan or plan_relaxation(rlp, b)
-    return _relaxed(rlp, plan, "Q", "hm", "==", None if plan is None else plan.ups.matrix)
+    return _relaxed(rlp, plan, "Q", "hm", "==", None if plan is None else plan.matrix)
 
 
 def relax_reduced(rlp, b=None, plan=None):
@@ -205,11 +198,10 @@ def relax_reduced(rlp, b=None, plan=None):
     plan = plan or plan_relaxation(rlp, b)
     if plan is None:
         return _relaxed(rlp, plan, "R", "hr", "<=", None)
-    sel = pure_power_columns(plan.basis, plan.ups)
-    if not np.array_equal(plan.ups.matrix[:, sel], np.eye(len(sel))):
+    mask = plan.pure_powers
+    if not np.array_equal(plan.matrix[:, mask], np.eye(int(mask.sum()))):
         raise DomainError("reduced form needs lower bounds 0 (Upsilon_2 = I); use the full form")
-    tail = plan.ups.matrix[:, sorted(set(range(len(plan.ups.products))) - set(sel))]
-    return _relaxed(rlp, plan, "R", "hr", "<=", tail)
+    return _relaxed(rlp, plan, "R", "hr", "<=", plan.matrix[:, ~mask])
 
 
 def certificate_blocks(lp, solution):
@@ -239,7 +231,6 @@ def extract_certificate(lp, solution, plan, form):
     blocks = certificate_blocks(lp, solution)
     eliminated = None
     if form == "reduced":
-        sel = pure_power_columns(plan.basis, plan.ups)
-        eliminated = tuple(plan.ups.products[k] for k in sel)
-    return HandelmanCertificate(products=plan.ups.products, monomials=plan.ups.monomials,
+        eliminated = tuple(expo for expo, pure in zip(plan.products, plan.pure_powers) if pure)
+    return HandelmanCertificate(products=plan.products, monomials=plan.monomials,
                                 blocks=blocks, eliminated_columns=eliminated)

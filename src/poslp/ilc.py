@@ -75,8 +75,8 @@ class ScalingConstraintSet:
     """Instantiated template for one channel.
 
     ``equalities`` is a tuple of blockwise rows; each row is a tuple of
-    (which phi, exponent tuple, coefficient) terms whose matrix-weighted sum
-    must vanish.  ``ilc_row`` asks the robust assembler to pose
+    (which phi, exponent tuple, n0 x n0 coefficient matrix) terms whose
+    matrix-weighted sum must vanish.  ``ilc_row`` asks the robust assembler to pose
     phi1(delta) + Delta(delta)^T phi2(delta) >= 0 over the box."""
 
     n0: int
@@ -88,17 +88,11 @@ class ScalingConstraintSet:
     phi1_lower: float | None = None
 
 
-def _coef_matrix(coef, n0):
-    if np.isscalar(coef):
-        return float(coef) * np.eye(n0)
-    return np.asarray(coef, dtype=float)
-
-
 def _saturation_equalities(delta_structure, nparams, n0, phi1_degree, phi2_degree):
     """phi1^alpha + sum_beta S_beta^T phi2^{alpha-beta} = 0 for all monomials."""
     rows = []
     for alpha in monomials(nparams, phi1_degree):
-        terms = [(1, alpha, 1.0)]
+        terms = [(1, alpha, np.eye(n0))]
         for beta, s in sorted(delta_structure.terms.items()):
             rem = tuple(a - b for a, b in zip(alpha, beta))
             if min(rem) < 0 or sum(rem) > phi2_degree:
@@ -142,14 +136,15 @@ def instantiate(template, channel):
                                     equalities=eqs, ilc_row=False)
 
     # constant scalings tied by c1 phi1 + c2 phi2 = 0
+    eye = np.eye(n0)
     if isinstance(template, SaturatedStaticGain):
         if template.delta0.shape != (n0, n0):
             raise DimensionError(f"Delta0 must be {n0} x {n0}, got {template.delta0.shape}")
-        c1, c2, phi1_lower = 1.0, template.delta0.T.copy(), None
+        c1, c2, phi1_lower = eye, template.delta0.T.copy(), None
     elif isinstance(template, ConstantDelay):
-        c1, c2, phi1_lower = 1.0, 1.0, None
+        c1, c2, phi1_lower = eye, eye, None
     elif isinstance(template, TimeVaryingDelay):
-        c1, c2, phi1_lower = 1.0 - template.mu, 1.0, 0.0
+        c1, c2, phi1_lower = (1.0 - template.mu) * eye, eye, 0.0
     else:
         raise DimensionError(f"unknown scaling template {template!r}")
     zero = (0,) * nparams

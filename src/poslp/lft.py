@@ -184,19 +184,24 @@ def _chain_coefficients(psys, layout, state=("A", "C"), inputs=("E", "F")):
             for st, inp in zip(state, inputs)]
 
 
-def _loop_blocks(layout, n0, n, p):
-    """The loop blocks C0 (n0 x n), F00 (n0 x n0) and F01 (n0 x p) of a
-    `channel_layout`: the first block of a state (input) chain reads x (w1),
-    every later block the one before it."""
+def _loop_blocks(psys, layout, n0):
+    """The loop blocks C0 (n0 x n), F00 (n0 x n0) and F01 (n0 x p) and the
+    Delta(delta) of a `channel_layout` of `psys`, in one walk: the first
+    block of a state (input) chain reads x (w1), every later block the one
+    before it, and Delta multiplies every block of parameter k by delta_k."""
+    n, p, nparams = psys.n, psys.p, psys.nparams
     c0, f00, f01 = np.zeros((n0, n)), np.zeros((n0, n0)), np.zeros((n0, p))
-    for (_k, kind, j, off, width) in layout:
+    sel = np.zeros((nparams, n0, n0))
+    for (k, kind, j, off, width) in layout:
+        sel[k, off:off + width, off:off + width] = np.eye(width)
         if j > 1:
             f00[off:off + width, off - width:off] = np.eye(width)
         elif kind == "state":
             c0[off:off + width, :] = np.eye(n)
         else:
             f01[off:off + width, :] = np.eye(p)
-    return c0, f00, f01
+    delta = dict(zip(map(tuple, np.eye(nparams, dtype=int)), sel))    # Poly drops zeros
+    return c0, f00, f01, Poly(nparams, (n0, n0), delta)
 
 
 def lft_from_polynomial(psys):
@@ -210,25 +215,14 @@ def lft_from_polynomial(psys):
 def _canonical_lft(cls, psys, layout=None):
     psys = psys.on_unit_box()
     blocks, n0 = layout or channel_layout(psys)
-    n, p, q = psys.n, psys.p, psys.q
+    n, q = psys.n, psys.q
     zero = (0,) * psys.nparams
     e_cols, f10_cols = _chain_coefficients(psys, blocks)
-    c0, f00, f01 = _loop_blocks(blocks, n0, n, p)
+    c0, f00, f01, delta = _loop_blocks(psys, blocks, n0)
     return cls(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
                E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
                F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
-               delta_structure=_block_delta(psys.nparams, blocks, n0), domain=psys.domain)
-
-
-def _block_delta(nparams, blocks, n0):
-    terms = {}
-    for k in range(nparams):
-        sel = np.zeros((n0, n0))
-        for (kk, _kind, _j, off, width) in blocks:
-            if kk == k:
-                sel[off:off + width, off:off + width] = np.eye(width)
-        terms[tuple(1 if i == k else 0 for i in range(nparams))] = sel    # Poly drops zeros
-    return Poly(nparams, (n0, n0), terms)
+               delta_structure=delta, domain=psys.domain)
 
 
 def transpose_lft(psys, layout=None):

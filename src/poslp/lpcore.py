@@ -174,13 +174,8 @@ class LpBuilder:
         return twin
 
     def add_row(self, coeffs, relation, rhs, name=""):
-        """One row from a {column: coefficient} dict or a dense prefix."""
-        if isinstance(coeffs, dict):
-            cols, coeffs = list(coeffs), [list(coeffs.values())]
-        else:
-            coeffs = np.asarray(coeffs, dtype=float)
-            cols = slice(0, coeffs.shape[0])
-        self.add_rows(cols, coeffs, relation, rhs, [name])
+        """One row from a {column: coefficient} dict."""
+        self.add_rows(list(coeffs), [list(coeffs.values())], relation, rhs, [name])
 
     def build(self, var_blocks=None):
         coeffs = np.zeros((self._num_rows, self.num_vars))

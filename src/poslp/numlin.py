@@ -14,9 +14,11 @@ RCOND_FLOOR = 1e-12
 
 def _float_array(value, what):
     try:
-        return np.asarray(value, dtype=float)
+        if value is not None:       # numpy would read null as nan
+            return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} is not a numeric array") from None
+        pass
+    raise ValidationError(f"{what} is not a numeric array")
 
 
 def as_matrix(a, name="matrix"):

@@ -71,12 +71,6 @@ class Poly:
     def zero(cls, nparams, shape):
         return cls(nparams, shape, {})
 
-    @classmethod
-    def variable(cls, nparams, k):
-        """The scalar polynomial delta_k."""
-        alpha = tuple(1 if i == k else 0 for i in range(nparams))
-        return cls(nparams, (), {alpha: np.asarray(1.0)})
-
     def degree(self):
         return max((sum(a) for a in self.terms), default=0)
 
@@ -134,12 +128,6 @@ class Poly:
         for a, c in other.terms.items():
             terms[a] = terms.get(a, np.zeros(self.shape)) + c
         return Poly._made(self.nparams, self.shape, terms)
-
-    def __neg__(self):
-        return Poly._made(self.nparams, self.shape, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

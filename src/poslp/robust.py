@@ -137,7 +137,7 @@ def _scaling_equalities(b, sset, phi1, phi2):
         for which, alpha, coef in eq:
             block = phi1 if which == 1 else phi2
             if alpha in block:
-                coeffs[:, _span(block[alpha])] += ilc._coef_matrix(coef, sset.n0)
+                coeffs[:, _span(block[alpha])] += coef
         b.add_rows(slice(0, b.num_vars), coeffs, "==", 0.0,
                    [f"sc{e}_{j}" for j in range(sset.n0)])
 
@@ -256,7 +256,7 @@ def solve_robust(rlp, b=None, form="reduced"):
                   for key in ("phi1", "phi2"))
     mu = [x[col] for col in rlp.blocks["mu"]] if "mu" in rlp.blocks else None
     return RobustResult(gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1, phi2=phi2, form=form,
-                        b=None if plan is None else plan.basis.degree, epsilon=rlp.epsilon, mu=mu,
+                        b=None if plan is None else plan.degree, epsilon=rlp.epsilon, mu=mu,
                         lp=lp, certificate=handelman.extract_certificate(lp, sol, plan, form))
 
 
@@ -414,8 +414,10 @@ def certification_grid(domain, points):
     n = domain.nparams
     if n <= 1:
         return domain.grid(points)
-    per_axis = max(2, int(np.floor(points ** (1.0 / n))))
-    pts = domain.grid(per_axis)
+    per_axis = round(points ** (1.0 / n))      # the integer root: the float one may fall short
+    while per_axis ** n > points:
+        per_axis -= 1
+    pts = domain.grid(max(2, per_axis))
     seen = {tuple(p) for p in pts}
     for v in domain.vertices():
         if tuple(v) not in seen:

@@ -250,8 +250,8 @@ def system_from_dict(doc):
     require_keys(doc, "system", "n", "p", "q")
     n, m, p, q = require_sizes(doc, "system", "n", "m", "p", "q")
     require_keys(doc, "system", "A")    # a polynomial-system file has none, and A = 0 is no default
-    def mat(key, rows, cols):
-        if key not in doc or doc[key] in ([], None):
+    def mat(key, rows, cols):       # empty means zero, except for A
+        if key != "A" and doc.get(key) in ([], None):
             return np.zeros((rows, cols))
         return numlin.shaped(doc[key], f"system key {key!r}", (rows, cols))
     return PositiveLtiSystem(

@@ -284,6 +284,18 @@ def test_system_commands_refuse_a_polynomial_system_file(capsys, poly_file, argv
     assert err == "error: system is missing the key 'A'\n"
 
 
+@pytest.mark.parametrize("argv", [["check"], ["gain", "--norm", "l1"]])
+@pytest.mark.parametrize("value, why", [(None, "is not a numeric array"),
+                                        ([], "has 0 entries, expected a 2 x 2 matrix")])
+def test_system_commands_refuse_an_empty_a(capsys, tmp_path, argv, value, why):
+    # an A of null or [] was read as A = 0: check called it positive, gain unstable
+    path = tmp_path / "empty_a.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "q": 1, "A": value, "C": [[1.0, 1.0]],
+                                "E": [[1.0], [1.0]], "F": [[0.0]]}))
+    err = refused(capsys, [*argv, str(path)])
+    assert err == f"error: system key 'A' {why}\n"
+
+
 def test_polynomial_system_file_without_nparams_is_refused(capsys, tmp_path, poly_file):
     doc = json.loads(open(poly_file).read())
     del doc["nparams"]

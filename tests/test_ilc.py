@@ -127,3 +127,20 @@ def test_saturated_identity_holds_pointwise():
         p2 = phi2[(0,)] + d * phi2[(1,)]
         delta = l.delta_structure.eval([d])
         assert np.allclose(p1 + delta.T @ p2, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("template, channel", [
+    (FreePolynomial(2), lambda: lft.lft_from_polynomial(poly3_system())),
+    (SaturatedStaticGain(np.array([[1.0, 0.3], [0.0, 2.0]])), lambda: FakeChannel(2)),
+    (ConstantDelay(), lambda: delay_channel(3)),
+    (TimeVaryingDelay(0.25), lambda: delay_channel(3)),
+])
+def test_equality_coefficients_are_channel_matrices(template, channel):
+    # every coefficient is an n0 x n0 float matrix, 1 as I and c as c I, so
+    # the robust assembler adds them as they are
+    cset = instantiate(template, channel())
+    coefs = [coef for row in cset.equalities for (_, _, coef) in row]
+    assert coefs and cset.n0 > 1
+    for coef in coefs:
+        assert isinstance(coef, np.ndarray) and coef.dtype == float
+        assert coef.shape == (cset.n0, cset.n0)

@@ -152,7 +152,7 @@ def test_frozen_stack_equals_frozen_at_bitwise():
 
 def test_eval_many_rejects_bad_point_shape():
     with pytest.raises(Exception, match="points must be"):
-        Poly.variable(2, 0).eval_many(np.zeros((4, 3)))
+        Poly(2, (), {(1, 0): 1.0}).eval_many(np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,17 @@ def test_negative_grid_is_refused(psys):
         robust.certification_grid(psys.domain, -1)
     with pytest.raises(ValidationError):
         robust.grid_certify_gain(psys, 1.0, "l1", points=-1)
+
+
+@pytest.mark.parametrize("nparams, top", [(1, 12), (2, 12), (3, 12), (4, 12), (6, 5), (7, 4)])
+def test_perfect_power_grid_keeps_every_point(nparams, top):
+    # k ** N points sweep k per axis, though the float N-th root of k ** N may
+    # fall short of k (N = 3, 6, 7 from k = 4); N = 6, 7 stop at a mesh of
+    # under 20,000 points
+    for k in range(2, top + 1):
+        assert len(robust.certification_grid(BoxDomain.unit(nparams), k ** nparams)) == k ** nparams
+    assert len(robust.certification_grid(BoxDomain.unit(3), 999)) == 729
+    assert len(robust.certification_grid(BoxDomain.unit(3), 1001)) == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 from . import gains, handelman, ilc, lft, numlin, robust, synthesis, sysmodel
 from .cases import (DRUG_SEED, GENE_TABLE, POLY3_REFERENCE, drug_gain_formulas,
                     drug_system, gene_expression_system, poly3_system)
-from .errors import (InfeasibleError, PoslpError, StabilityError, ValidationError,
-                     require_keys, require_whole)
+from .errors import InfeasibleError, PoslpError, ValidationError, require_keys, require_whole
 from .lpcore import StrictnessPolicy, lp_to_text
 from .poly import BoxDomain, read_polynomial_system
 from .synthesis import ControllerSpec
@@ -37,7 +36,8 @@ def build_parser():
                         help="human table or machine-readable JSON report")
     dump = argparse.ArgumentParser(add_help=False)
     dump.add_argument("--dump-lp", metavar="PATH",
-                      help="write the solved LP in the text interchange format")
+                      help="write the solved LP, or the LP an infeasible verdict refuted, "
+                           "in the text interchange format")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=int, default=101,
                       help="certification sweep points (at least 1): per axis for one parameter; "
@@ -175,7 +175,8 @@ def _grid_line(doc):
 
 
 def maybe_dump(args, lp):
-    if args.dump_lp:
+    """Write `lp`, if any, to the --dump-lp path of a command that has one and was given it."""
+    if lp is not None and getattr(args, "dump_lp", None):
         with open(args.dump_lp, "w") as fh:
             fh.write(lp_to_text(lp))
 
@@ -203,14 +204,15 @@ def cmd_check(args):
 def cmd_gain(args):
     sys_in = sysmodel.read_system(args.system)
     policy = policy_from(args)
-    build, solve = ((gains.l1_lp, gains.l1_gain) if args.norm == "l1"
-                    else (gains.linf_lp, gains.linf_gain))
-    lp = build(sys_in, policy)
-    maybe_dump(args, lp)
-    res = solve(sys_in, policy, lp=lp)
+    res = (gains.l1_gain if args.norm == "l1" else gains.linf_gain)(sys_in, policy)
+    maybe_dump(args, res.lp)
+    try:        # the static-gain oracle, for visibility of the eps bias
+        oracle = sysmodel.oracle_gains(sys_in)[0 if args.norm == "l1" else 1]
+    except PoslpError:     # it refuses A it cannot invert reliably
+        oracle = None
     doc = {
         "status": "optimal", "norm": args.norm, "gamma": res.gamma,
-        "oracle_gain": res.oracle, "epsilon": res.epsilon, "witness_lambda": res.lam.tolist(),
+        "oracle_gain": oracle, "epsilon": res.epsilon, "witness_lambda": res.lam.tolist(),
     }
     return emit(args, doc, lambda d: [
         f"{d['norm']}-gain gamma = {d['gamma']:.10g} (oracle "
@@ -223,9 +225,8 @@ def cmd_synth(args):
     sys_in = sysmodel.read_system(args.system)
     policy = policy_from(args)
     spec = load_spec(args.zeros, args.bounds)
-    lp = synthesis.synthesis_lp(sys_in, spec, policy)
-    maybe_dump(args, lp)
-    res = synthesis.stabilize_linf(sys_in, spec, policy, lp=lp)
+    res = synthesis.stabilize_linf(sys_in, spec, policy)
+    maybe_dump(args, res.lp)
     cl = synthesis.closed_loop(sys_in, res.K)
     doc = {
         "status": "optimal", "gamma": res.gamma, "epsilon": policy.epsilon,
@@ -262,7 +263,7 @@ def cmd_robust_gain(args):
                                      "up to the shared Lyapunov vector")
         return emit(args, doc, lambda d: [
             f"{d['norm']}-gain (vertex method) gamma = {d['gamma']:.6f} "
-            f"over {res.vertices} vertices", _grid_line(d)])
+            f"over {2 ** psys.nparams} vertices", _grid_line(d)])
     doc.update(status="optimal", method="lft-ilc", scaling=args.scaling,
                product_degree=res.b, form=res.form, lp_vars=res.lp.num_vars,
                lp_rows=res.lp.num_rows, conservatism_note=ROBUST_NOTE)
@@ -434,7 +435,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (InfeasibleError, StabilityError) as err:
+    except InfeasibleError as err:
+        maybe_dump(args, err.lp)
         print(f"infeasible: {err}", file=sys.stderr)
         return 1
     except (PoslpError, OSError, json.JSONDecodeError) as err:   # or an unreadable input file

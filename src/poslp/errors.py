@@ -21,10 +21,6 @@ class ClassificationError(PoslpError):
     """Operation requires a structural property (Metzler, nonnegative) that fails."""
 
 
-class StabilityError(PoslpError):
-    """Operation requires a Hurwitz-stable system."""
-
-
 class ModelError(PoslpError):
     """System data is missing pieces the operation needs (e.g. B/D for synthesis)."""
 
@@ -57,11 +53,16 @@ class NonConvergenceError(PoslpError):
 
 
 class InfeasibleError(PoslpError):
-    """A feasibility-style operation found the underlying program infeasible."""
+    """A feasibility-style operation found its program, `lp`, infeasible (Farkas `certificate`)."""
 
-    def __init__(self, message, certificate=None):
+    def __init__(self, message, certificate=None, lp=None):
         super().__init__(message)
         self.certificate = certificate
+        self.lp = lp
+
+
+class StabilityError(InfeasibleError):
+    """Operation requires a Hurwitz-stable system."""
 
 
 class DegreeError(PoslpError):

@@ -16,33 +16,23 @@ states; nonnegativity of signals is a device of the derivation, not a
 restriction on the certified bound.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import sysmodel
-from .errors import ClassificationError, PoslpError, StabilityError
+from .errors import ClassificationError, InfeasibleError, StabilityError
 from .ilc import FreeConstant
 from .lft import plain_lft
-from .lpcore import StrictnessPolicy, solve_lp
-from .robust import _assemble_gain
+from .lpcore import StrictnessPolicy
+from .robust import _assemble_gain, solve_robust
 
 
-@dataclass
-class GainResult:
-    gamma: float
-    lam: np.ndarray
-    oracle: float | None      # static-gain value, for visibility of the eps bias;
-                              # None where the M-matrix oracle refuses A
-    epsilon: float
+def _program(sys, policy):
+    """The robust L1 program of the system's LFT with no uncertainty channel."""
+    lft = plain_lft(sys.A, sys.C, sys.E, sys.F)
+    return _assemble_gain(lft, FreeConstant(), policy or StrictnessPolicy())
 
 
 def l1_lp(sys, policy=None):
-    """The strictified L1-gain LP: the robust L1 program of the system's LFT
-    with no uncertainty channel; variables [lambda_0..lambda_{n-1}, gamma]."""
-    lft = plain_lft(sys.A, sys.C, sys.E, sys.F)
-    rlp = _assemble_gain(lft, FreeConstant(), policy or StrictnessPolicy())
-    return rlp.builder.build()
+    """The strictified L1-gain LP, variables [lambda_0..lambda_{n-1}, gamma]."""
+    return _program(sys, policy).builder.build()
 
 
 def linf_lp(sys, policy=None):
@@ -50,36 +40,27 @@ def linf_lp(sys, policy=None):
     return l1_lp(sysmodel.transpose_system(sys), policy)
 
 
-def _run(sys, lp, which, policy):
+def _solve(sys, which, policy):
+    """The `robust.RobustResult` of the `which`-gain program of a positive system."""
     report = sysmodel.classify(sys)
     if not report.is_positive:
         raise ClassificationError(
             f"gain LP requires a positive system; violations: {report.violations[:3]}")
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise StabilityError(
-            f"{which} LP {sol.status}: system is not asymptotically stable "
-            "(LP feasibility is equivalent to stability with finite gain)")
     try:
-        oracle = sysmodel.oracle_gains(sys)[0 if which == "l1" else 1]
-    except PoslpError:     # the oracle refuses A it cannot invert reliably
-        oracle = None
-    return GainResult(gamma=float(sol.objective_value), lam=sol.x[:sys.n],
-                      oracle=oracle, epsilon=policy.epsilon)
+        return solve_robust(_program(sys if which == "l1" else sysmodel.transpose_system(sys),
+                                     policy))
+    except InfeasibleError as err:
+        raise StabilityError(
+            f"{which} LP infeasible: system is not asymptotically stable "
+            "(LP feasibility is equivalent to stability with finite gain)",
+            certificate=err.certificate, lp=err.lp) from None
 
 
-def l1_gain(sys, policy=None, lp=None):
-    """Minimal certified gamma with ||z||_L1 <= gamma ||w||_L1, plus witness.
-
-    ``lp`` is `l1_lp(sys, policy)` when the caller has built it already."""
-    policy = policy or StrictnessPolicy()
-    return _run(sys, l1_lp(sys, policy) if lp is None else lp, "l1", policy)
+def l1_gain(sys, policy=None):
+    """Minimal certified gamma with ||z||_L1 <= gamma ||w||_L1, plus witness lambda."""
+    return _solve(sys, "l1", policy)
 
 
-def linf_gain(sys, policy=None, lp=None):
-    """Minimal certified gamma with ||z||_Linf <= gamma ||w||_Linf.
-
-    Equals the L1-gain of the transposed system.  ``lp`` is
-    `linf_lp(sys, policy)` when the caller has built it already."""
-    policy = policy or StrictnessPolicy()
-    return _run(sys, linf_lp(sys, policy) if lp is None else lp, "linf", policy)
+def linf_gain(sys, policy=None):
+    """Minimal certified gamma with ||z||_Linf <= gamma ||w||_Linf: the transpose's L1-gain."""
+    return _solve(sys, "linf", policy)

@@ -105,7 +105,7 @@ class TransposedLft(LftSystem):
 
 def _wellposed_points(domain):
     per_axis = {1: 11, 2: 7}.get(domain.nparams, 3)
-    return np.array(domain.grid(per_axis))
+    return domain.grid(per_axis)
 
 
 def _close_stack(lft, deltas, where):

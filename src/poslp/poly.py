@@ -6,7 +6,6 @@ degree ascending, lexicographically descending within a degree) keeps every
 coefficient-matching matrix reproducible across runs.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -198,17 +197,20 @@ class BoxDomain:
         return self.lower.shape[0]
 
     def grid(self, points_per_param):
-        """Full mesh with `points_per_param` points per coordinate."""
-        axes = [np.linspace(self.lower[k], self.upper[k], points_per_param)
-                for k in range(self.nparams)]
-        if not axes:
-            return [np.zeros(0)]
-        return [np.array(pt) for pt in itertools.product(*axes)]
+        """Full mesh, `points_per_param` per coordinate: a (G, N) array, the last axis fastest."""
+        return _mesh([np.linspace(lo, up, points_per_param)
+                      for lo, up in zip(self.lower, self.upper)])
 
     def vertices(self):
-        corners = itertools.product(*[(self.lower[k], self.upper[k])
-                                      for k in range(self.nparams)])
-        return [np.array(c) for c in corners]
+        """The 2 ** N corners, a (2 ** N, N) array in the order of `grid(2)`."""
+        return _mesh(list(zip(self.lower, self.upper)))
+
+
+def _mesh(axes):
+    """Every combination of one value per axis, one row each; one empty row for no axes."""
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True, eq=False)

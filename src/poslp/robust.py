@@ -220,8 +220,8 @@ def robust_linf(tlft, template, policy=None):
 
 @dataclass
 class RobustResult:
-    """A solved robust program in the form requested; on a box other than
-    [0, 1]^N, `phi1`, `phi2` and the certificate are in theta (`on_unit_box`)."""
+    """A solved program, robust, vertex or nominal, in the form requested; on a box
+    other than [0, 1]^N, `phi1`, `phi2` and the certificate are in theta (`on_unit_box`)."""
 
     gamma: float
     lam: np.ndarray
@@ -238,18 +238,18 @@ class RobustResult:
 
 def solve_robust(rlp, b=None, form="reduced"):
     """Relax (when polynomial rows are present) and solve a robust program;
-    the result carries the relaxed LP it solved."""
+    the result carries the LP it solved, the builder's own LP when nothing was relaxed."""
     relax = {"reduced": handelman.relax_reduced, "full": handelman.relax_full}.get(form)
     if relax is None:
         raise DimensionError(f"unknown relaxation form {form!r}")
     plan = handelman.plan_relaxation(rlp, b)
-    lp = relax(rlp, b, plan=plan)
+    lp = rlp.builder.build() if plan is None else relax(rlp, b, plan=plan)
     sol = solve_lp(lp)
     if sol.status != "optimal":
-        raise InfeasibleError(
-            f"robust program {sol.status}; the bound could not be certified "
-            "(the relaxation is sufficient only -- a larger product degree b or "
-            "richer scalings may help)", certificate=sol.certificate)
+        hint = ("" if plan is None else " (the relaxation is sufficient only -- "
+                "a larger product degree b or richer scalings may help)")
+        raise InfeasibleError(f"robust program {sol.status}; the bound could not be certified"
+                              + hint, certificate=sol.certificate, lp=lp)
     x = sol.x
     gamma = float(x[rlp.blocks["gamma"]]) if "gamma" in rlp.blocks else np.nan
     phi1, phi2 = ({a: x[ids] for a, ids in rlp.blocks.get(key, {}).items()}
@@ -292,16 +292,10 @@ def exact_constant_delta(lft, delta0, policy=None):
 # ---------------------------------------------------------------------------
 # vertex enumeration for affine dependence on a box
 
-@dataclass
-class VertexResult:
-    gamma: float
-    lam: np.ndarray
-    vertices: int
-    epsilon: float
-    lp: object                  # the solved LinearProgram
+VERTEX_CAP = 20        # parameters: the vertex program replicates its rows 2 ** N times
 
 
-def vertex_gain(psys, which="linf", policy=None, max_params=20):
+def vertex_gain(psys, which="linf", policy=None):
     """Shared-Lyapunov gain bound with the rows replicated at every vertex of
     the box; valid for matrices affine in the parameters (convexity)."""
     policy = policy or StrictnessPolicy()
@@ -309,11 +303,11 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
         raise DimensionError("which must be 'l1' or 'linf'")
     if psys.degree() > 1:
         raise DegreeError("vertex enumeration needs affine parameter dependence")
-    if psys.nparams > max_params:
+    if psys.nparams > VERTEX_CAP:
         raise CombinatorialCapError(
-            f"{psys.nparams} parameters exceed the vertex cap of {max_params}")
+            f"{psys.nparams} parameters exceed the vertex cap of {VERTEX_CAP}")
     verts = psys.domain.vertices()
-    a, _, c, _, e, f = psys.frozen_stack(np.reshape(verts, (len(verts), psys.nparams)))
+    a, _, c, _, e, f = psys.frozen_stack(verts)
     positive = sysmodel.positive_stack(a, c, e, f, tol=1e-12)
     refused = ~(positive & sysmodel.mmatrix_hurwitz(a)[0])
     if refused.any():
@@ -332,13 +326,8 @@ def vertex_gain(psys, which="linf", policy=None, max_params=20):
         vertex = plain_lft(*mats)
         lin = [(lam, np.vstack([vertex.A.T, vertex.E1.T]))]
         _lyapunov_rows(b, [], (), vertex, lin, gamma, {}, {}, policy.epsilon, f"v{v}_")
-    lp = b.build()
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise InfeasibleError(f"vertex program {sol.status}",
-                              certificate=sol.certificate)
-    return VertexResult(gamma=float(sol.objective_value), lam=sol.x[:psys.n],
-                        vertices=len(verts), epsilon=policy.epsilon, lp=lp)
+    return solve_robust(RobustLinearProgram(b, (), psys.domain, {"lam": lam, "gamma": gamma},
+                                            policy.epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +395,9 @@ def _bound_ok(oracle, gamma):
 
 
 def certification_grid(domain, points):
-    """Sweep points: `points` per parameter for one parameter; for several,
-    the per-axis count shrinks so the total stays near `points`, and the box
-    vertices are always included."""
+    """Sweep points, a (G, N) array: `points` per parameter for one parameter;
+    for several, the per-axis count shrinks so the total stays near `points`,
+    at least 2, so the mesh's end points make every box vertex a point."""
     if points < 0:
         raise ValidationError(f"the certification grid needs points >= 0, got {points}")
     n = domain.nparams
@@ -417,12 +406,7 @@ def certification_grid(domain, points):
     per_axis = round(points ** (1.0 / n))      # the integer root: the float one may fall short
     while per_axis ** n > points:
         per_axis -= 1
-    pts = domain.grid(max(2, per_axis))
-    seen = {tuple(p) for p in pts}
-    for v in domain.vertices():
-        if tuple(v) not in seen:
-            pts.append(v)
-    return pts
+    return domain.grid(max(2, per_axis))
 
 
 def _grid_sweep(psys, gamma, which, points, k=None):
@@ -431,9 +415,9 @@ def _grid_sweep(psys, gamma, which, points, k=None):
     positive (tol 1e-9) or not Hurwitz refutes, otherwise the worst
     `which`-gain (first occurrence) is compared to gamma."""
     grid = certification_grid(psys.domain, points)
-    if not grid:
+    if not len(grid):
         return GridVerdict(_bound_ok(-np.inf, gamma), 0, -np.inf, None)
-    a, b, c, d, e, f = psys.frozen_stack(np.reshape(grid, (len(grid), psys.nparams)))
+    a, b, c, d, e, f = psys.frozen_stack(grid)
     loop = ""
     if k is not None:
         a, c, loop = a + b @ k, c + d @ k, "closed loop "

@@ -20,7 +20,6 @@ import numpy as np
 from . import numlin
 from .errors import ClassificationError, InfeasibleError, ModelError, ValidationError
 from .ilc import FreeConstant
-from .lpcore import solve_lp
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
 from .sysmodel import PositiveLtiSystem
 
@@ -52,22 +51,9 @@ class ControllerSpec:
 FULL = ControllerSpec()
 
 
-@dataclass
-class SynthesisResult:
-    K: np.ndarray
-    gamma: float
-    lam: np.ndarray
-    mu: list                     # mu[j] = lambda_j * K[:, j]
-
-
-def synthesis_lp(sys, spec=None, policy=None):
-    """The synthesis LP, variables [lambda, mu_0..mu_{n-1}, gamma] with mu_j
-    standing for lambda_j K[:, j]: the robust synthesis program of the system
-    with no parameter.  Its gain rows, the L1 rows of the transposed closed
-    loop, are strict (closed with epsilon); the Metzler and nonnegativity rows
-    that force closed-loop positivity are not, as in the characterization."""
+def _program(sys, spec, policy):
+    """The robust synthesis program of the system with no parameter."""
     from .robust import robust_stabilize    # not at the top: robust imports this module
-    spec = spec or FULL
     if sys.m == 0:
         raise ModelError("synthesis needs control matrices B and D")
     spec.validate(sys.m, sys.n)
@@ -75,7 +61,16 @@ def synthesis_lp(sys, spec=None, policy=None):
         raise ClassificationError("synthesis requires nonnegative E and F")
     psys = PolynomialLtiSystem(*(Poly.constant(getattr(sys, name), 0) for name in "ABCDEF"),
                                domain=BoxDomain.unit(0))
-    return robust_stabilize(psys, FreeConstant(), spec, policy).builder.build()
+    return robust_stabilize(psys, FreeConstant(), spec, policy)
+
+
+def synthesis_lp(sys, spec=None, policy=None):
+    """The synthesis LP, variables [lambda, mu_0..mu_{n-1}, gamma] with mu_j
+    standing for lambda_j K[:, j].  Its gain rows, the L1 rows of the
+    transposed closed loop, are strict (closed with epsilon); the Metzler and
+    nonnegativity rows that force closed-loop positivity are not, as in the
+    characterization."""
+    return _program(sys, spec or FULL, policy).builder.build()
 
 
 def controller_rows(num_vars, lam, mu, spec, mats, zero):
@@ -127,25 +122,21 @@ def controller_rows(num_vars, lam, mu, spec, mats, zero):
     return families
 
 
-def stabilize_linf(sys, spec=None, policy=None, lp=None):
-    """Minimize the certified closed-loop Linf-gain over the controller set.
+def stabilize_linf(sys, spec=None, policy=None):
+    """Minimize the certified closed-loop Linf-gain over the controller set;
+    a `robust.RobustResult` with the gain K.
 
     The open loop need not be positive; only E >= 0 and F >= 0 are required.
     Raises InfeasibleError when no admissible K makes the closed loop
-    positive and stable (the conditions are lossless).  ``lp`` is
-    `synthesis_lp(sys, spec, policy)` when the caller has built it already."""
-    spec = spec or FULL
-    sol = solve_lp(synthesis_lp(sys, spec, policy) if lp is None else lp)
-    if sol.status != "optimal":
+    positive and stable (the conditions are lossless)."""
+    from .robust import solve_robust_synthesis
+    try:
+        return solve_robust_synthesis(_program(sys, spec or FULL, policy))
+    except InfeasibleError as err:
         raise InfeasibleError(
-            f"synthesis LP {sol.status}: no controller in the requested set "
+            "synthesis LP infeasible: no controller in the requested set "
             "renders the closed loop positive and stable",
-            certificate=sol.certificate)
-    n, m = sys.n, sys.m
-    lam = sol.x[:n]
-    mu = [sol.x[n + j * m: n + (j + 1) * m] for j in range(n)]
-    return SynthesisResult(K=recover_k(lam, mu, spec.zero_pattern),
-                           gamma=float(sol.objective_value), lam=lam, mu=mu)
+            certificate=err.certificate, lp=err.lp) from None
 
 
 def recover_k(lam, mu, zero_pattern):

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import poslp
-from poslp import cli, robust, sysmodel
+from poslp import cli, gains, lft, robust, synthesis, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
-from poslp.poly import write_polynomial_system
+from poslp.errors import PoslpError
+from poslp.lpcore import lp_to_text
+from poslp.poly import BoxDomain, polynomial_system, read_polynomial_system, write_polynomial_system
+from poslp.synthesis import ControllerSpec
 from poslp.sysmodel import write_system
 
 
@@ -93,6 +96,73 @@ def test_gain_unstable_exit_code(capsys, tmp_path):
         A=[[0.2]], B=None, C=[[1.0]], D=None, E=[[1.0]], F=[[0.0]]), path)
     code = cli.main(["gain", "--norm", "l1", str(path)])
     assert code == 1
+
+
+def one_state_poly(tmp_path, a_terms):
+    path = tmp_path / "one_state_poly.json"
+    write_polynomial_system(polynomial_system(
+        a_terms=a_terms, c_terms={0: [[1.0]]}, e_terms={0: [[1.0]]}, f_terms={0: [[0.0]]},
+        domain=BoxDomain.unit(1)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("degree", [[], ["--degree", "9"]])
+def test_failed_program_blames_the_relaxation_only_when_one_ran(capsys, tmp_path, degree):
+    hint = "a larger product degree b or richer scalings may help"
+    for a_terms, relaxed in (({0: [[0.1]]}, False), ({0: [[0.1]], 1: [[0.1]]}, True)):
+        path = one_state_poly(tmp_path, a_terms)
+        assert cli.main(["robust-gain", "--norm", "l1", path, *degree]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: robust program infeasible")
+        assert (hint in err) == relaxed
+
+
+UNSTABLE = sysmodel.PositiveLtiSystem(A=[[0.1]], B=None, C=[[1.0]], D=None,
+                                      E=[[1.0]], F=[[0.0]])
+# no controller with 0 <= K <= 0 makes this loop positive and stable
+UNCONTROLLABLE = sysmodel.PositiveLtiSystem(
+    A=[[-1.0, -0.5], [-0.4, -1.0]], B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[[0.0]],
+    E=np.eye(2), F=np.zeros((1, 2)))
+NOT_POSITIVE = sysmodel.PositiveLtiSystem(A=[[-1.0, -0.2], [0.1, -1.0]], B=None,
+                                          C=np.eye(2), D=None, E=np.eye(2), F=np.zeros((2, 2)))
+
+
+def _refuted_lp(call):
+    with pytest.raises(PoslpError) as err:
+        call()
+    return getattr(err.value, "lp", None)
+
+
+@pytest.mark.parametrize("row", ["unstable gain", "infeasible bounded synth",
+                                 "infeasible robust-gain", "non-positive gain"])
+def test_dump_lp_writes_the_lp_a_verdict_refuted(capsys, tmp_path, row):
+    dump, sys_path = tmp_path / "refuted.lp", tmp_path / "sys.json"
+    if row == "unstable gain":
+        write_system(UNSTABLE, sys_path)
+        argv, prefix = ["gain", "--norm", "l1", str(sys_path)], "infeasible:"
+        lp = _refuted_lp(lambda: gains.l1_gain(UNSTABLE))
+    elif row == "infeasible bounded synth":
+        write_system(UNCONTROLLABLE, sys_path)
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"K_lower": [[0.0, 0.0]], "K_upper": [[0.0, 0.0]]}))
+        argv, prefix = ["synth", str(sys_path), "--bounds", str(bounds)], "infeasible:"
+        spec = ControllerSpec(k_lower=np.zeros((1, 2)), k_upper=np.zeros((1, 2)))
+        lp = _refuted_lp(lambda: synthesis.stabilize_linf(UNCONTROLLABLE, spec))
+    elif row == "infeasible robust-gain":
+        path = one_state_poly(tmp_path, {0: [[0.1]]})
+        argv, prefix = ["robust-gain", "--norm", "l1", path], "infeasible:"
+        psys = read_polynomial_system(path)
+        lp = _refuted_lp(lambda: robust.solve_robust(robust.robust_l1(
+            lft.lft_from_polynomial(psys), cli.parse_scaling("saturated"))))
+    else:
+        write_system(NOT_POSITIVE, sys_path)
+        argv, prefix = ["gain", "--norm", "l1", str(sys_path)], "error:"
+        lp = _refuted_lp(lambda: gains.l1_gain(NOT_POSITIVE))
+    assert cli.main([*argv, "--dump-lp", str(dump)]) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+    assert dump.exists() == (lp is not None) == (row != "non-positive gain")
+    if lp is not None:
+        assert dump.read_text() == lp_to_text(lp)
 
 
 def test_usage_error_exit_code():

@@ -244,7 +244,7 @@ def test_on_unit_box_is_the_system_at_the_mapped_point(seed, nparams):
     assert np.array_equal(unit.domain.lower, np.zeros(nparams))
     assert np.array_equal(unit.domain.upper, np.ones(nparams))
     rng = np.random.Generator(np.random.PCG64(seed))
-    theta = np.vstack([rng.uniform(0, 1, (20, nparams))] + unit.domain.vertices())
+    theta = np.vstack([rng.uniform(0, 1, (20, nparams)), unit.domain.vertices()])
     delta = lower + theta * (upper - lower)
     for got, ref in zip(unit.frozen_stack(theta), psys.frozen_stack(delta), strict=True):
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)

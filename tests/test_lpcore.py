@@ -733,10 +733,9 @@ def test_infeasibility_certificate_has_the_dual_sign(monkeypatch):
         A=[[-1.0, -0.5], [-0.4, -1.0]], B=[[1.0], [0.0]], C=[[1.0, 0.0]],
         D=[[0.0]], E=np.eye(2), F=np.zeros((1, 2)))
     spec = ControllerSpec(k_lower=np.zeros((1, 2)), k_upper=np.zeros((1, 2)))
-    lp = synthesis.synthesis_lp(s, spec)
     with pytest.raises(InfeasibleError) as err:
-        synthesis.stabilize_linf(s, spec, lp=lp)
-    assert_farkas_certificate(lp, err.value.certificate)
+        synthesis.stabilize_linf(s, spec)
+    assert_farkas_certificate(err.value.lp, err.value.certificate)
 
 
 def test_policy_margins_must_be_finite():

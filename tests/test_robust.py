@@ -319,7 +319,7 @@ def test_vertex_gain_nominal_matches_plain_lp():
     res = robust.vertex_gain(psys, "linf")
     nominal = gains.linf_gain(psys.frozen_at([0.0, 0.0, 0.0])).gamma
     assert res.gamma == pytest.approx(nominal, rel=1e-9)
-    assert res.vertices == 8
+    assert len(res.lp.row_names) == 8 * (psys.n + psys.q)
 
 
 def test_vertex_gain_gene_table_row():
@@ -333,9 +333,15 @@ def test_vertex_gain_requires_affine():
 
 
 def test_vertex_gain_parameter_cap():
-    psys = gene_expression_system(0.1)
-    with pytest.raises(CombinatorialCapError):
-        robust.vertex_gain(psys, "linf", max_params=2)
+    # refused before any of the 2 ** 21 vertices is enumerated
+    units = [tuple(int(k == j) for k in range(21)) for j in range(21)]
+    psys = polynomial_system(
+        a_terms={(0,) * 21: -np.eye(2), **{e: 0.01 * np.eye(2) for e in units}},
+        c_terms={(0,) * 21: np.ones((1, 2))}, e_terms={(0,) * 21: np.ones((2, 1))},
+        f_terms={(0,) * 21: np.zeros((1, 1))}, domain=BoxDomain.unit(21))
+    assert psys.degree() == 1 and robust.VERTEX_CAP == 20
+    with pytest.raises(CombinatorialCapError, match="21 parameters exceed the vertex cap of 20"):
+        robust.vertex_gain(psys, "linf")
 
 
 def test_vertex_gain_unstable_vertex_rejected():
@@ -349,7 +355,8 @@ def test_vertex_gain_precheck_runs_no_stability_lp(monkeypatch):
         raise AssertionError("vertex precheck ran a stability LP")
     monkeypatch.setattr(sysmodel, "metzler_stable", no_lp)
     monkeypatch.setattr(sysmodel, "is_stable", no_lp)
-    assert robust.vertex_gain(gene_expression_system(0.5), "linf").vertices == 8
+    psys = gene_expression_system(0.5)
+    assert len(robust.vertex_gain(psys, "linf").lp.row_names) == 8 * (psys.n + psys.q)
     with pytest.raises(StabilityError, match=r"at \[-1\. -1\. -1\.\] is not Hurwitz"):
         robust.vertex_gain(gene_expression_system(1.0), "linf")
     # k_p = 2 - 3 < 0 at eps2 = -1: the first vertex is not positive

@@ -50,10 +50,9 @@ def _solve(sys, which, policy):
         return solve_robust(_program(sys if which == "l1" else sysmodel.transpose_system(sys),
                                      policy))
     except InfeasibleError as err:
-        raise StabilityError(
-            f"{which} LP infeasible: system is not asymptotically stable "
-            "(LP feasibility is equivalent to stability with finite gain)",
-            certificate=err.certificate, lp=err.lp) from None
+        raise StabilityError(f"{which} LP infeasible: system is not asymptotically stable "
+                             "(LP feasibility is equivalent to stability with finite gain)",
+                             err.certificate, err.lp) from None
 
 
 def l1_gain(sys, policy=None):

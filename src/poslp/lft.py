@@ -104,8 +104,7 @@ class TransposedLft(LftSystem):
 
 
 def _wellposed_points(domain):
-    per_axis = {1: 11, 2: 7}.get(domain.nparams, 3)
-    return domain.grid(per_axis)
+    return domain.grid({1: 11, 2: 7}.get(domain.nparams, 3))
 
 
 def _close_stack(lft, deltas, where):

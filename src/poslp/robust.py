@@ -238,12 +238,12 @@ class RobustResult:
 
 def solve_robust(rlp, b=None, form="reduced"):
     """Relax (when polynomial rows are present) and solve a robust program;
-    the result carries the LP it solved, the builder's own LP when nothing was relaxed."""
+    the result carries the relaxed LP it solved."""
     relax = {"reduced": handelman.relax_reduced, "full": handelman.relax_full}.get(form)
     if relax is None:
         raise DimensionError(f"unknown relaxation form {form!r}")
     plan = handelman.plan_relaxation(rlp, b)
-    lp = rlp.builder.build() if plan is None else relax(rlp, b, plan=plan)
+    lp = relax(rlp, b, plan=plan)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         hint = ("" if plan is None else " (the relaxation is sufficient only -- "
@@ -326,8 +326,11 @@ def vertex_gain(psys, which="linf", policy=None):
         vertex = plain_lft(*mats)
         lin = [(lam, np.vstack([vertex.A.T, vertex.E1.T]))]
         _lyapunov_rows(b, [], (), vertex, lin, gamma, {}, {}, policy.epsilon, f"v{v}_")
-    return solve_robust(RobustLinearProgram(b, (), psys.domain, {"lam": lam, "gamma": gamma},
-                                            policy.epsilon))
+    try:
+        return solve_robust(RobustLinearProgram(b, (), psys.domain, {"lam": lam, "gamma": gamma},
+                                                policy.epsilon))
+    except InfeasibleError as err:
+        raise InfeasibleError("vertex program infeasible", err.certificate, err.lp) from None
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,9 @@ def stabilize_linf(sys, spec=None, policy=None):
     try:
         return solve_robust_synthesis(_program(sys, spec or FULL, policy))
     except InfeasibleError as err:
-        raise InfeasibleError(
-            "synthesis LP infeasible: no controller in the requested set "
-            "renders the closed loop positive and stable",
-            certificate=err.certificate, lp=err.lp) from None
+        raise InfeasibleError("synthesis LP infeasible: no controller in the requested set "
+                              "renders the closed loop positive and stable",
+                              err.certificate, err.lp) from None
 
 
 def recover_k(lam, mu, zero_pattern):

@@ -165,6 +165,22 @@ def test_dump_lp_writes_the_lp_a_verdict_refuted(capsys, tmp_path, row):
         assert dump.read_text() == lp_to_text(lp)
 
 
+def test_vertex_program_without_a_shared_lyapunov_vector_is_infeasible(capsys, tmp_path):
+    # both vertices are positive and Hurwitz, but lambda_0 > 10 lambda_1 at delta = 0
+    # and lambda_1 > 10 lambda_0 at delta = 1
+    path, dump = tmp_path / "switch.json", tmp_path / "vertices.lp"
+    write_polynomial_system(polynomial_system(
+        a_terms={0: [[-1.0, 0.0], [10.0, -1.0]], 1: [[0.0, 10.0], [-10.0, 0.0]]},
+        c_terms={0: [[1.0, 1.0]]}, e_terms={0: [[1.0], [1.0]]}, f_terms={0: [[0.0]]},
+        domain=BoxDomain.unit(1)), path)
+    with pytest.raises(PoslpError) as err:
+        robust.vertex_gain(read_polynomial_system(path), "l1")
+    assert cli.main(["robust-gain", "--norm", "l1", "--vertices", str(path),
+                     "--dump-lp", str(dump)]) == 1
+    assert capsys.readouterr().err == "infeasible: vertex program infeasible\n"
+    assert dump.read_text() == lp_to_text(err.value.lp)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["gain", "--norm", "l7", "nowhere.json"])

@@ -300,5 +300,6 @@ def test_gain_builds_its_lp_once_and_dumps_the_solved_one(tmp_path, monkeypatch,
     assert cli.main(["gain", str(path), "--norm", "l1", "--dump-lp", str(dump),
                      "--format", "structured"]) == 0
     assert len(built) == 1 and len(solved) == 1
+    assert lp_to_text(solved[0]) == lp_to_text(built[0].builder.build())
     assert dump.read_text() == lp_to_text(solved[0])
     assert json.loads(capsys.readouterr().out)["status"] == "optimal"

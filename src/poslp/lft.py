@@ -29,7 +29,9 @@ class LftSystem:
     every term of Delta times F00 is strictly lower triangular (det(I - Delta F00) = 1, as in
     every canonical LFT) and otherwise sampled on the box by `_check_well_posed` on construction.
     ``delta_structure`` is an n0 x n0 matrix polynomial describing Delta(delta); it is None for
-    operator-type uncertainty (e.g. delays), analyzed only through a constant static gain."""
+    operator-type uncertainty (e.g. delays), analyzed only through a constant static gain.  A
+    canonical LFT is written in theta on the unit box `domain`; ``delta_box`` keeps the system's
+    own box, delta = lower + (upper - lower) theta, so that refusals name delta."""
 
     A: np.ndarray
     E0: np.ndarray
@@ -42,6 +44,7 @@ class LftSystem:
     F11: np.ndarray
     delta_structure: Poly | None
     domain: BoxDomain | None
+    delta_box: BoxDomain | None = None
 
     def __post_init__(self):
         a = numlin.as_matrix(self.A, "A")
@@ -212,7 +215,7 @@ def lft_from_polynomial(psys):
 
 
 def _canonical_lft(cls, psys, layout=None):
-    psys = psys.on_unit_box()
+    box, psys = psys.domain, psys.on_unit_box()
     blocks, n0 = layout or channel_layout(psys)
     n, q = psys.n, psys.q
     zero = (0,) * psys.nparams
@@ -221,7 +224,7 @@ def _canonical_lft(cls, psys, layout=None):
     return cls(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
                E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
                F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
-               delta_structure=delta, domain=psys.domain)
+               delta_structure=delta, domain=psys.domain, delta_box=box)
 
 
 def transpose_lft(psys, layout=None):

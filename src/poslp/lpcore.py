@@ -7,9 +7,11 @@ reach the solver, so computed gains carry a small, explicitly reported upward bi
 sparse pivots only the pivot row's nonzero columns, of the touched rows or whole when most of
 a tall tableau's rows are touched; and the whole tableau in place, with einsum's products, when
 most rows are touched.  Phase 2 runs on a view of the phase-1 tableau, and an objective with one
-nonzero cost is priced from one tableau row.  A solve holds one standard-form-sized buffer at a
-time: the standard form is written straight into the phase-1 tableau, and the final basis matrix
-is rebuilt from the LP's rows once the tableau is released.
+nonzero cost is priced from one tableau row.  Phase 1 on a large tableau with few artificials left
+in the basis takes its entering column from the artificial rows alone when a rounding bound shows
+it is the gemv's, and prices by the gemv otherwise, so every pivot keeps its bits.  A solve holds
+one standard-form-sized buffer at a time: the standard form is written straight into the phase-1
+tableau, and the final basis matrix is rebuilt from the LP's rows once the tableau is released.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +25,10 @@ RELATIONS = ("<=", "==")
 _PIVOT_TOL = 1e-9
 _RCOST_TOL = 1e-9
 _FEAS_TOL = 1e-8
+# `_certified_entering` reads tableau bodies of 2^17 entries or more (on smaller ones the gemv
+# costs less than the read) where fewer than 1 row in 16 has a nonzero basic cost
+_CERTIFY_MIN_ENTRIES = 2 ** 17
+_CERTIFY_ROW_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -264,6 +270,7 @@ class _Standardizer:
         neg = rhs < 0
         rhs[neg] = -rhs[neg]
         self.b = rhs
+        self.neg_rows = neg.nonzero()[0]
         self.row_sign = np.where(neg, -1.0, 1.0)
         self.cost = np.zeros(self.shape[1])
         self.cost[:num_std] = lp.objective[var] * sign
@@ -291,7 +298,7 @@ class _Standardizer:
         rows = self.unit_row[cols]
         j = (rows >= 0).nonzero()[0]
         out[rows[j], j] = 1.0
-        out *= self.row_sign[:, None]
+        out[self.neg_rows] *= -1.0
 
     def back_substitute(self, x_std):
         return self._add_columns(self.offset.copy(), x_std)
@@ -312,13 +319,17 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     pivot budget (10 * structural variable count) is spent.  Reduced costs are
     cost - cb @ body by one gemv; when cost has one nonzero entry, cb has at
     most one too, and they are cost minus that row times it, the gemv's bits
-    up to the sign of a zero.  Returns (status, iterations, entering_column)
-    with status "optimal"/"unbounded".
+    up to the sign of a zero.  Under Dantzig's rule, on a body of at least
+    `_CERTIFY_MIN_ENTRIES` entries and several nonzero costs, `_certified_entering`
+    first tries to settle the choice from the rows with a nonzero basic cost (in
+    phase 1 the artificial rows); the gemv prices only what it leaves open.
+    Returns (status, iterations, entering_column) with status "optimal"/"unbounded".
     """
     ncols = t.shape[1] - 1
     body, rhs = t[:, :ncols], t[:, -1]
     cb = cost[basis]                # cost of each row's basic column
     one_row = np.count_nonzero(cost) == 1
+    certify = not one_row and body.size >= _CERTIFY_MIN_ENTRIES
     budget = 10 * max(1, num_structural)
     degenerate = 0
     bland = False
@@ -326,21 +337,23 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     while True:
         if it >= max_iterations:
             raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
-        if one_row:                 # cb has at most one nonzero: cb @ body is its row times it
-            k = cb.nonzero()[0]
-            red = cost - cb[k] * body[k[0]] if k.size else cost.copy()
-        else:
-            red = cost - cb @ body
-        red[basis] = 0.0
-        if bland:
-            cand = (red < -_RCOST_TOL).nonzero()[0]
-            if cand.size == 0:
-                return "optimal", it, -1
-            enter = int(cand[0])
-        else:
-            enter = int(red.argmin())
-            if red[enter] >= -_RCOST_TOL:
-                return "optimal", it, -1
+        enter = _certified_entering(cost, cb, body, basis) if certify and not bland else None
+        if enter is None:
+            if one_row:             # cb has at most one nonzero: cb @ body is its row times it
+                k = cb.nonzero()[0]
+                red = cost - cb[k] * body[k[0]] if k.size else cost.copy()
+            else:
+                red = cost - cb @ body
+            red[basis] = 0.0
+            if bland:
+                cand = (red < -_RCOST_TOL).nonzero()[0]
+                enter = int(cand[0]) if cand.size else -1
+            else:
+                enter = int(red.argmin())
+                if red[enter] >= -_RCOST_TOL:
+                    enter = -1
+        if enter < 0:
+            return "optimal", it, -1
         col = body[:, enter]
         pos = (col > _PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
@@ -364,6 +377,36 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
         basis[leave] = enter
         cb[leave] = cost[enter]
         it += 1
+
+
+def _certified_entering(cost, cb, body, basis):
+    """Dantzig's choice on cost - cb @ body read from the rows k with a nonzero cb alone, when
+    fewer than 1/_CERTIFY_ROW_SHARE of the rows: the entering column, -1 when optimal, or None
+    when the read does not settle it.  The gemv's zero products add exactly, so however it
+    orders its sums at most n = len(k) + 4 roundings lie on any term's path (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 3.1): each of its reduced costs lies
+    within m = 3 gamma_n |cb[k]| @ |body[k]| + 3u |red| + 1e-300 of the read's red (both zero
+    on basic columns).  The read decides only when these intervals separate the minimum from
+    -_RCOST_TOL and from every other column; a tie stays with the gemv."""
+    k = cb.nonzero()[0]
+    if _CERTIFY_ROW_SHARE * k.size >= body.shape[0]:
+        return None
+    c, rows, u = cb[k], body[k], 2.0 ** -53
+    red = cost - c @ rows
+    red[basis] = 0.0
+    enter = int(red.argmin())
+    if red[enter] < -_RCOST_TOL and np.count_nonzero(red == red[enter]) > 1:
+        return None                 # no margin separates a tie
+    nu = (k.size + 4) * u
+    margin = (3.0 * nu / (1.0 - nu)) * (np.abs(c) @ np.abs(rows))     # 3 gamma_n
+    margin += 3.0 * u * np.abs(red) + 1e-300
+    margin[basis] = 0.0
+    low = red - margin
+    if low.min() >= -_RCOST_TOL:
+        return -1
+    high = red[enter] + margin[enter]
+    low[enter] = np.inf
+    return enter if high < -_RCOST_TOL and low.min() > high else None
 
 
 def _eliminate(t, leave, enter):

@@ -105,7 +105,8 @@ def _add_rows(b, poly, zero, names, relation, terms, const=0.0, epsilon=0.0):
 
 def _validate_positive_lft(lft):
     """Loop-signal nonnegativity patterns plus closed-loop positivity on a
-    sample of the box; entrywise negativity of E0/F10 is fine."""
+    sample of the box; entrywise negativity of E0/F10 is fine.  A refusal
+    names the point in the system's own delta (`LftSystem.delta_box`)."""
     for name in ("C0", "F00", "F01"):
         if not numlin.is_nonnegative(getattr(lft, name)):
             raise ClassificationError(f"positive LFT needs {name} >= 0")
@@ -116,11 +117,14 @@ def _validate_positive_lft(lft):
     refused = ~(delta_ok & sysmodel.positive_stack(*closed, tol=1e-9))
     if refused.any():
         g = int(np.argmax(refused))
+        box, delta = lft.delta_box, points[g]
+        if box is not None:
+            delta = box.lower + (box.upper - box.lower) * delta
         if not delta_ok[g]:
-            raise ClassificationError(f"Delta(delta) has negative entries at {points[g]}")
+            raise ClassificationError(f"Delta(delta) has negative entries at {delta}")
         report = sysmodel.classify(close_at(lft, points[g]), tol=1e-9)
         raise ClassificationError(
-            f"closed loop is not positive at delta={points[g]}: {report.violations[:3]}")
+            f"closed loop is not positive at delta={delta}: {report.violations[:3]}")
 
 
 def _phi_blocks(b, sset):

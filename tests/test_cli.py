@@ -181,6 +181,20 @@ def test_vertex_program_without_a_shared_lyapunov_vector_is_infeasible(capsys, t
     assert dump.read_text() == lp_to_text(err.value.lp)
 
 
+@pytest.mark.parametrize("argv", [("--norm", "l1", "--scaling", "const"), ("--norm", "linf")])
+def test_closed_loop_refusal_names_delta_on_the_systems_box(capsys, tmp_path, argv):
+    # A[0, 1] = 0.5 - delta turns negative at delta = 0.6 of the box [0, 2]: the
+    # sample point theta = 0.3 of the unit box the LFT is written on
+    path = tmp_path / "box02.json"
+    write_polynomial_system(polynomial_system(
+        a_terms={0: [[-2.0, 0.5], [0.3, -1.5]], 1: [[0.0, -1.0], [0.0, 0.2]]},
+        c_terms={0: [[1.0, 1.0]]}, e_terms={0: [[1.0], [1.0]]}, f_terms={0: [[0.0]]},
+        domain=BoxDomain([0.0], [2.0])), path)
+    assert cli.main(["robust-gain", *argv, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: closed loop is not positive at delta=[0.6]: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["gain", "--norm", "l7", "nowhere.json"])

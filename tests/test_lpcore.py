@@ -936,7 +936,32 @@ def recording_cost(cost, record):
 
 
 def new_record():
-    return {"gemv": 0, "one_row": 0, "reds": []}
+    return {"gemv": 0, "one_row": 0, "reds": [], "certified": 0, "optimal": 0}
+
+
+def gemv_entering(cost, cb, body, basis):
+    """Dantzig's choice on the gemv's reduced costs: the entering column, or -1 when optimal."""
+    red = cost - cb @ body
+    red[basis] = 0.0
+    enter = int(red.argmin())
+    return enter if red[enter] < -lpcore._RCOST_TOL else -1
+
+
+def checking_certified_entering(record):
+    """`lpcore._certified_entering` on plain arrays (so a `recording_cost` sees none of its
+    arithmetic); asserts each choice it settles is the gemv's and counts them in
+    record["certified"] and record["optimal"]."""
+    certified = lpcore._certified_entering
+
+    def check(cost, cb, body, basis):
+        cost, cb = np.asarray(cost), np.asarray(cb)
+        enter = certified(cost, cb, body, basis)
+        if enter is not None:
+            assert enter == gemv_entering(cost, cb, body, basis)
+            record["certified"] += 1
+            record["optimal"] += enter < 0
+        return enter
+    return check
 
 
 def test_one_row_pricing_is_the_gemv_result():
@@ -969,26 +994,110 @@ def test_one_row_pricing_is_the_gemv_result():
 
 def test_synthesis_phase_2_prices_one_row_and_phase_1_the_gemv(monkeypatch):
     # the synthesis objective is gamma alone; every phase 1 of the tall LPs
-    # has several artificial columns with cost 1 and keeps the gemv
+    # has several artificial columns with cost 1, and each of its pricings is
+    # the gemv or a certified choice equal to the gemv's; the n = 24
+    # synthesis LPs take at least one certified choice
     loop, calls = lpcore._simplex_loop, []
 
-    def recording_loop(t, basis, cost, *args):
+    def recording_loop(t, basis, cost, num_structural, max_iterations, start_iter):
         record = new_record()
-        calls[-1].append((np.count_nonzero(cost), record))
-        return loop(t, basis, recording_cost(cost, record), *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_certified_entering", checking_certified_entering(record))
+            status, it, enter = loop(t, basis, recording_cost(cost, record), num_structural,
+                                     max_iterations, start_iter)
+        calls[-1].append((np.count_nonzero(cost), record, it - start_iter + 1))
+        return status, it, enter
     monkeypatch.setattr(lpcore, "_simplex_loop", recording_loop)
     for name, lp in tall_lps():
         calls.append([name])
         solve_lp(lp)
     for name, *loops in calls:
         assert len(loops) == 2 and loops[0][0] > 1, name
-        for nonzeros, record in loops:
+        for nonzeros, record, pricings in loops:
             priced = len(record["reds"])
-            assert priced and record["gemv"] + record["one_row"] == priced, name
+            assert priced + record["certified"] == pricings, name
+            assert record["gemv"] + record["one_row"] == priced, name
             if nonzeros > 1:
                 assert record["one_row"] == 0, name
         if "synth" in name:
             assert loops[1][0] == 1 and loops[1][1]["gemv"] == 0, name
+        if name.endswith("synth n=24"):
+            assert loops[0][1]["certified"] > 0, name
+
+
+def tie_tableau(exact_tie=True):
+    """A 64 x 2113 phase-1 tableau, [structural | identity basis | rhs], whose first three
+    rows have artificial basic columns (cost 1).  With `exact_tie` columns 0 and 1 carry
+    [1e16, 1, -1e16] and [1, 1e16, -1e16] there: both reduced costs are exactly -1, but a
+    sum's rounding order moves each to 0 or -1.  Column 2, with 0.5 in row 0, prices at -0.5."""
+    m, structural = 64, 2048
+    t = np.zeros((m, structural + m + 1))
+    if exact_tie:
+        t[:3, 0] = [1e16, 1.0, -1e16]
+        t[:3, 1] = [1.0, 1e16, -1e16]
+    t[0, 2] = 0.5
+    t[:, structural:structural + m] = np.eye(m)
+    t[:, -1] = 1.0
+    basis = structural + np.arange(m)
+    cost = np.zeros(structural + m)
+    cost[basis[:3]] = 1.0
+    return t, basis, cost
+
+
+def test_certified_pricing_leaves_rounding_order_to_the_gemv(monkeypatch):
+    # a tie whose floating-point sums depend on their order is not settled by
+    # the artificial rows; the loop's choice is the gemv's.  Without the tie
+    # column 2 is certified, unless column 3 equals it, and a tableau whose
+    # last artificial row is gone is certified optimal
+    t, basis, cost = tie_tableau()
+    body = t[:, :-1]
+    assert body.size >= lpcore._CERTIFY_MIN_ENTRIES
+    assert lpcore._certified_entering(cost, cost[basis], body, basis) is None
+    want = gemv_entering(cost, cost[basis], body, basis)
+    assert want in (0, 1, 2)
+    pivots, record = [], new_record()
+    with monkeypatch.context() as patch:
+        patch.setattr(lpcore, "_eliminate", lambda t, leave, enter: pivots.append(enter))
+        patch.setattr(lpcore, "_certified_entering", checking_certified_entering(record))
+        with pytest.raises(NonConvergenceError):
+            lpcore._simplex_loop(t, basis, cost, body.shape[1], 1, 0)
+    assert pivots == [want] and record["certified"] == 0
+    t, basis, cost = tie_tableau(exact_tie=False)
+    assert lpcore._certified_entering(cost, cost[basis], t[:, :-1], basis) == 2
+    t[:, 3] = t[:, 2]
+    assert lpcore._certified_entering(cost, cost[basis], t[:, :-1], basis) is None
+    t[:, 3] = 0.0
+    cost[basis[:3]] = 0.0
+    cost[basis[0]] = 1.0
+    t[0, 2] = 0.0
+    assert lpcore._certified_entering(cost, cost[basis], t[:, :-1], basis) == -1
+
+
+def test_certified_pricing_chooses_as_the_gemv(monkeypatch):
+    # at every certified step of the tall LPs, and of 360 random LPs with the
+    # size floor lifted, the gemv's reduced costs pick the same entering
+    # column or the same optimal verdict; every solve keeps its bytes
+    record = new_record()
+    monkeypatch.setattr(lpcore, "_certified_entering", checking_certified_entering(record))
+    for name, lp in tall_lps():
+        solve_lp(lp)
+    tall = dict(record)
+    assert tall["certified"] > tall["optimal"] > 0, tall
+    kinds = ("degenerate", "infeasible", "unbounded", "free", "two-sided", "redundant")
+    rng = np.random.default_rng(2026)
+    for trial in range(360):
+        lp = random_lp(rng, kinds[trial % len(kinds)])
+        want = solve_lp(lp)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpcore, "_CERTIFY_MIN_ENTRIES", 0)
+            got = solve_lp(lp)
+        assert (got.status, got.iterations) == (want.status, want.iterations), trial
+        for field in ("x", "objective_value", "dual", "certificate"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g is None) == (w is None), (trial, field)
+            assert np.float64(g).tobytes() == np.float64(w).tobytes(), (trial, field)
+    columns = record["certified"] - record["optimal"] - tall["certified"] + tall["optimal"]
+    assert columns > 0 and record["optimal"] > tall["optimal"], (tall, record)
 
 
 def copying_drive_out_artificials(t, basis, ncols):

@@ -70,7 +70,7 @@ class DegreeError(PoslpError):
 
 
 class CombinatorialCapError(PoslpError):
-    """Enumeration would exceed the configured combinatorial cap."""
+    """Enumeration, or the tableau it leads to, would exceed a configured cap."""
 
 
 class WellPosednessError(PoslpError):

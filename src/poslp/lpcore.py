@@ -6,29 +6,31 @@ reach the solver, so computed gains carry a small, explicitly reported upward bi
 (`_eliminate`) takes one of four updates, each keeping every bit: the rows it touches; on tall
 sparse pivots only the pivot row's nonzero columns, of the touched rows or whole when most of
 a tall tableau's rows are touched; and the whole tableau in place, with einsum's products, when
-most rows are touched.  Phase 2 runs on a view of the phase-1 tableau, and an objective with one
-nonzero cost is priced from one tableau row.  Phase 1 on a large tableau with few artificials left
-in the basis takes its entering column from the artificial rows alone when a rounding bound shows
-it is the gemv's, and prices by the gemv otherwise, so every pivot keeps its bits.  A solve holds
-one standard-form-sized buffer at a time: the standard form is written straight into the phase-1
-tableau, and the final basis matrix is rebuilt from the LP's rows once the tableau is released.
+most rows are touched.  Phase 2 runs on a view of the phase-1 tableau.  Pricing reads the rows
+whose basic column has a nonzero cost: with at most one such row the read is exact, with a few
+rows of a large tableau its entering column is taken when a rounding bound shows it is the gemv's,
+and the gemv prices the rest, so every pivot keeps its bits.  A solve holds one standard-form-sized
+buffer at a time, a phase-1 tableau of at most `TABLEAU_CAP` bytes: the standard form is written
+straight into it, and the final basis matrix is rebuilt from the LP's rows once it is released.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import CombinatorialCapError, NonConvergenceError, ValidationError
 
 RELATIONS = ("<=", "==")
 
 _PIVOT_TOL = 1e-9
 _RCOST_TOL = 1e-9
 _FEAS_TOL = 1e-8
-# `_certified_entering` reads tableau bodies of 2^17 entries or more (on smaller ones the gemv
-# costs less than the read) where fewer than 1 row in 16 has a nonzero basic cost
-_CERTIFY_MIN_ENTRIES = 2 ** 17
+# `_entering` certifies its read on tableau bodies of 2^18 entries or more (on smaller ones
+# the gemv costs less than the read and its ties) where under 1 row in 16 has a basic cost
+_CERTIFY_MIN_ENTRIES = 2 ** 18
 _CERTIFY_ROW_SHARE = 16
+# bytes of the phase-1 tableau that `solve_lp` refuses to exceed (the pinned ones take 7 MB)
+TABLEAU_CAP = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -313,23 +315,15 @@ class _Standardizer:
 
 
 def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
-    """Primal simplex on a canonical tableau, in place.
+    """Primal simplex on a canonical tableau, in place, priced by `_entering`.
 
-    Dantzig pricing, switching permanently to Bland's rule once the degenerate
-    pivot budget (10 * structural variable count) is spent.  Reduced costs are
-    cost - cb @ body by one gemv; when cost has one nonzero entry, cb has at
-    most one too, and they are cost minus that row times it, the gemv's bits
-    up to the sign of a zero.  Under Dantzig's rule, on a body of at least
-    `_CERTIFY_MIN_ENTRIES` entries and several nonzero costs, `_certified_entering`
-    first tries to settle the choice from the rows with a nonzero basic cost (in
-    phase 1 the artificial rows); the gemv prices only what it leaves open.
-    Returns (status, iterations, entering_column) with status "optimal"/"unbounded".
+    Dantzig pricing, switching permanently to Bland's rule once the degenerate pivot budget
+    (10 * structural variable count) is spent.  Returns (status, iterations, entering_column)
+    with status "optimal"/"unbounded".
     """
     ncols = t.shape[1] - 1
     body, rhs = t[:, :ncols], t[:, -1]
     cb = cost[basis]                # cost of each row's basic column
-    one_row = np.count_nonzero(cost) == 1
-    certify = not one_row and body.size >= _CERTIFY_MIN_ENTRIES
     budget = 10 * max(1, num_structural)
     degenerate = 0
     bland = False
@@ -337,21 +331,7 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
     while True:
         if it >= max_iterations:
             raise NonConvergenceError(f"simplex hit the iteration cap ({max_iterations})")
-        enter = _certified_entering(cost, cb, body, basis) if certify and not bland else None
-        if enter is None:
-            if one_row:             # cb has at most one nonzero: cb @ body is its row times it
-                k = cb.nonzero()[0]
-                red = cost - cb[k] * body[k[0]] if k.size else cost.copy()
-            else:
-                red = cost - cb @ body
-            red[basis] = 0.0
-            if bland:
-                cand = (red < -_RCOST_TOL).nonzero()[0]
-                enter = int(cand[0]) if cand.size else -1
-            else:
-                enter = int(red.argmin())
-                if red[enter] >= -_RCOST_TOL:
-                    enter = -1
+        enter = _entering(cost, cb, body, basis, bland)
         if enter < 0:
             return "optimal", it, -1
         col = body[:, enter]
@@ -379,34 +359,47 @@ def _simplex_loop(t, basis, cost, num_structural, max_iterations, start_iter):
         it += 1
 
 
-def _certified_entering(cost, cb, body, basis):
-    """Dantzig's choice on cost - cb @ body read from the rows k with a nonzero cb alone, when
-    fewer than 1/_CERTIFY_ROW_SHARE of the rows: the entering column, -1 when optimal, or None
-    when the read does not settle it.  The gemv's zero products add exactly, so however it
-    orders its sums at most n = len(k) + 4 roundings lie on any term's path (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., sec. 3.1): each of its reduced costs lies
-    within m = 3 gamma_n |cb[k]| @ |body[k]| + 3u |red| + 1e-300 of the read's red (both zero
-    on basic columns).  The read decides only when these intervals separate the minimum from
-    -_RCOST_TOL and from every other column; a tie stays with the gemv."""
+def _entering(cost, cb, body, basis, bland):
+    """The entering column on cost - cb @ body by Dantzig's rule, or Bland's once `bland`; -1
+    when optimal.  It reads the rows k with a nonzero cb.  With at most one, the read has one
+    product per entry, the gemv's bits up to the sign of a zero.  With several, on a body of
+    `_CERTIFY_MIN_ENTRIES` entries or more whose k holds under 1/_CERTIFY_ROW_SHARE of the
+    rows, Dantzig's choice on the read red is taken if certified: the gemv's zero products add
+    exactly, so in any summation order at most n = len(k) + 4 roundings lie on a term's path
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), and each of
+    its reduced costs lies within m = 3 gamma_n |cb[k]| @ |body[k]| + 3u |red| + 1e-300 of red
+    (both zero on basic columns).  These intervals must separate the minimum from -_RCOST_TOL
+    and from every other column; the gemv prices a tie, an overlap and every other case."""
     k = cb.nonzero()[0]
-    if _CERTIFY_ROW_SHARE * k.size >= body.shape[0]:
-        return None
-    c, rows, u = cb[k], body[k], 2.0 ** -53
-    red = cost - c @ rows
+    if k.size <= 1:
+        red = cost - cb[k[0]] * body[k[0]] if k.size else cost.copy()
+    else:
+        if (not bland and body.size >= _CERTIFY_MIN_ENTRIES
+                and _CERTIFY_ROW_SHARE * k.size < body.shape[0]):
+            c, rows, u = cb[k], body[k], 2.0 ** -53
+            red = cost - c @ rows
+            red[basis] = 0.0
+            enter = int(red.argmin())
+            # no margin separates a tie at a negative minimum
+            if red[enter] >= -_RCOST_TOL or np.count_nonzero(red == red[enter]) == 1:
+                nu = (k.size + 4) * u
+                margin = (3.0 * nu / (1.0 - nu)) * (np.abs(c) @ np.abs(rows))   # 3 gamma_n
+                margin += 3.0 * u * np.abs(red) + 1e-300
+                margin[basis] = 0.0
+                low = red - margin
+                if low.min() >= -_RCOST_TOL:
+                    return -1
+                high = red[enter] + margin[enter]
+                low[enter] = np.inf
+                if high < -_RCOST_TOL and low.min() > high:
+                    return enter
+        red = cost - cb @ body
     red[basis] = 0.0
+    if bland:
+        cand = (red < -_RCOST_TOL).nonzero()[0]
+        return int(cand[0]) if cand.size else -1
     enter = int(red.argmin())
-    if red[enter] < -_RCOST_TOL and np.count_nonzero(red == red[enter]) > 1:
-        return None                 # no margin separates a tie
-    nu = (k.size + 4) * u
-    margin = (3.0 * nu / (1.0 - nu)) * (np.abs(c) @ np.abs(rows))     # 3 gamma_n
-    margin += 3.0 * u * np.abs(red) + 1e-300
-    margin[basis] = 0.0
-    low = red - margin
-    if low.min() >= -_RCOST_TOL:
-        return -1
-    high = red[enter] + margin[enter]
-    low[enter] = np.inf
-    return enter if high < -_RCOST_TOL and low.min() > high else None
+    return enter if red[enter] < -_RCOST_TOL else -1
 
 
 def _eliminate(t, leave, enter):
@@ -466,8 +459,9 @@ def _dual_multipliers(std, basis, struct_cost, art_rows, bmat=None):
 def solve_lp(lp, max_iterations=1_000_000):
     """Solve the LP with a dense two-phase primal simplex.
 
-    The standard form is written straight into the phase-1 tableau, and phase 2 runs on a
-    view of it without its artificial columns.  Optimal solutions are re-derived from the
+    The standard form is written straight into the phase-1 tableau (refused with
+    CombinatorialCapError before its allocation if over `TABLEAU_CAP` bytes), and phase 2 runs
+    on a view of it without its artificial columns.  Optimal solutions are re-derived from the
     final basis, its matrix B rebuilt from the LP's rows once the tableau is released, by
     one LU solve of B and one of B^T, and verified (primal feasibility, duality gap) before
     being returned; failure to verify raises NonConvergenceError.
@@ -480,7 +474,12 @@ def solve_lp(lp, max_iterations=1_000_000):
     basis = np.where(std.row_sign > 0, std.slack_of_row, -1)
     art_rows = (basis < 0).nonzero()[0]
     basis[art_rows] = ncols + np.arange(art_rows.size)
-    t = np.zeros((num_rows, ncols + art_rows.size + 1))
+    shape = (num_rows, ncols + art_rows.size + 1)
+    size = 8 * shape[0] * shape[1]
+    if size > TABLEAU_CAP:
+        raise CombinatorialCapError(f"the phase-1 tableau of shape {shape[0]} x {shape[1]} "
+                                    f"needs {size} bytes, over the cap of {TABLEAU_CAP}")
+    t = np.zeros(shape)
     std.write(t[:, :ncols], np.arange(ncols))
     t[art_rows, basis[art_rows]] = 1.0
     t[:, -1] = std.b

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -677,3 +679,38 @@ def test_gene_model_robust_gain_takes_the_lft_path(capsys, tmp_path, norm):
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == "lft-ilc" and doc["grid_verdict"] is True
+
+
+def test_robust_gain_below_the_oracle_prints_refuted(capsys, monkeypatch, poly_file):
+    # half of poly3's robust L1 bound (93.39) lies below its grid oracle (92.84)
+    solve = robust.solve_robust
+
+    def halved(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, gamma=0.5 * res.gamma)
+    monkeypatch.setattr(robust, "solve_robust", halved)
+    code, out = run(capsys, "robust-gain", "--norm", "l1", poly_file, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1] == "grid check: max frozen-delta oracle 92.835821 -> REFUTED"
+
+
+def test_vertex_program_too_large_to_fit_is_refused(capsys, tmp_path):
+    # A = -2 + 0.1 (delta_1 + ... + delta_14): 2^14 vertices give a phase-1
+    # tableau of 32768 x 65539 (16 GiB), refused before it is allocated; the
+    # address space is capped meanwhile, so an allocation fails instead of paging
+    zero, path = (0,) * 14, tmp_path / "affine14.json"
+    a_terms = {zero: [[-2.0]], **{tuple(row): [[0.1]] for row in np.eye(14, dtype=int)}}
+    write_polynomial_system(polynomial_system(
+        a_terms=a_terms, c_terms={zero: [[1.0]]}, e_terms={zero: [[1.0]]},
+        f_terms={zero: [[0.0]]}), path)
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize() + 2 ** 32
+    resource.setrlimit(resource.RLIMIT_AS, (
+        cap if limits[1] == resource.RLIM_INFINITY else min(cap, limits[1]), limits[1]))
+    try:
+        code = cli.main(["robust-gain", "--norm", "l1", "--vertices", str(path)])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert code == 1
+    assert capsys.readouterr().err == ("error: the phase-1 tableau of shape 32768 x 65539 needs "
+                                       "17180655616 bytes, over the cap of 2147483648\n")

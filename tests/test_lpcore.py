@@ -7,7 +7,8 @@ import pytest
 
 from poslp import gains, handelman, ilc, lft, lpcore, robust, synthesis, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
-from poslp.errors import InfeasibleError, NonConvergenceError, ValidationError
+from poslp.errors import (CombinatorialCapError, InfeasibleError, NonConvergenceError,
+                          ValidationError)
 from poslp.lpcore import LinearProgram, LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
 from poslp.synthesis import ControllerSpec
 
@@ -915,8 +916,8 @@ def test_simplex_loop_matches_reference_loop_under_blands_rule(monkeypatch):
 
 def recording_cost(cost, record):
     """A view of `cost` whose derived arrays record how the simplex loop
-    prices: record["gemv"] counts `cb @ body` products, record["one_row"]
-    the searches for cb's nonzero entry (`nonzero` of a float array), and
+    prices: record["gemv"] counts `@` products, record["one_row"] the
+    searches for cb's nonzero entries (`nonzero` of a float array), and
     record["reds"] keeps each reduced-cost vector as priced, before its
     basic entries are zeroed."""
     class Recording(np.ndarray):
@@ -936,28 +937,51 @@ def recording_cost(cost, record):
 
 
 def new_record():
-    return {"gemv": 0, "one_row": 0, "reds": [], "certified": 0, "optimal": 0}
+    return {"gemv": 0, "one_row": 0, "reds": [], "exact": 0, "certified": 0, "optimal": 0}
 
 
-def gemv_entering(cost, cb, body, basis):
-    """Dantzig's choice on the gemv's reduced costs: the entering column, or -1 when optimal."""
+def gemv_entering(cost, cb, body, basis, bland=False):
+    """Dantzig's choice, or Bland's, on the gemv's reduced costs: the entering column, or -1
+    when optimal."""
     red = cost - cb @ body
     red[basis] = 0.0
+    if bland:
+        cand = (red < -lpcore._RCOST_TOL).nonzero()[0]
+        return int(cand[0]) if cand.size else -1
     enter = int(red.argmin())
     return enter if red[enter] < -lpcore._RCOST_TOL else -1
 
 
-def checking_certified_entering(record):
-    """`lpcore._certified_entering` on plain arrays (so a `recording_cost` sees none of its
-    arithmetic); asserts each choice it settles is the gemv's and counts them in
-    record["certified"] and record["optimal"]."""
-    certified = lpcore._certified_entering
+def pricing_products(entering, cost, cb, body, basis, bland=False):
+    """(choice, heights) of `entering`, `lpcore._entering` unpatched: its entering column and
+    the row count of the right operand of each `@` product it forms, `body`'s for the gemv
+    and fewer for a read."""
+    heights = []
 
-    def check(cost, cb, body, basis):
-        cost, cb = np.asarray(cost), np.asarray(cb)
-        enter = certified(cost, cb, body, basis)
-        if enter is not None:
-            assert enter == gemv_entering(cost, cb, body, basis)
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            heights.append(other.shape[0])
+            return super().__matmul__(other)
+    return entering(cost, np.asarray(cb).view(Counting), body, basis, bland), heights
+
+
+def checking_entering(record):
+    """`lpcore._entering` that asserts each choice is the gemv's and counts the pricings in
+    record: "exact" with at most one nonzero cb (and no product), "certified" settled by the
+    read of the rows with a nonzero cb (and no gemv), of which "optimal" found no entering
+    column, and "gemv"."""
+    entering = lpcore._entering
+
+    def check(cost, cb, body, basis, bland):
+        enter, heights = pricing_products(entering, cost, cb, body, basis, bland)
+        assert enter == gemv_entering(cost, cb, body, basis, bland)
+        if np.count_nonzero(cb) <= 1:
+            assert heights == []
+            record["exact"] += 1
+        elif body.shape[0] in heights:
+            record["gemv"] += 1
+        else:
+            assert heights and max(heights) < body.shape[0]
             record["certified"] += 1
             record["optimal"] += enter < 0
         return enter
@@ -966,10 +990,11 @@ def checking_certified_entering(record):
 
 def test_one_row_pricing_is_the_gemv_result():
     # widths 40..43 cover the gemv kernel's N mod 4 tails; one cost of either
-    # sign, basic or not, -0.0 in the body and among the zero costs; the
-    # first pricing equals the gemv's, bit for bit at every nonzero
+    # sign, basic or not, -0.0 in the body and among the zero costs; then
+    # several nonzero costs of which one is basic, or none is; the first
+    # pricing equals the gemv's, bit for bit at every nonzero, with no product
     rng = np.random.default_rng(17)
-    for trial in range(48):
+    for trial in range(96):
         m, ncols = 9, 40 + trial % 4
         t = rng.uniform(-1, 1, (m, ncols + 1)) * 10.0 ** rng.uniform(-3, 3, (m, ncols + 1))
         t[rng.uniform(0, 1, t.shape) < 0.3] = 0.0
@@ -978,8 +1003,15 @@ def test_one_row_pricing_is_the_gemv_result():
         basis = rng.choice(ncols, m, replace=False)
         cost = np.where(rng.uniform(0, 1, ncols) < 0.5, 0.0, -0.0)
         nonbasic = np.setdiff1d(np.arange(ncols), basis)
-        j = basis[trial % m] if trial % 3 else nonbasic[trial % 5]
-        cost[j] = rng.uniform(0.5, 2.0) * (-1.0) ** trial
+        if trial < 48:
+            j = basis[trial % m] if trial % 3 else nonbasic[trial % 5]
+            cost[j] = rng.uniform(0.5, 2.0) * (-1.0) ** trial
+        else:
+            j = rng.choice(nonbasic, 2 + trial % 7, replace=False)
+            cost[j] = rng.uniform(-2.0, 2.0, j.size) * 10.0 ** rng.uniform(-3, 3, j.size)
+            if trial % 2:
+                cost[basis[trial % m]] = rng.uniform(0.5, 2.0) * (-1.0) ** (trial // 2)
+            assert np.count_nonzero(cost) > 1 and np.count_nonzero(cost[basis]) == trial % 2
         want = cost - cost[basis] @ t[:, :ncols]
         record = new_record()
         try:
@@ -993,44 +1025,44 @@ def test_one_row_pricing_is_the_gemv_result():
 
 
 def test_synthesis_phase_2_prices_one_row_and_phase_1_the_gemv(monkeypatch):
-    # the synthesis objective is gamma alone; every phase 1 of the tall LPs
-    # has several artificial columns with cost 1, and each of its pricings is
-    # the gemv or a certified choice equal to the gemv's; the n = 24
-    # synthesis LPs take at least one certified choice
+    # the synthesis objective is gamma alone, so phase 2 reads one row exactly;
+    # every phase 1 of the tall LPs has several artificial columns with cost 1,
+    # and each of its pricings is the gemv, a certified choice or, once at most
+    # one artificial is basic, the exact read, each equal to the gemv's; the
+    # n = 24 synthesis LPs take at least one certified choice
     loop, calls = lpcore._simplex_loop, []
 
     def recording_loop(t, basis, cost, num_structural, max_iterations, start_iter):
         record = new_record()
         with monkeypatch.context() as patch:
-            patch.setattr(lpcore, "_certified_entering", checking_certified_entering(record))
-            status, it, enter = loop(t, basis, recording_cost(cost, record), num_structural,
-                                     max_iterations, start_iter)
+            patch.setattr(lpcore, "_entering", checking_entering(record))
+            status, it, enter = loop(t, basis, cost, num_structural, max_iterations, start_iter)
         calls[-1].append((np.count_nonzero(cost), record, it - start_iter + 1))
         return status, it, enter
     monkeypatch.setattr(lpcore, "_simplex_loop", recording_loop)
     for name, lp in tall_lps():
         calls.append([name])
         solve_lp(lp)
+    exact_in_phase_1 = 0
     for name, *loops in calls:
         assert len(loops) == 2 and loops[0][0] > 1, name
-        for nonzeros, record, pricings in loops:
-            priced = len(record["reds"])
-            assert priced + record["certified"] == pricings, name
-            assert record["gemv"] + record["one_row"] == priced, name
-            if nonzeros > 1:
-                assert record["one_row"] == 0, name
+        for _, record, pricings in loops:
+            assert record["exact"] + record["certified"] + record["gemv"] == pricings, name
+        exact_in_phase_1 += loops[0][1]["exact"]
         if "synth" in name:
-            assert loops[1][0] == 1 and loops[1][1]["gemv"] == 0, name
+            assert loops[1][0] == 1, name
+            assert loops[1][1]["exact"] == loops[1][2], name
         if name.endswith("synth n=24"):
             assert loops[0][1]["certified"] > 0, name
+    assert exact_in_phase_1 > 0
 
 
 def tie_tableau(exact_tie=True):
-    """A 64 x 2113 phase-1 tableau, [structural | identity basis | rhs], whose first three
+    """A 64 x 4161 phase-1 tableau, [structural | identity basis | rhs], whose first three
     rows have artificial basic columns (cost 1).  With `exact_tie` columns 0 and 1 carry
     [1e16, 1, -1e16] and [1, 1e16, -1e16] there: both reduced costs are exactly -1, but a
     sum's rounding order moves each to 0 or -1.  Column 2, with 0.5 in row 0, prices at -0.5."""
-    m, structural = 64, 2048
+    m, structural = 64, 4096
     t = np.zeros((m, structural + m + 1))
     if exact_tie:
         t[:3, 0] = [1e16, 1.0, -1e16]
@@ -1052,37 +1084,40 @@ def test_certified_pricing_leaves_rounding_order_to_the_gemv(monkeypatch):
     t, basis, cost = tie_tableau()
     body = t[:, :-1]
     assert body.size >= lpcore._CERTIFY_MIN_ENTRIES
-    assert lpcore._certified_entering(cost, cost[basis], body, basis) is None
     want = gemv_entering(cost, cost[basis], body, basis)
     assert want in (0, 1, 2)
+    enter, heights = pricing_products(lpcore._entering, cost, cost[basis], body, basis)
+    assert enter == want and heights[-1] == 64 and set(heights[:-1]) == {3}
     pivots, record = [], new_record()
     with monkeypatch.context() as patch:
         patch.setattr(lpcore, "_eliminate", lambda t, leave, enter: pivots.append(enter))
-        patch.setattr(lpcore, "_certified_entering", checking_certified_entering(record))
+        patch.setattr(lpcore, "_entering", checking_entering(record))
         with pytest.raises(NonConvergenceError):
             lpcore._simplex_loop(t, basis, cost, body.shape[1], 1, 0)
-    assert pivots == [want] and record["certified"] == 0
+    assert pivots == [want] and (record["gemv"], record["certified"]) == (1, 0)
     t, basis, cost = tie_tableau(exact_tie=False)
-    assert lpcore._certified_entering(cost, cost[basis], t[:, :-1], basis) == 2
+    body = t[:, :-1]
+    assert pricing_products(lpcore._entering, cost, cost[basis], body, basis) == (2, [3, 3])
     t[:, 3] = t[:, 2]
-    assert lpcore._certified_entering(cost, cost[basis], t[:, :-1], basis) is None
+    assert pricing_products(lpcore._entering, cost, cost[basis], body, basis) == (2, [3, 64])
     t[:, 3] = 0.0
     cost[basis[:3]] = 0.0
-    cost[basis[0]] = 1.0
+    cost[basis[:2]] = 1.0
     t[0, 2] = 0.0
-    assert lpcore._certified_entering(cost, cost[basis], t[:, :-1], basis) == -1
+    assert pricing_products(lpcore._entering, cost, cost[basis], body, basis) == (-1, [2, 2])
 
 
 def test_certified_pricing_chooses_as_the_gemv(monkeypatch):
-    # at every certified step of the tall LPs, and of 360 random LPs with the
-    # size floor lifted, the gemv's reduced costs pick the same entering
-    # column or the same optimal verdict; every solve keeps its bytes
+    # at every pricing of the tall LPs, and of 360 random LPs with the size
+    # floor and the row share lifted, the gemv's reduced costs pick the same
+    # entering column or the same optimal verdict; every solve keeps its bytes
     record = new_record()
-    monkeypatch.setattr(lpcore, "_certified_entering", checking_certified_entering(record))
+    monkeypatch.setattr(lpcore, "_entering", checking_entering(record))
     for name, lp in tall_lps():
         solve_lp(lp)
     tall = dict(record)
-    assert tall["certified"] > tall["optimal"] > 0, tall
+    # the last phase-1 steps, with at most one artificial basic, are exact reads
+    assert tall["certified"] > tall["optimal"] and tall["exact"] > 0, tall
     kinds = ("degenerate", "infeasible", "unbounded", "free", "two-sided", "redundant")
     rng = np.random.default_rng(2026)
     for trial in range(360):
@@ -1090,6 +1125,7 @@ def test_certified_pricing_chooses_as_the_gemv(monkeypatch):
         want = solve_lp(lp)
         with monkeypatch.context() as patch:
             patch.setattr(lpcore, "_CERTIFY_MIN_ENTRIES", 0)
+            patch.setattr(lpcore, "_CERTIFY_ROW_SHARE", 1)
             got = solve_lp(lp)
         assert (got.status, got.iterations) == (want.status, want.iterations), trial
         for field in ("x", "objective_value", "dual", "certificate"):
@@ -1162,3 +1198,55 @@ def test_solve_lp_holds_no_phase_2_copy():
     finally:
         tracemalloc.stop()
     assert peak < 3 * size
+
+
+def verification_lp():
+    """min x0 + 2 x1 subject to x0 + x1 <= 50, x0 - x1 == 1 and x >= 0: the vertex (1, 0),
+    with the first row slack and the standard-form rhs (50, 1)."""
+    return LinearProgram(np.array([1.0, 2.0]), np.array([[1.0, 1.0], [1.0, -1.0]]),
+                         ("<=", "=="), np.array([50.0, 1.0]), np.zeros(2), np.full(2, np.inf))
+
+
+def test_perturbed_vertex_fails_primal_verification(monkeypatch):
+    # the vertex's LU solve comes before the duals'; 0.25 more on every basic
+    # entry breaks the equality row and leaves the slack one
+    assert solve_lp(verification_lp()).x.tolist() == [1.0, 0.0]
+    basis_solve, calls = lpcore._basis_solve, []
+
+    def perturbed_basis_solve(m, rhs):
+        calls.append(rhs)
+        return basis_solve(m, rhs) + (0.25 if len(calls) == 1 else 0.0)
+    monkeypatch.setattr(lpcore, "_basis_solve", perturbed_basis_solve)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_lp(verification_lp())
+    assert str(err.value) == "optimal vertex failed primal verification on row 1 (residual 2.500e-01)"
+    assert calls[0].tolist() == [50.0, 1.0]
+
+
+def test_perturbed_dual_fails_the_duality_gap(monkeypatch):
+    # y + 1 moves y^T b by 50 + 1 away from the objective 1
+    dual_multipliers = lpcore._dual_multipliers
+    monkeypatch.setattr(lpcore, "_dual_multipliers", lambda *args: dual_multipliers(*args) + 1.0)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_lp(verification_lp())
+    assert str(err.value) == "duality gap 5.100e+01 exceeds tolerance"
+
+
+def test_tableau_over_the_cap_is_refused_before_it_is_allocated(monkeypatch):
+    # 300 rows over 2 variables, each with a negative rhs and so an artificial
+    # column: a 300 x 603 phase-1 tableau of 1,447,200 bytes
+    rng = np.random.default_rng(5)
+    lp = LinearProgram(np.ones(2), -rng.uniform(0.5, 1.0, (300, 2)), ("<=",) * 300,
+                       -np.ones(300), np.zeros(2), np.full(2, np.inf))
+    assert solve_lp(lp).status == "optimal"
+    monkeypatch.setattr(lpcore, "TABLEAU_CAP", 10 ** 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CombinatorialCapError) as err:
+            solve_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("the phase-1 tableau of shape 300 x 603 needs 1447200 bytes, "
+                              "over the cap of 1000000")
+    assert peak < 1447200 / 16, peak

@@ -630,3 +630,12 @@ def test_synthesis_recovers_k_the_same_way():
     k[0, 1] = 0.0
     assert res.K.tobytes() == k.tobytes()
     assert synthesis.recover_k(res.lam, res.mu, spec.zero_pattern).tobytes() == k.tobytes()
+
+
+def test_grid_refutes_a_bound_below_the_oracle():
+    # poly3's L1 oracle peaks near 92.8 on the grid: the peak itself passes, half of it not
+    psys = poly3_system()
+    oracle = robust.grid_certify_gain(psys, np.inf).max_oracle
+    assert oracle > 90.0 and robust.grid_certify_gain(psys, oracle).ok
+    verdict = robust.grid_certify_gain(psys, 0.5 * oracle)
+    assert (verdict.ok, verdict.failure, verdict.max_oracle) == (False, None, oracle)

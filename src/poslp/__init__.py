@@ -7,12 +7,11 @@ from .sysmodel import (PositiveLtiSystem, classify, is_stable, oracle_gains,
 from .gains import l1_gain, linf_gain
 from .synthesis import ControllerSpec, stabilize_linf
 from .poly import BoxDomain, Poly, PolynomialLtiSystem, polynomial_system
-from .lft import LftSystem, TransposedLft, delay_lft, lft_from_polynomial, transpose_lft
+from .lft import LftSystem, delay_lft, lft_from_polynomial, transpose_lft
 from .ilc import (ConstantDelay, FreeConstant, FreePolynomial,
                   SaturatedStaticGain, TimeVaryingDelay, instantiate)
-from .robust import (exact_constant_delta, grid_certify_gain,
-                     grid_certify_synthesis, robust_l1, robust_linf,
-                     robust_stabilize, solve_robust, solve_robust_synthesis,
+from .robust import (exact_constant_delta, grid_certify_gain, grid_certify_synthesis,
+                     robust_gain, robust_stabilize, solve_robust, solve_robust_synthesis,
                      vertex_gain)
 from .handelman import HandelmanBasis, build_upsilon, enumerate_products, relax_full, relax_reduced
 

@@ -247,9 +247,8 @@ def cmd_robust_gain(args):
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
     else:
-        obj = lft.lft_from_polynomial(psys) if args.norm == "l1" else lft.transpose_lft(psys)
-        assemble = robust.robust_l1 if args.norm == "l1" else robust.robust_linf
-        res = robust.solve_robust(assemble(obj, template, policy), b=args.degree, form=args.form)
+        res = robust.solve_robust(robust.robust_gain(psys, args.norm, template, policy),
+                                  b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
     doc = {
@@ -354,13 +353,10 @@ def _reproduce_gene(args, policy):
 def _reproduce_poly3(args, policy):
     which = "l1" if args.case == "table4" else "linf"
     psys = poly3_system()
-    obj = lft.lft_from_polynomial(psys) if which == "l1" else lft.transpose_lft(psys)
-    assemble = robust.robust_l1 if which == "l1" else robust.robust_linf
-    res_const = robust.solve_robust(assemble(obj, ilc.FreeConstant(), policy))
-    res_sat = robust.solve_robust(assemble(obj, ilc.FreePolynomial(2), policy), b=2)
-    a, _, c, _, e, f = psys.frozen_stack(np.arange(0.0, 1.0005, 0.001)[:, None])
-    norms = sysmodel.gain_norms(sysmodel.static_gains(a, c, e, f))
-    sweep = float(np.max(norms[0 if which == "l1" else 1]))
+    res_const = robust.solve_robust(robust.robust_gain(psys, which, ilc.FreeConstant(), policy))
+    res_sat = robust.solve_robust(robust.robust_gain(psys, which, ilc.FreePolynomial(2), policy),
+                                  b=2)
+    sweep = robust.grid_certify_gain(psys, res_sat.gamma, which, 1001).max_oracle
     rows = [
         {"scaling": "constant", "gamma": res_const.gamma,
          "reference": POLY3_REFERENCE[(which, "const")]},

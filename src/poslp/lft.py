@@ -30,8 +30,7 @@ class LftSystem:
     every canonical LFT) and otherwise sampled on the box by `_check_well_posed` on construction.
     ``delta_structure`` is an n0 x n0 matrix polynomial describing Delta(delta); it is None for
     operator-type uncertainty (e.g. delays), analyzed only through a constant static gain.  A
-    canonical LFT is written in theta on the unit box `domain`; ``delta_box`` keeps the system's
-    own box, delta = lower + (upper - lower) theta, so that refusals name delta."""
+    canonical LFT is written in theta on the unit box `domain`."""
 
     A: np.ndarray
     E0: np.ndarray
@@ -44,7 +43,6 @@ class LftSystem:
     F11: np.ndarray
     delta_structure: Poly | None
     domain: BoxDomain | None
-    delta_box: BoxDomain | None = None
 
     def __post_init__(self):
         a = numlin.as_matrix(self.A, "A")
@@ -97,15 +95,6 @@ class LftSystem:
         return self.C1.shape[0]
 
 
-class TransposedLft(LftSystem):
-    """Canonical LFT of the transposed system.
-
-    Transposition does not commute with taking LFTs, so this is a distinct
-    object from the transpose of an LftSystem; in the canonical polynomial
-    construction the C0, F00, F01 patterns do coincide with the original's
-    whenever the disturbance and output channel widths agree."""
-
-
 def _wellposed_points(domain):
     return domain.grid({1: 11, 2: 7}.get(domain.nparams, 3))
 
@@ -126,7 +115,8 @@ def _close_stack(lft, deltas, where):
 
 
 def _check_well_posed(lft):
-    """Box sample, Delta there and the loop closed there, for `robust._validate_positive_lft`."""
+    """Box sample, Delta there and the loop closed there: the well-posedness check of an LFT
+    whose structure does not prove it."""
     points = _wellposed_points(lft.domain)
     deltas = lft.delta_structure.eval_many(points)
     return points, deltas, _close_stack(
@@ -211,20 +201,20 @@ def lft_from_polynomial(psys):
 
     Control matrices B, D are ignored; robust synthesis writes its program on
     the `transpose_lft` of its own layout."""
-    return _canonical_lft(LftSystem, psys)
+    return _canonical_lft(psys)
 
 
-def _canonical_lft(cls, psys, layout=None):
-    box, psys = psys.domain, psys.on_unit_box()
+def _canonical_lft(psys, layout=None):
+    psys = psys.on_unit_box()
     blocks, n0 = layout or channel_layout(psys)
     n, q = psys.n, psys.q
     zero = (0,) * psys.nparams
     e_cols, f10_cols = _chain_coefficients(psys, blocks)
     c0, f00, f01, delta = _loop_blocks(psys, blocks, n0)
-    return cls(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
-               E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
-               F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
-               delta_structure=delta, domain=psys.domain, delta_box=box)
+    return LftSystem(A=psys.A.coeff(zero), E0=np.hstack([np.zeros((n, 0))] + e_cols),
+                     E1=psys.E.coeff(zero), C0=c0, C1=psys.C.coeff(zero), F00=f00, F01=f01,
+                     F10=np.hstack([np.zeros((q, 0))] + f10_cols), F11=psys.F.coeff(zero),
+                     delta_structure=delta, domain=psys.domain)
 
 
 def transpose_lft(psys, layout=None):
@@ -236,7 +226,7 @@ def transpose_lft(psys, layout=None):
         A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
         D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
         domain=psys.domain)
-    return _canonical_lft(TransposedLft, tsys, layout)
+    return _canonical_lft(tsys, layout)
 
 
 def plain_lft(a, c, e, f):

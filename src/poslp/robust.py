@@ -1,7 +1,9 @@
 """Robust gain analysis and robust synthesis as semi-infinite linear programs.
 
-Programs built here keep their polynomial-in-delta rows symbolic (nothing is
-solved eagerly); the handelman module turns them into finite LPs, and a grid
+`robust_gain` writes the L1 program of a polynomial system's canonical LFT,
+and its Linf program as the L1 program of the transposed system's.  Programs
+built here keep their polynomial-in-delta rows symbolic (nothing is solved
+eagerly); the handelman module turns them into finite LPs, and a grid
 sweep of frozen-parameter oracle gains runs after every solve as an
 independent sanity check that can refute, but never certify, a bound.
 
@@ -19,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import handelman, ilc, numlin, sysmodel
+from . import handelman, ilc, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
-from .lft import (TransposedLft, _chain_coefficients, _check_well_posed, _close_stack,
-                  _wellposed_points, channel_layout, close_at, plain_lft, transpose_lft)
+from .lft import (_chain_coefficients, _close_stack, _wellposed_points, channel_layout,
+                  lft_from_polynomial, plain_lft, transpose_lft)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows, recover_k
@@ -103,30 +105,6 @@ def _add_rows(b, poly, zero, names, relation, terms, const=0.0, epsilon=0.0):
         poly.append(PolyRow(name=names[i], terms=row))
 
 
-def _validate_positive_lft(lft):
-    """Loop-signal nonnegativity patterns plus closed-loop positivity on a
-    sample of the box; entrywise negativity of E0/F10 is fine.  A refusal
-    names the point in the system's own delta (`LftSystem.delta_box`)."""
-    for name in ("C0", "F00", "F01"):
-        if not numlin.is_nonnegative(getattr(lft, name)):
-            raise ClassificationError(f"positive LFT needs {name} >= 0")
-    if lft.delta_structure is None:
-        raise ModelError("parametric analysis needs a Delta(delta) structure")
-    points, deltas, closed = _check_well_posed(lft)
-    delta_ok = np.all(deltas >= -1e-12, axis=(1, 2))
-    refused = ~(delta_ok & sysmodel.positive_stack(*closed, tol=1e-9))
-    if refused.any():
-        g = int(np.argmax(refused))
-        box, delta = lft.delta_box, points[g]
-        if box is not None:
-            delta = box.lower + (box.upper - box.lower) * delta
-        if not delta_ok[g]:
-            raise ClassificationError(f"Delta(delta) has negative entries at {delta}")
-        report = sysmodel.classify(close_at(lft, points[g]), tol=1e-9)
-        raise ClassificationError(
-            f"closed loop is not positive at delta={delta}: {report.violations[:3]}")
-
-
 def _phi_blocks(b, sset):
     """Scaling variables phi1[alpha], phi2[alpha] (n0 each) per monomial."""
     def block(which, degree, lower=None):
@@ -202,24 +180,26 @@ def _assemble_gain(lft, template, policy, mu_block=None):
     return RobustLinearProgram(b, tuple(poly), lft.domain, blocks, policy.epsilon)
 
 
-def robust_l1(lft, template, policy=None):
-    """Robust L1 program for the w1 -> z1 transfer of a positive LFT.
+def robust_gain(psys, norm, template, policy=None):
+    """Robust `norm` program ("l1" or "linf") for the w -> z transfer of a
+    polynomial system positive on a sample of its box: the L1 assembly on its
+    canonical LFT, and for Linf on that of the transposed system.
 
-    Feasibility at gain gamma certifies stability and an L1 bound for every
+    Feasibility at gain gamma certifies stability and the bound for every
     delta in the box; the converse generally fails (constant Lyapunov
     vector), so the bound is sufficient only."""
-    if isinstance(lft, TransposedLft):
-        raise DimensionError("robust_l1 expects the plain LFT, not the transposed one")
-    _validate_positive_lft(lft)
+    if norm not in ("l1", "linf"):
+        raise DimensionError(f"unknown norm {norm!r}: use 'l1' or 'linf'")
+    points = _wellposed_points(psys.domain)
+    a, _, c, _, e, f = psys.frozen_stack(points)
+    refused = ~sysmodel.positive_stack(a, c, e, f, tol=1e-9)
+    if refused.any():
+        point = points[int(np.argmax(refused))]
+        report = sysmodel.classify(psys.frozen_at(point), tol=1e-9)
+        raise ClassificationError(
+            f"closed loop is not positive at delta={point}: {report.violations[:3]}")
+    lft = lft_from_polynomial(psys) if norm == "l1" else transpose_lft(psys)
     return _assemble_gain(lft, template, policy or StrictnessPolicy())
-
-
-def robust_linf(tlft, template, policy=None):
-    """Robust Linf program: the L1 assembly on the transposed LFT."""
-    if not isinstance(tlft, TransposedLft):
-        raise DimensionError("robust_linf expects a TransposedLft")
-    _validate_positive_lft(tlft)
-    return _assemble_gain(tlft, template, policy or StrictnessPolicy())
 
 
 @dataclass

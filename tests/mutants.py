@@ -39,10 +39,10 @@ MUTANTS = (
      "    return oracle <= gamma * (1 + 1e-6) + 1e-6\n",
      "    return True\n",
      "tests/test_cli.py::test_robust_gain_below_the_oracle_prints_refuted"),
-    # closed-loop positivity of a positive LFT, sampled on the box
+    # positivity of a robust gain's system, sampled on its box
     ("poslp/robust.py",
-     "refused = ~(delta_ok & sysmodel.positive_stack(*closed, tol=1e-9))",
-     "refused = ~delta_ok",
+     "refused = ~sysmodel.positive_stack(a, c, e, f, tol=1e-9)",
+     "refused = np.zeros(len(points), dtype=bool)",
      "tests/test_cli.py::test_closed_loop_refusal_names_delta_on_the_systems_box"),
     # the documented sign of an infeasibility certificate
     ("poslp/lpcore.py",

@@ -37,9 +37,8 @@ def battery_200():
 
 
 @pytest.fixture(scope="module")
-def bench_lfts():
-    psys = poly3_system()
-    return psys, lft.lft_from_polynomial(psys), lft.transpose_lft(psys)
+def bench_psys():
+    return poly3_system()
 
 
 def test_c01_oracle_equivalence(battery_200):
@@ -94,17 +93,17 @@ def test_c04_gene_expression_vertex_gains():
            worst <= 1e-3, f"worst relative deviation {worst:.2e}")
 
 
-def test_c05_polynomial_benchmark_bounds_and_sweep(bench_lfts):
-    psys, l, tl = bench_lfts
+def test_c05_polynomial_benchmark_bounds_and_sweep(bench_psys):
+    psys = bench_psys
     got = {
         ("l1", "const"): robust.solve_robust(
-            robust.robust_l1(l, ilc.FreeConstant())).gamma,
+            robust.robust_gain(psys, "l1", ilc.FreeConstant())).gamma,
         ("linf", "const"): robust.solve_robust(
-            robust.robust_linf(tl, ilc.FreeConstant())).gamma,
+            robust.robust_gain(psys, "linf", ilc.FreeConstant())).gamma,
         ("l1", "saturated2"): robust.solve_robust(
-            robust.robust_l1(l, ilc.FreePolynomial(2)), b=2).gamma,
+            robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)), b=2).gamma,
         ("linf", "saturated2"): robust.solve_robust(
-            robust.robust_linf(tl, ilc.FreePolynomial(2)), b=2).gamma,
+            robust.robust_gain(psys, "linf", ilc.FreePolynomial(2)), b=2).gamma,
     }
     worst = max(abs(got[k] - POLY3_REFERENCE[k]) / POLY3_REFERENCE[k] for k in got)
     sweep_l1 = 0.0
@@ -195,8 +194,8 @@ def test_c07_synthesis_certification():
            f"failing trials {failures}" if failures else "")
 
 
-def test_c08_handelman_regression(bench_lfts):
-    psys, l, tl = bench_lfts
+def test_c08_handelman_regression(bench_psys):
+    psys = bench_psys
     basis = handelman.HandelmanBasis.from_box(BoxDomain.symmetric(1), 2)
     ups = handelman.build_upsilon(basis)
     order = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
@@ -207,11 +206,11 @@ def test_c08_handelman_regression(bench_lfts):
           and chi[0] == [1.0, 1.0, 1.0, 1.0, 1.0])
 
     battery = [
-        robust.robust_l1(l, ilc.FreeConstant()),
-        robust.robust_linf(tl, ilc.FreeConstant()),
-        robust.robust_l1(l, ilc.FreePolynomial(2)),
-        robust.robust_linf(tl, ilc.FreePolynomial(2)),
-        robust.robust_l1(l, ilc.FreePolynomial(1, saturated=False)),
+        robust.robust_gain(psys, "l1", ilc.FreeConstant()),
+        robust.robust_gain(psys, "linf", ilc.FreeConstant()),
+        robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)),
+        robust.robust_gain(psys, "linf", ilc.FreePolynomial(2)),
+        robust.robust_gain(psys, "l1", ilc.FreePolynomial(1, saturated=False)),
     ]
     worst_gap = 0.0
     for rlp in battery:
@@ -224,8 +223,8 @@ def test_c08_handelman_regression(bench_lfts):
     ok = ok and worst_gap <= 1e-7
 
     monotone = True
-    for rlp in (robust.robust_l1(l, ilc.FreePolynomial(2)),
-                robust.robust_linf(tl, ilc.FreePolynomial(2))):
+    for rlp in (robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)),
+                robust.robust_gain(psys, "linf", ilc.FreePolynomial(2))):
         d = max(row.degree() for row in rlp.poly_rows)
         prev = np.inf
         for b in (d, d + 1, d + 2):
@@ -242,17 +241,14 @@ def test_c09_reduction_consistency():
     psys = polynomial_system(
         a_terms={0: s.A}, b_terms={0: s.B}, c_terms={0: s.C}, d_terms={0: s.D},
         e_terms={0: s.E}, f_terms={0: s.F}, domain=BoxDomain.unit(1))
-    l = lft.lft_from_polynomial(psys)
-    tl = lft.transpose_lft(psys)
-
     def digest(lp):
         return hashlib.sha256(lp_to_text(lp).encode()).hexdigest()
 
     pairs = [
         (gains.l1_lp(s),
-         handelman.relax_reduced(robust.robust_l1(l, ilc.FreeConstant()))),
+         handelman.relax_reduced(robust.robust_gain(psys, "l1", ilc.FreeConstant()))),
         (gains.linf_lp(s),
-         handelman.relax_reduced(robust.robust_linf(tl, ilc.FreeConstant()))),
+         handelman.relax_reduced(robust.robust_gain(psys, "linf", ilc.FreeConstant()))),
         (synthesis.synthesis_lp(s),
          handelman.relax_reduced(robust.robust_stabilize(psys, ilc.FreeConstant()))),
     ]

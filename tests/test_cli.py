@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import poslp
-from poslp import cli, gains, lft, robust, synthesis, sysmodel
+from poslp import cli, gains, robust, synthesis, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
 from poslp.errors import PoslpError
 from poslp.lpcore import lp_to_text
@@ -154,8 +154,8 @@ def test_dump_lp_writes_the_lp_a_verdict_refuted(capsys, tmp_path, row):
         path = one_state_poly(tmp_path, {0: [[0.1]]})
         argv, prefix = ["robust-gain", "--norm", "l1", path], "infeasible:"
         psys = read_polynomial_system(path)
-        lp = _refuted_lp(lambda: robust.solve_robust(robust.robust_l1(
-            lft.lft_from_polynomial(psys), cli.parse_scaling("saturated"))))
+        lp = _refuted_lp(lambda: robust.solve_robust(robust.robust_gain(
+            psys, "l1", cli.parse_scaling("saturated"))))
     else:
         write_system(NOT_POSITIVE, sys_path)
         argv, prefix = ["gain", "--norm", "l1", str(sys_path)], "error:"
@@ -185,16 +185,19 @@ def test_vertex_program_without_a_shared_lyapunov_vector_is_infeasible(capsys, t
 
 @pytest.mark.parametrize("argv", [("--norm", "l1", "--scaling", "const"), ("--norm", "linf")])
 def test_closed_loop_refusal_names_delta_on_the_systems_box(capsys, tmp_path, argv):
-    # A[0, 1] = 0.5 - delta turns negative at delta = 0.6 of the box [0, 2]: the
-    # sample point theta = 0.3 of the unit box the LFT is written on
+    # A[0, 1] = 0.5 - delta turns negative at delta = 0.6 of the box [0, 2], a
+    # point of the sample of that box; both norms name the user's A[0, 1]
     path = tmp_path / "box02.json"
     write_polynomial_system(polynomial_system(
         a_terms={0: [[-2.0, 0.5], [0.3, -1.5]], 1: [[0.0, -1.0], [0.0, 0.2]]},
         c_terms={0: [[1.0, 1.0]]}, e_terms={0: [[1.0], [1.0]]}, f_terms={0: [[0.0]]},
         domain=BoxDomain([0.0], [2.0])), path)
-    assert cli.main(["robust-gain", *argv, str(path)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: closed loop is not positive at delta=[0.6]: ")
+    errs = []
+    for run_argv in (("--norm", "l1", "--scaling", "const"), argv):
+        assert cli.main(["robust-gain", *run_argv, str(path)]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("error: closed loop is not positive at delta=[0.6]: ")
+    assert errs[1] == errs[0]
 
 
 def test_usage_error_exit_code():

@@ -335,11 +335,9 @@ def _close_stack_calls(monkeypatch):
 
 
 def test_canonical_lfts_close_no_sample(monkeypatch):
-    # their Delta F00 is strictly lower triangular, so nothing is sampled; only
-    # the positivity check of a robust gain closes the loop
+    # their Delta F00 is strictly lower triangular, so nothing is sampled
     calls = _close_stack_calls(monkeypatch)
     assert type(lft.lft_from_polynomial(poly3_system())) is lft.LftSystem
-    assert type(lft.transpose_lft(poly3_system())) is lft.TransposedLft
     robust.robust_stabilize(small_plant(), ilc.FreeConstant())
     assert calls == []
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poslp import gains, handelman, ilc, lft, lpcore, robust, synthesis, sysmodel
+from poslp import gains, handelman, ilc, lpcore, robust, synthesis, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
 from poslp.errors import (CombinatorialCapError, InfeasibleError, NonConvergenceError,
                           ValidationError)
@@ -457,7 +457,7 @@ def tall_lps():
         yield f"synth n={n}", synthesis.synthesis_lp(s)
         spec = ControllerSpec(k_lower=-np.ones((2, n)), k_upper=np.ones((2, n)))
         yield f"bounded synth n={n}", synthesis.synthesis_lp(s, spec)
-    rlp = robust.robust_l1(lft.lft_from_polynomial(poly3_system()), ilc.FreePolynomial(2))
+    rlp = robust.robust_gain(poly3_system(), "l1", ilc.FreePolynomial(2))
     plan = handelman.plan_relaxation(rlp, 2)
     yield "poly3 reduced", handelman.relax_reduced(rlp, 2, plan=plan)
     yield "poly3 full", handelman.relax_full(rlp, 2, plan=plan)

@@ -12,8 +12,7 @@ from poslp.synthesis import ControllerSpec
 
 @pytest.fixture(scope="module")
 def bench():
-    psys = poly3_system()
-    return psys, lft.lft_from_polynomial(psys), lft.transpose_lft(psys)
+    return poly3_system()
 
 
 def degree_zero_psys(seed=30, n=4, m=2, p=2, q=2):
@@ -26,16 +25,14 @@ def degree_zero_psys(seed=30, n=4, m=2, p=2, q=2):
 
 def test_degree_zero_l1_collapses_byte_identical():
     s, psys = degree_zero_psys()
-    l = lft.lft_from_polynomial(psys)
-    rlp = robust.robust_l1(l, ilc.FreeConstant())
+    rlp = robust.robust_gain(psys, "l1", ilc.FreeConstant())
     for relax in (handelman.relax_full, handelman.relax_reduced):
         assert lp_to_text(relax(rlp)) == lp_to_text(gains.l1_lp(s))
 
 
 def test_degree_zero_linf_collapses_byte_identical():
     s, psys = degree_zero_psys(seed=31)
-    tl = lft.transpose_lft(psys)
-    rlp = robust.robust_linf(tl, ilc.FreeConstant())
+    rlp = robust.robust_gain(psys, "linf", ilc.FreeConstant())
     assert lp_to_text(handelman.relax_reduced(rlp)) == lp_to_text(gains.linf_lp(s))
 
 
@@ -170,24 +167,24 @@ def test_nominal_programs_match_per_row_reference(monkeypatch):
 
 
 def test_benchmark_constant_scalings(bench):
-    psys, l, tl = bench
-    res1 = robust.solve_robust(robust.robust_l1(l, ilc.FreeConstant()))
+    psys = bench
+    res1 = robust.solve_robust(robust.robust_gain(psys, "l1", ilc.FreeConstant()))
     assert res1.gamma == pytest.approx(POLY3_REFERENCE[("l1", "const")], rel=5e-3)
-    res2 = robust.solve_robust(robust.robust_linf(tl, ilc.FreeConstant()))
+    res2 = robust.solve_robust(robust.robust_gain(psys, "linf", ilc.FreeConstant()))
     assert res2.gamma == pytest.approx(POLY3_REFERENCE[("linf", "const")], rel=5e-3)
 
 
 def test_benchmark_saturated_degree_two(bench):
-    psys, l, tl = bench
-    res1 = robust.solve_robust(robust.robust_l1(l, ilc.FreePolynomial(2)), b=2)
+    psys = bench
+    res1 = robust.solve_robust(robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)), b=2)
     assert res1.gamma == pytest.approx(POLY3_REFERENCE[("l1", "saturated2")], rel=5e-3)
-    res2 = robust.solve_robust(robust.robust_linf(tl, ilc.FreePolynomial(2)), b=2)
+    res2 = robust.solve_robust(robust.robust_gain(psys, "linf", ilc.FreePolynomial(2)), b=2)
     assert res2.gamma == pytest.approx(POLY3_REFERENCE[("linf", "saturated2")], rel=5e-3)
 
 
 def test_full_and_reduced_agree_on_benchmark(bench):
-    psys, l, _ = bench
-    rlp = robust.robust_l1(l, ilc.FreePolynomial(2))
+    psys = bench
+    rlp = robust.robust_gain(psys, "l1", ilc.FreePolynomial(2))
     for b in (2, 3):
         full = robust.solve_robust(rlp, b=b, form="full")
         red = robust.solve_robust(rlp, b=b, form="reduced")
@@ -195,16 +192,16 @@ def test_full_and_reduced_agree_on_benchmark(bench):
 
 
 def test_bound_dominates_frozen_oracle_gains(bench):
-    psys, l, _ = bench
-    res = robust.solve_robust(robust.robust_l1(l, ilc.FreePolynomial(2)), b=2)
+    psys = bench
+    res = robust.solve_robust(robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)), b=2)
     verdict = robust.grid_certify_gain(psys, res.gamma, "l1", points=101)
     assert verdict.ok
     assert verdict.max_oracle <= res.gamma * (1 + 1e-6) + 1e-6
 
 
 def test_ilc_inequality_holds_for_solved_scalings(bench):
-    psys, l, _ = bench
-    rlp = robust.robust_l1(l, ilc.FreeConstant())
+    psys, l = bench, lft.lft_from_polynomial(bench)
+    rlp = robust.robust_gain(psys, "l1", ilc.FreeConstant())
     res = robust.solve_robust(rlp)
     phi1 = res.phi1[(0,)]
     phi2 = res.phi2[(0,)]
@@ -216,10 +213,11 @@ def test_ilc_inequality_holds_for_solved_scalings(bench):
 def test_saturated_scaling_below_delta_degree_is_refused(bench):
     # at degree 0 the terms of Delta^T phi2 could not be matched, the ILC
     # row fell away, and an unsound gamma (8.09 vs oracle 92.8) came out
-    psys, l, tl = bench
+    psys = bench
     with pytest.raises(DomainError, match="degree >= 1"):
-        robust.robust_l1(l, ilc.FreePolynomial(0, saturated=True))
-    res = robust.solve_robust(robust.robust_l1(l, ilc.FreePolynomial(1, saturated=True)))
+        robust.robust_gain(psys, "l1", ilc.FreePolynomial(0, saturated=True))
+    res = robust.solve_robust(
+        robust.robust_gain(psys, "l1", ilc.FreePolynomial(1, saturated=True)))
     assert robust.grid_certify_gain(psys, res.gamma, "l1", 101).ok
 
 
@@ -228,17 +226,9 @@ def test_non_positive_lft_rejected():
         a_terms={0: [[-1.0, -0.3], [0.2, -1.0]]},   # negative off-diagonal
         c_terms={0: [[1.0, 0.0]]}, e_terms={0: [[1.0], [0.0]]},
         f_terms={0: [[0.0]]}, domain=BoxDomain.unit(1))
-    l = lft.lft_from_polynomial(psys)
-    with pytest.raises(ClassificationError):
-        robust.robust_l1(l, ilc.FreeConstant())
-
-
-def test_wrong_lft_type_rejected(bench):
-    psys, l, tl = bench
-    with pytest.raises(DimensionError):
-        robust.robust_l1(tl, ilc.FreeConstant())
-    with pytest.raises(DimensionError):
-        robust.robust_linf(l, ilc.FreeConstant())
+    for norm in ("l1", "linf"):
+        with pytest.raises(ClassificationError):
+            robust.robust_gain(psys, norm, ilc.FreeConstant())
 
 
 # --- exact constant-Delta analysis -----------------------------------------
@@ -369,11 +359,10 @@ def test_gene_model_lft_bound_covers_the_vertex_gain(big_n):
     # on [-1, 1]^3 the LFT path writes the model in theta on [0, 1]^3; its
     # Handelman bound is sufficient only, so it sits at or above the vertex gain
     psys = gene_expression_system(big_n)
-    for which, build, assemble in (("l1", lft.lft_from_polynomial, robust.robust_l1),
-                                   ("linf", lft.transpose_lft, robust.robust_linf)):
+    for which in ("l1", "linf"):
         vertex = robust.vertex_gain(psys, which).gamma
         for sc in ("const", "saturated:2"):
-            program = assemble(build(psys), cli.parse_scaling(sc))
+            program = robust.robust_gain(psys, which, cli.parse_scaling(sc))
             for form in ("reduced", "full"):
                 gamma = robust.solve_robust(program, form=form).gamma
                 assert gamma >= vertex * (1 - 1e-9), (which, sc, form)
@@ -400,7 +389,7 @@ def test_robust_synthesis_scalar_worst_case():
 
 def test_robust_programs_build_one_lp(monkeypatch, bench):
     # the relaxation appends to the program's own builder: one build per solve
-    psys, l, tl = bench
+    psys = bench
     builds = []
     build = LpBuilder.build
 
@@ -408,8 +397,9 @@ def test_robust_programs_build_one_lp(monkeypatch, bench):
         builds.append(self)
         return build(self, *args, **kwargs)
     monkeypatch.setattr(LpBuilder, "build", spy)
-    for assemble, form in ((lambda: robust.robust_l1(l, ilc.FreePolynomial(2)), "reduced"),
-                           (lambda: robust.robust_linf(tl, ilc.FreeConstant()), "full"),
+    for assemble, form in ((lambda: robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)),
+                            "reduced"),
+                           (lambda: robust.robust_gain(psys, "linf", ilc.FreeConstant()), "full"),
                            (lambda: robust.robust_stabilize(scalar_uncertain_plant(),
                                                             ilc.FreePolynomial(1)), "reduced")):
         builds.clear()
@@ -494,7 +484,7 @@ def test_robust_synthesis_rows_are_the_transposed_lft_rows(scaling):
     assert tlft.F00.any()
     template = cli.parse_scaling(scaling)
     synth = lyapunov_coefficients(robust.robust_stabilize(psys, template))
-    gain = lyapunov_coefficients(robust.robust_linf(tlft, template))
+    gain = lyapunov_coefficients(robust.robust_gain(psys, "linf", template))
     # F00^T phi1: a channel row of a chain reads phi1 of the block after it
     assert any(row.startswith("ch") and any(v.startswith("phi1") for v in coeffs)
                for (row, _), (coeffs, _) in gain.items())
@@ -510,16 +500,13 @@ def _reference_points(domain):
     return domain.grid({1: 11, 2: 7}.get(domain.nparams, 3))
 
 
-def _reference_validate(l):
-    """Positive-LFT validation point by point: Delta >= 0, then a closed loop
-    positive at tol 1e-9."""
-    for name in ("C0", "F00", "F01"):
-        if not numlin.is_nonnegative(getattr(l, name)):
-            raise ClassificationError(f"positive LFT needs {name} >= 0")
-    for point in _reference_points(l.domain):
-        if not numlin.is_nonnegative(l.delta_structure.eval(point), tol=1e-12):
-            raise ClassificationError(f"Delta(delta) has negative entries at {point}")
-        report = sysmodel.classify(lft.close_at(l, point), tol=1e-9)
+def _reference_validate(psys, which):
+    """The robust gain's checks point by point: a known norm, then the system
+    itself positive at tol 1e-9 on a sample of its own box, whichever the norm."""
+    if which not in ("l1", "linf"):
+        raise DimensionError(f"unknown norm {which!r}: use 'l1' or 'linf'")
+    for point in _reference_points(psys.domain):
+        report = sysmodel.classify(psys.frozen_at(point), tol=1e-9)
         if not report.is_positive:
             raise ClassificationError(
                 f"closed loop is not positive at delta={point}: {report.violations[:3]}")
@@ -561,22 +548,26 @@ def _leaves_positivity_at_0_6():
     (poly3_system, "l1", None),
     (poly3_system, "linf", None),
     (lambda: degree_zero_psys()[1], "l1", None),
+    (poly3_system, "l2", "unknown norm 'l2'"),
 ])
 def test_lft_validation_matches_reference_loop(make, which, expect):
     psys = make()
-    l = lft.lft_from_polynomial(psys) if which == "l1" else lft.transpose_lft(psys)
-    assemble = robust.robust_l1 if which == "l1" else robust.robust_linf
-    got = _outcome(assemble, l, ilc.FreeConstant())
-    assert got == _outcome(_reference_validate, l)
+    got = _outcome(robust.robust_gain, psys, which, ilc.FreeConstant())
+    assert got == _outcome(_reference_validate, psys, which)
     if expect is None:
         assert got is None
     else:
-        assert got[0] is ClassificationError and got[1].startswith(expect)
+        error = DimensionError if which == "l2" else ClassificationError
+        assert got[0] is error and got[1].startswith(expect)
+    # a Linf refusal names the user's matrices, not the transposed system's
+    if which == "linf":
+        assert got == _outcome(robust.robust_gain, psys, "l1", ilc.FreeConstant())
 
 
 @pytest.mark.parametrize("which", ["l1", "linf"])
 def test_robust_gain_closes_the_sample_once(monkeypatch, which):
-    # the construction's well-posedness closure is the one the positivity check reads
+    # positivity is read from the system's own frozen matrices, and a canonical
+    # LFT is well-posed by its structure: no loop is closed
     calls = []
     close = lft._close_stack
 
@@ -584,12 +575,8 @@ def test_robust_gain_closes_the_sample_once(monkeypatch, which):
         calls.append(len(deltas))
         return close(l, deltas, where)
     monkeypatch.setattr(lft, "_close_stack", spy)
-    psys = poly3_system()
-    if which == "l1":
-        robust.robust_l1(lft.lft_from_polynomial(psys), ilc.FreeConstant())
-    else:
-        robust.robust_linf(lft.transpose_lft(psys), ilc.FreeConstant())
-    assert calls == [11]
+    robust.robust_gain(poly3_system(), which, ilc.FreeConstant())
+    assert calls == []
 
 
 def _disturbance_plant(e_terms, f_terms, domain):

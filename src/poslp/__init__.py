@@ -11,8 +11,7 @@ from .lft import LftSystem, delay_lft, lft_from_polynomial, transpose_lft
 from .ilc import (ConstantDelay, FreeConstant, FreePolynomial,
                   SaturatedStaticGain, TimeVaryingDelay, instantiate)
 from .robust import (exact_constant_delta, grid_certify_gain, grid_certify_synthesis,
-                     robust_gain, robust_stabilize, solve_robust, solve_robust_synthesis,
-                     vertex_gain)
+                     robust_gain, robust_stabilize, solve_robust, vertex_gain)
 from .handelman import HandelmanBasis, build_upsilon, enumerate_products, relax_full, relax_reduced
 
 __version__ = "0.1.0"

@@ -42,6 +42,20 @@ def build_parser():
     grid.add_argument("--grid", type=int, default=101,
                       help="certification sweep points (at least 1): per axis for one parameter; "
                            "several parameters share about this many in all, box vertices included")
+    norm = argparse.ArgumentParser(add_help=False)
+    norm.add_argument("--norm", choices=("l1", "linf"), required=True,
+                      help="induced gain of the w -> z channel: l1 or linf")
+    relax = argparse.ArgumentParser(add_help=False)
+    relax.add_argument("--scaling", default="saturated",
+                       help="const | poly:<d> | saturated[:<d>] (default saturated:2)")
+    relax.add_argument("--degree", type=int, default=None,
+                       help="Handelman product degree b (default: row degree + 2)")
+    relax.add_argument("--form", choices=("reduced", "full"), default="reduced",
+                       help="Handelman relaxation form (default reduced)")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--zeros", metavar="FILE", help="JSON file with a zero_pattern index list")
+    spec.add_argument("--bounds", metavar="FILE",
+                      help="JSON file with K_lower / K_upper matrices")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -51,38 +65,22 @@ def build_parser():
     p.add_argument("--tol", type=float, default=0.0,
                    help="structural tolerance for positivity classification")
 
-    p = sub.add_parser("gain", parents=[common, dump], help="compute an induced gain")
+    p = sub.add_parser("gain", parents=[common, dump, norm], help="compute an induced gain")
     p.add_argument("system")
-    p.add_argument("--norm", choices=("l1", "linf"), required=True)
 
-    p = sub.add_parser("synth", parents=[common, dump],
+    p = sub.add_parser("synth", parents=[common, dump, spec],
                        help="state-feedback synthesis with Linf bound")
     p.add_argument("system")
-    p.add_argument("--zeros", metavar="FILE",
-                   help="JSON file with a zero_pattern index list")
-    p.add_argument("--bounds", metavar="FILE",
-                   help="JSON file with K_lower / K_upper matrices")
 
-    p = sub.add_parser("robust-gain", parents=[common, dump, grid],
+    p = sub.add_parser("robust-gain", parents=[common, dump, grid, norm, relax],
                        help="robust gain of a polynomially-uncertain system")
     p.add_argument("system", help="polynomial system file")
-    p.add_argument("--norm", choices=("l1", "linf"), required=True)
-    p.add_argument("--scaling", default="saturated",
-                   help="const | poly:<d> | saturated[:<d>] (default saturated:2)")
-    p.add_argument("--degree", type=int, default=None,
-                   help="Handelman product degree b (default: row degree + 2)")
-    p.add_argument("--form", choices=("reduced", "full"), default="reduced")
     p.add_argument("--vertices", action="store_true",
                    help="use vertex enumeration (affine dependence only)")
 
-    p = sub.add_parser("robust-synth", parents=[common, dump, grid],
+    p = sub.add_parser("robust-synth", parents=[common, dump, grid, relax, spec],
                        help="robust state-feedback synthesis (Linf)")
     p.add_argument("system", help="polynomial system file")
-    p.add_argument("--scaling", default="saturated")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--form", choices=("reduced", "full"), default="reduced")
-    p.add_argument("--zeros", metavar="FILE")
-    p.add_argument("--bounds", metavar="FILE")
 
     p = sub.add_parser("reproduce", parents=[common],
                        help="re-run a bundled benchmark case",
@@ -288,7 +286,7 @@ def cmd_robust_synth(args):
     spec = load_spec(args.zeros, args.bounds)
     template = parse_scaling(args.scaling)
     rlp = robust.robust_stabilize(psys, template, spec, policy)
-    res = robust.solve_robust_synthesis(rlp, b=args.degree, form=args.form)
+    res = robust.solve_robust(rlp, b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid)
     doc = {

@@ -204,13 +204,6 @@ def relax_reduced(rlp, b=None, plan=None):
     return _relaxed(rlp, plan, "R", "hr", "<=", plan.matrix[:, ~mask])
 
 
-def certificate_blocks(lp, solution):
-    """The Q/R blocks of a solved relaxation, keyed by polynomial row name."""
-    if solution.x is None:
-        return {}
-    return {name: (kind, solution.x[cols]) for name, (kind, cols) in lp.var_blocks.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class HandelmanCertificate:
     """Solved certificate data: the product list, the nonpositive coefficient
@@ -228,7 +221,7 @@ def extract_certificate(lp, solution, plan, form):
     reduced one lists the eliminated columns."""
     if plan is None:
         return None
-    blocks = certificate_blocks(lp, solution)
+    blocks = {name: (kind, solution.x[cols]) for name, (kind, cols) in lp.var_blocks.items()}
     eliminated = None
     if form == "reduced":
         eliminated = tuple(expo for expo, pure in zip(plan.products, plan.pure_powers) if pure)

@@ -18,7 +18,6 @@ import numpy as np
 from . import numlin
 from .errors import DimensionError, ModelError, WellPosednessError
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
-from .sysmodel import PositiveLtiSystem
 
 _WELLPOSED_RCOND = 1e-10
 
@@ -123,25 +122,6 @@ def _check_well_posed(lft):
         lft, deltas, lambda g: f"I - Delta(delta) F00 is singular near delta={points[g]}")
 
 
-def close_with_matrix(lft, delta_matrix):
-    """Close the loop w0 = Delta z0 for a constant matrix Delta (a stack of
-    one for `_close_stack`)."""
-    n0 = lft.n0
-    delta_matrix = numlin.as_matrix(delta_matrix, "Delta") if n0 else np.zeros((0, 0))
-    if delta_matrix.shape != (n0, n0):
-        raise DimensionError(f"Delta must be {n0} x {n0}")
-    closed = _close_stack(lft, delta_matrix[None], lambda g: "loop I - Delta F00 is singular")
-    a, c, e, f = (m[0] for m in closed)
-    return PositiveLtiSystem(A=a, B=None, C=c, D=None, E=e, F=f)
-
-
-def close_at(lft, delta):
-    """Close the loop at a parameter point of the box."""
-    if lft.delta_structure is None:
-        raise ModelError("this LFT has operator uncertainty, not parametric")
-    return close_with_matrix(lft, lft.delta_structure.eval(delta))
-
-
 def channel_layout(psys, state=("A", "C"), inputs=("E", "F"), input_width=None,
                    user="canonical LFT construction"):
     """Ordered channel blocks [(param, kind, power, offset, width), ...]: per
@@ -196,15 +176,12 @@ def _loop_blocks(psys, layout, n0):
     return c0, f00, f01, Poly(nparams, (n0, n0), delta)
 
 
-def lft_from_polynomial(psys):
-    """Canonical positive LFT of a polynomial system (disturbance channel only).
+def lft_from_polynomial(psys, layout=None):
+    """Canonical positive LFT of a polynomial system (disturbance channel only),
+    on the `channel_layout` `layout`, or else on the system's own.
 
     Control matrices B, D are ignored; robust synthesis writes its program on
     the `transpose_lft` of its own layout."""
-    return _canonical_lft(psys)
-
-
-def _canonical_lft(psys, layout=None):
     psys = psys.on_unit_box()
     blocks, n0 = layout or channel_layout(psys)
     n, q = psys.n, psys.q
@@ -226,7 +203,7 @@ def transpose_lft(psys, layout=None):
         A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
         D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
         domain=psys.domain)
-    return _canonical_lft(tsys, layout)
+    return lft_from_polynomial(tsys, layout)
 
 
 def plain_lft(a, c, e, f):

@@ -222,7 +222,8 @@ class RobustResult:
 
 def solve_robust(rlp, b=None, form="reduced"):
     """Relax (when polynomial rows are present) and solve a robust program;
-    the result carries the relaxed LP it solved."""
+    the result carries the relaxed LP it solved and, for a program with
+    controller columns, the gain K recovered column-wise from them."""
     relax = {"reduced": handelman.relax_reduced, "full": handelman.relax_full}.get(form)
     if relax is None:
         raise DimensionError(f"unknown relaxation form {form!r}")
@@ -238,10 +239,12 @@ def solve_robust(rlp, b=None, form="reduced"):
     gamma = float(x[rlp.blocks["gamma"]]) if "gamma" in rlp.blocks else np.nan
     phi1, phi2 = ({a: x[ids] for a, ids in rlp.blocks.get(key, {}).items()}
                   for key in ("phi1", "phi2"))
+    lam = x[rlp.blocks["lam"]]
     mu = [x[col] for col in rlp.blocks["mu"]] if "mu" in rlp.blocks else None
-    return RobustResult(gamma=gamma, lam=x[rlp.blocks["lam"]], phi1=phi1, phi2=phi2, form=form,
+    k = None if mu is None else recover_k(lam, mu, rlp.blocks.get("zero_pattern", ()))
+    return RobustResult(gamma=gamma, lam=lam, phi1=phi1, phi2=phi2, form=form,
                         b=None if plan is None else plan.degree, epsilon=rlp.epsilon, mu=mu,
-                        lp=lp, certificate=handelman.extract_certificate(lp, sol, plan, form))
+                        lp=lp, certificate=handelman.extract_certificate(lp, sol, plan, form), K=k)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +360,6 @@ def robust_stabilize(psys, template, spec=None, policy=None):
         _add_rows(b, poly, zero, names, relation, terms)
     return replace(rlp, poly_rows=tuple(poly),
                    blocks=dict(rlp.blocks, zero_pattern=tuple(spec.zero_pattern)))
-
-
-def solve_robust_synthesis(rlp, b=None, form="reduced"):
-    """Solve a robust synthesis program and recover K column-wise."""
-    res = solve_robust(rlp, b, form)
-    return replace(res, K=recover_k(res.lam, res.mu, rlp.blocks.get("zero_pattern", ())))
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def stabilize_linf(sys, spec=None, policy=None):
     The open loop need not be positive; only E >= 0 and F >= 0 are required.
     Raises InfeasibleError when no admissible K makes the closed loop
     positive and stable (the conditions are lossless)."""
-    from .robust import solve_robust_synthesis
+    from .robust import solve_robust
     try:
-        return solve_robust_synthesis(_program(sys, spec or FULL, policy))
+        return solve_robust(_program(sys, spec or FULL, policy))
     except InfeasibleError as err:
         raise InfeasibleError("synthesis LP infeasible: no controller in the requested set "
                               "renders the closed loop positive and stable",

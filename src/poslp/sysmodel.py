@@ -175,18 +175,6 @@ def frozen_oracle(a, c, e, f, admissible):
     numlin.raise_singular(cond[point])
 
 
-def static_gains(a, c, e, f, tol=0.0):
-    """Static gains of the stacks (see `frozen_oracle`); the first system
-    that is not Metzler within ``tol`` raises ClassificationError, the first
-    that is not Hurwitz StabilityError."""
-    gain, failed = frozen_oracle(a, c, e, f, metzler_stack(a, tol))
-    if failed is not None and failed[1] == "structure":
-        raise ClassificationError("the static-gain oracle is only valid for Metzler matrices")
-    if failed is not None:
-        raise StabilityError("A is not Hurwitz; static gain undefined")
-    return gain
-
-
 def gain_norms(h0):
     """(l1, linf) per static gain of the stack h0 (G, q, p): max column sum
     and max row sum, 0 for an empty gain."""
@@ -197,9 +185,16 @@ def gain_norms(h0):
 
 
 def static_gain(sys, tol=0.0):
-    """Zero-frequency transfer matrix F - C A^{-1} E (requires Hurwitz A),
-    from the M-matrix oracle; ``tol`` loosens the Metzler precheck."""
-    return static_gains(sys.A[None], sys.C[None], sys.E[None], sys.F[None], tol)[0]
+    """Zero-frequency transfer matrix F - C A^{-1} E from the M-matrix oracle
+    (`frozen_oracle` on a stack of one): an A that is not Metzler within
+    ``tol`` raises ClassificationError, one that is not Hurwitz StabilityError."""
+    a = sys.A[None]
+    gain, failed = frozen_oracle(a, sys.C[None], sys.E[None], sys.F[None], metzler_stack(a, tol))
+    if failed is not None and failed[1] == "structure":
+        raise ClassificationError("the static-gain oracle is only valid for Metzler matrices")
+    if failed is not None:
+        raise StabilityError("A is not Hurwitz; static gain undefined")
+    return gain[0]
 
 
 def oracle_gains(sys, tol=0.0):

@@ -65,6 +65,11 @@ MUTANTS = (
      "                margin += 3.0 * u * np.abs(red) + 1e-300\n",
      "margin = np.zeros_like(red)\n",
      "tests/test_lpcore.py::test_certified_pricing_leaves_rounding_order_to_the_gemv"),
+    # the well-posedness check of the loop closed with a constant Delta0
+    ("poslp/robust.py",
+     '    _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")\n',
+     "    pass\n",
+     "tests/test_lft.py::test_singular_constant_delta_keeps_its_message"),
 )
 
 

@@ -271,7 +271,7 @@ def test_c10_robust_synthesis_grid_certification():
     details = []
     for name, psys in (("scalar", scalar), ("2x2", two_by_two)):
         rlp = robust.robust_stabilize(psys, ilc.FreePolynomial(1))
-        res = robust.solve_robust_synthesis(rlp)
+        res = robust.solve_robust(rlp)
         verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, points=101)
         ok = ok and verdict.ok
         details.append(f"{name}: gamma {res.gamma:.3g} grid "

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -717,3 +718,22 @@ def test_vertex_program_too_large_to_fit_is_refused(capsys, tmp_path):
     assert code == 1
     assert capsys.readouterr().err == ("error: the phase-1 tableau of shape 32768 x 65539 needs "
                                        "17180655616 bytes, over the cap of 2147483648\n")
+
+
+def test_every_option_of_every_subcommand_has_help():
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    bare = [f"{name} {option}" for name, sub in commands.choices.items()
+            for action in sub._actions for option in action.option_strings
+            if option.startswith("--") and not action.help]
+    assert bare == []
+
+
+def test_lambda_floor_too_large_to_verify_is_an_error_line(tmp_path):
+    # a floor of 1e300 leaves the optimal vertex failing its primal check
+    path = tmp_path / "sys.json"
+    write_system(sysmodel.random_positive_system(4, 0, 2, 2, seed=3), path)
+    code, out, err = fresh_process(["gain", "--norm", "l1", "--lambda-floor", "1e300", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: optimal vertex failed primal verification on row ")
+    assert "Traceback" not in err

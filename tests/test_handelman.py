@@ -116,11 +116,7 @@ def test_negative_quadratic_certified_at_b2():
                                    (2,): (np.zeros(1), -1.0)})
     rlp = make_rlp([row], num_vars=1, objective=[0.0], lower=[0.0],
                    domain=BoxDomain.symmetric(1))
-    lp = hd.relax_full(rlp, b=2)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    blocks = hd.certificate_blocks(lp, sol)
-    kind, q = blocks["q"]
+    kind, q = solve_robust(rlp, b=2, form="full").certificate.blocks["q"]
     assert kind == "Q"
     assert np.all(q <= 1e-12)
     # the certificate reconstructs the row polynomial exactly

@@ -78,7 +78,7 @@ def test_loop_closure_identity_random_samples():
     rng = np.random.Generator(np.random.PCG64(21))
     for _ in range(20):
         d = rng.uniform(0.0, 1.0, 1)
-        closed = lft.close_at(l, d)
+        closed = _close(l, l.delta_structure.eval(d))
         frozen = psys.frozen_at(d)
         for name in ("A", "E", "C", "F"):
             assert np.allclose(getattr(closed, name), getattr(frozen, name),
@@ -89,7 +89,7 @@ def test_positivity_preserved_on_grid():
     psys = poly3_system()
     l = lft.lft_from_polynomial(psys)
     for d in np.linspace(0, 1, 11):
-        assert sysmodel.classify(lft.close_at(l, [d]), tol=1e-12).is_positive
+        assert sysmodel.classify(_close(l, l.delta_structure.eval([d])), tol=1e-12).is_positive
 
 
 def test_transposed_benchmark_blocks():
@@ -131,7 +131,7 @@ def test_transposed_closure_equals_transpose_of_closure():
     tl = lft.transpose_lft(psys)
     for _ in range(20):
         d = rng.uniform(0, 1, 1)
-        closed_t = lft.close_at(tl, d)
+        closed_t = _close(tl, tl.delta_structure.eval(d))
         frozen = psys.frozen_at(d)
         assert np.allclose(closed_t.A, frozen.A.T, atol=1e-10)
         assert np.allclose(closed_t.E, frozen.C.T, atol=1e-10)
@@ -167,7 +167,7 @@ def test_delay_lft_shape():
     assert l.n0 == 2 and l.p == 0 and l.q == 0
     assert np.array_equal(l.E0, ah)
     assert np.array_equal(l.C0, np.eye(2))
-    closed = lft.close_with_matrix(l, np.eye(2))
+    closed = _close(l, np.eye(2))
     assert np.allclose(closed.A, a + ah)
 
 
@@ -203,6 +203,12 @@ def _reference_close(l, delta_matrix):
     w = np.linalg.solve(m, delta_matrix)
     return (l.A + l.E0 @ w @ l.C0, l.C1 + l.F10 @ w @ l.C0,
             l.E1 + l.E0 @ w @ l.F01, l.F11 + l.F10 @ w @ l.F01)
+
+
+def _close(l, delta_matrix):
+    """The loop closed with one constant Delta by `lft._close_stack`, as a system."""
+    a, c, e, f = (m[0] for m in lft._close_stack(l, np.asarray(delta_matrix)[None], str))
+    return sysmodel.PositiveLtiSystem(A=a, B=None, C=c, D=None, E=e, F=f)
 
 
 def _outcome(fn, *args):
@@ -281,13 +287,13 @@ def test_ill_posed_loop_names_the_first_singular_point():
 
 
 def test_singular_constant_delta_keeps_its_message():
+    # F00 = 1, so I - Delta0 F00 = 0 for Delta0 = 1: the lossless analysis refuses the loop
     l = lft.LftSystem(A=[[-1.0]], E0=[[1.0]], E1=np.zeros((1, 0)), C0=[[1.0]],
                       C1=np.zeros((0, 1)), F00=[[1.0]], F01=np.zeros((1, 0)),
                       F10=np.zeros((0, 1)), F11=np.zeros((0, 0)),
                       delta_structure=None, domain=None)
-    assert _outcome(lft.close_with_matrix, l, [[1.0]]) == \
-        (WellPosednessError, "loop I - Delta F00 is singular")
-    assert _outcome(lft.close_with_matrix, l, [[1.0]]) == _outcome(_reference_close, l, [[1.0]])
+    assert _outcome(robust.exact_constant_delta, l, [[1.0]]) == \
+        (WellPosednessError, "I - Delta0 F00 is singular")
 
 
 @pytest.mark.parametrize("seed, nparams", [(60, 1), (61, 1), (62, 2), (63, 3)])
@@ -305,9 +311,9 @@ def test_closures_keep_the_point_by_point_bytes(seed, nparams):
         for point in points:
             delta = l.delta_structure.eval(point)
             ref = [m.tobytes() for m in _reference_close(l, delta)]
-            for closed in (lft.close_at(l, point), lft.close_with_matrix(l, delta)):
-                assert [closed.A.tobytes(), closed.C.tobytes(), closed.E.tobytes(),
-                        closed.F.tobytes()] == ref
+            closed = _close(l, delta)
+            assert [closed.A.tobytes(), closed.C.tobytes(), closed.E.tobytes(),
+                    closed.F.tobytes()] == ref
 
 
 def test_closure_without_loop_channels_returns_the_plain_blocks():
@@ -317,7 +323,7 @@ def test_closure_without_loop_channels_returns_the_plain_blocks():
     psys = polynomial_system(a_terms={0: a}, c_terms={0: s.C}, e_terms={0: s.E},
                              f_terms={0: s.F})
     l = lft.lft_from_polynomial(psys)
-    closed = lft.close_at(l, [0.5])
+    closed = _close(l, l.delta_structure.eval([0.5]))
     assert [m.tobytes() for m in (closed.A, closed.C, closed.E, closed.F)] == \
         [m.tobytes() for m in _reference_close(l, np.zeros((0, 0)))]
 
@@ -393,7 +399,7 @@ def test_strictly_lower_loop_closes_without_a_sample(monkeypatch):
     l = lft.LftSystem(**_one_parameter_kwargs([[0.0, 0.0], [5.0, 0.0]]))
     assert calls == []
     for d in (0.0, 0.4, 1.0):
-        closed = lft.close_at(l, [d])
+        closed = _close(l, l.delta_structure.eval([d]))
         # (I - d F00)^{-1} d = d [[1, 0], [5 d, 1]]
         w = d * np.array([[1.0, 0.0], [5.0 * d, 1.0]])
         expect = (l.A + l.E0 @ w @ l.C0, l.C1 + l.F10 @ w @ l.C0,

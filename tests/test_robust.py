@@ -275,8 +275,8 @@ def test_exact_delta_gamma_matches_closed_loop_gain():
     delta0 = 0.35 * np.eye(l0.n0)
     res = robust.exact_constant_delta(l0, delta0)
     assert res.feasible
-    closed = lft.close_with_matrix(l0, delta0)
-    oracle = sysmodel.oracle_gains(closed)[0]
+    a, c, e, f = (m[0] for m in lft._close_stack(l0, delta0[None], str))
+    oracle = sysmodel.oracle_gains(sysmodel.PositiveLtiSystem(a, None, c, None, e, f))[0]
     assert res.gamma == pytest.approx(oracle, rel=1e-6)
 
 
@@ -380,7 +380,7 @@ def scalar_uncertain_plant():
 
 def test_robust_synthesis_scalar_worst_case():
     rlp = robust.robust_stabilize(scalar_uncertain_plant(), ilc.FreePolynomial(1))
-    res = robust.solve_robust_synthesis(rlp)
+    res = robust.solve_robust(rlp)
     k = res.K[0, 0]
     assert k < -2.0
     worst = 1.0 / (-2.0 - k)    # static gain at the worst vertex delta = 1
@@ -417,7 +417,7 @@ def test_robust_synthesis_2x2_grid_certification():
         f_terms={0: np.zeros((2, 2))},
         domain=BoxDomain.unit(1))
     rlp = robust.robust_stabilize(psys, ilc.FreePolynomial(1))
-    res = robust.solve_robust_synthesis(rlp)
+    res = robust.solve_robust(rlp)
     verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, points=101)
     assert verdict.ok, verdict.failure
 
@@ -433,7 +433,7 @@ def test_robust_synthesis_structured_and_bounded():
         domain=BoxDomain.unit(1))
     spec = ControllerSpec(zero_pattern=((0, 1),))
     rlp = robust.robust_stabilize(psys, ilc.FreePolynomial(1), spec)
-    res = robust.solve_robust_synthesis(rlp)
+    res = robust.solve_robust(rlp)
     assert res.K[0, 1] == 0.0
     verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, points=51)
     assert verdict.ok, verdict.failure
@@ -612,7 +612,7 @@ def test_synthesis_recovers_k_the_same_way():
         d_terms={0: [[0.0, 0.0]]}, e_terms={0: [[1.0], [0.5]]}, f_terms={0: [[0.0]]},
         domain=BoxDomain.unit(1))
     spec = ControllerSpec(zero_pattern=((0, 1),))
-    res = robust.solve_robust_synthesis(robust.robust_stabilize(psys, ilc.FreeConstant(), spec))
+    res = robust.solve_robust(robust.robust_stabilize(psys, ilc.FreeConstant(), spec))
     k = np.column_stack([res.mu[j] / res.lam[j] for j in range(len(res.lam))])
     k[0, 1] = 0.0
     assert res.K.tobytes() == k.tobytes()

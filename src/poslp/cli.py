@@ -189,7 +189,8 @@ def cmd_check(args):
         "status": "ok", "is_positive": report.is_positive,
         "violations": [{"matrix": m, "index": list(idx), "value": v}
                        for m, idx, v in report.violations],
-        "is_stable": sysmodel.is_stable(sys_in, policy) if numlin.is_metzler(sys_in.A) else None,
+        "is_stable": (None if sysmodel.negative_entries(sys_in.A, off_diagonal=True).any()
+                      else sysmodel.is_stable(sys_in, policy)),
         "epsilon": policy.epsilon,
     }
     return emit(args, doc, lambda d: [

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numlin
+from . import numlin, sysmodel
 from .errors import ClassificationError, DimensionError, DomainError
 from .poly import monomials
 
@@ -48,7 +48,7 @@ class SaturatedStaticGain:
 
     def __post_init__(self):
         d0 = numlin.as_matrix(self.delta0, "Delta0")
-        if not numlin.is_nonnegative(d0):
+        if sysmodel.negative_entries(d0).any():
             raise ClassificationError("SaturatedStaticGain needs Delta0 >= 0")
         object.__setattr__(self, "delta0", d0)
 

@@ -1,4 +1,4 @@
-"""Dense linear algebra helpers and structural matrix predicates.
+"""Dense linear algebra helpers.
 
 Matrices and vectors are plain float ndarrays (row-major); every routine
 validates shape and finiteness instead of trusting the caller.
@@ -32,8 +32,10 @@ def as_matrix(a, name="matrix"):
 
 
 def shaped(value, what, shape):
-    """Input data as a float array of `shape`, or a ValidationError naming `what`."""
+    """Input data as a finite float array of `shape`, or a ValidationError naming `what`."""
     m = _float_array(value, what)
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has non-finite entries")
     if m.size != shape[0] * shape[1]:
         raise ValidationError(f"{what} has {m.size} entries, expected a "
                               f"{shape[0]} x {shape[1]} matrix")
@@ -48,35 +50,6 @@ def as_vector(v, name="vector"):
     if x.size and not np.all(np.isfinite(x)):
         raise DimensionError(f"{name} has non-finite entries")
     return x
-
-
-def is_metzler(m, tol=0.0):
-    """True iff every off-diagonal entry of the square matrix is >= -tol."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"Metzler test needs a square matrix, got {m.shape}")
-    off = m - np.diag(np.diag(m))
-    return bool(np.all(off >= -tol))
-
-
-def is_nonnegative(m, tol=0.0):
-    """True iff every entry is >= -tol."""
-    m = np.asarray(m, dtype=float)
-    return bool(np.all(m >= -tol))
-
-
-def metzler_violations(m, tol=0.0):
-    """Indices and values of off-diagonal entries below -tol."""
-    m = as_matrix(m)
-    idx = np.argwhere((m < -tol) & ~np.eye(*m.shape, dtype=bool))
-    return [((int(i), int(j)), float(m[i, j])) for i, j in idx]
-
-
-def nonneg_violations(m, tol=0.0):
-    """Indices and values of entries below -tol."""
-    m = np.asarray(m, dtype=float)
-    idx = np.argwhere(m < -tol)
-    return [((int(i), int(j)), float(m[i, j])) for i, j in idx]
 
 
 def solve(a, b):

@@ -47,6 +47,8 @@ class Poly:
             arr = np.asarray(coeff, dtype=float)
             if arr.shape != self.shape:
                 raise DimensionError(f"coefficient shape {arr.shape} != {self.shape}")
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"coefficient {alpha} has non-finite entries")
             if arr.size and np.any(arr != 0.0):
                 clean[alpha] = arr
         self.terms = clean

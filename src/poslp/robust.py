@@ -336,11 +336,11 @@ def robust_stabilize(psys, template, spec=None, policy=None):
         raise ModelError("robust synthesis needs control matrices B and D")
     spec.validate(psys.m, psys.n)
     points = _wellposed_points(psys.domain)
-    ok = np.logical_and(*[np.all(mat.eval_many(points) >= -1e-12, axis=(1, 2))
-                          for mat in (psys.E, psys.F)])
-    if not ok.all():
+    bad = np.logical_or(*[sysmodel.negative_entries(mat.eval_many(points), 1e-12)
+                          .any(axis=(1, 2)) for mat in (psys.E, psys.F)])
+    if bad.any():
         raise ClassificationError("E(delta), F(delta) must be nonnegative on the box; "
-                                  f"fails at {points[int(np.argmin(ok))]}")
+                                  f"fails at {points[int(np.argmax(bad))]}")
     psys = psys.on_unit_box()
 
     zero = (0,) * psys.nparams

@@ -21,7 +21,7 @@ from . import numlin
 from .errors import ClassificationError, InfeasibleError, ModelError, ValidationError
 from .ilc import FreeConstant
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
-from .sysmodel import PositiveLtiSystem
+from .sysmodel import PositiveLtiSystem, negative_entries
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def _program(sys, spec, policy):
     if sys.m == 0:
         raise ModelError("synthesis needs control matrices B and D")
     spec.validate(sys.m, sys.n)
-    if not (numlin.is_nonnegative(sys.E) and numlin.is_nonnegative(sys.F)):
+    if negative_entries(sys.E).any() or negative_entries(sys.F).any():
         raise ClassificationError("synthesis requires nonnegative E and F")
     psys = PolynomialLtiSystem(*(Poly.constant(getattr(sys, name), 0) for name in "ABCDEF"),
                                domain=BoxDomain.unit(0))

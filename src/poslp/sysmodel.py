@@ -74,16 +74,22 @@ class PositivityReport:
     violations: tuple   # of (matrix name, (i, j), value)
 
 
+def negative_entries(m, tol=0.0, off_diagonal=False):
+    """Mask of the entries of the matrix or stack m (G, r, c) that are not >= -tol,
+    NaN among them; `off_diagonal` exempts the diagonal (the Metzler test)."""
+    mask = ~(np.asarray(m, dtype=float) >= -tol)
+    if off_diagonal:
+        mask &= ~np.eye(*mask.shape[-2:], dtype=bool)
+    return mask
+
+
 def classify(sys, tol=0.0):
-    """List every positivity violation: off-diagonal negatives of A and
-    negative entries of E, C, F."""
-    violations = []
-    for idx, val in numlin.metzler_violations(sys.A, tol):
-        violations.append(("A", idx, val))
-    for name, mat in (("E", sys.E), ("C", sys.C), ("F", sys.F)):
-        for idx, val in numlin.nonneg_violations(mat, tol):
-            violations.append((name, idx, val))
-    return PositivityReport(is_positive=not violations, violations=tuple(violations))
+    """List every positivity violation: off-diagonal negatives of A, then
+    negative entries of E, C, F, row-major within each matrix."""
+    violations = tuple((name, (int(i), int(j)), float(mat[i, j]))
+                       for name, mat in (("A", sys.A), ("E", sys.E), ("C", sys.C), ("F", sys.F))
+                       for i, j in np.argwhere(negative_entries(mat, tol, name == "A")))
+    return PositivityReport(is_positive=not violations, violations=violations)
 
 
 def transpose_system(sys):
@@ -103,7 +109,9 @@ def metzler_stable(a, policy=None, tol=0.0):
     from a controller and carries machine-epsilon noise)."""
     policy = policy or StrictnessPolicy()
     a = numlin.as_matrix(a, "A")
-    if not numlin.is_metzler(a, tol):
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"Metzler test needs a square matrix, got {a.shape}")
+    if negative_entries(a, tol, off_diagonal=True).any():
         raise ClassificationError("stability LP is only valid for Metzler matrices")
     n = a.shape[0]
     if n == 0:
@@ -130,15 +138,10 @@ def is_stable(sys, policy=None, tol=0.0):
 MMATRIX_TOL = 1e-12
 
 
-def metzler_stack(a, tol=0.0):
-    """Per matrix of the stack a (G, n, n): `numlin.is_metzler` at `tol`."""
-    return ~((a < -tol) & ~np.eye(a.shape[-1], dtype=bool)).any(axis=(1, 2))
-
-
 def positive_stack(a, c, e, f, tol=0.0):
     """Per system of the stacks: `classify(...).is_positive` at `tol`."""
-    nonneg = [~(mat < -tol).any(axis=(1, 2)) for mat in (e, c, f)]
-    return np.logical_and.reduce([metzler_stack(a, tol)] + nonneg)
+    return ~np.logical_or.reduce([negative_entries(mat, tol, k == 0).any(axis=(1, 2))
+                                  for k, mat in enumerate((a, e, c, f))])
 
 
 def mmatrix_hurwitz(a):
@@ -189,7 +192,8 @@ def static_gain(sys, tol=0.0):
     (`frozen_oracle` on a stack of one): an A that is not Metzler within
     ``tol`` raises ClassificationError, one that is not Hurwitz StabilityError."""
     a = sys.A[None]
-    gain, failed = frozen_oracle(a, sys.C[None], sys.E[None], sys.F[None], metzler_stack(a, tol))
+    metzler = ~negative_entries(a, tol, off_diagonal=True).any(axis=(1, 2))
+    gain, failed = frozen_oracle(a, sys.C[None], sys.E[None], sys.F[None], metzler)
     if failed is not None and failed[1] == "structure":
         raise ClassificationError("the static-gain oracle is only valid for Metzler matrices")
     if failed is not None:

@@ -44,6 +44,16 @@ MUTANTS = (
      "refused = ~sysmodel.positive_stack(a, c, e, f, tol=1e-9)",
      "refused = np.zeros(len(points), dtype=bool)",
      "tests/test_cli.py::test_closed_loop_refusal_names_delta_on_the_systems_box"),
+    # the boundary of the one positivity mask: an entry at exactly -tol passes
+    ("poslp/sysmodel.py",
+     "    mask = ~(np.asarray(m, dtype=float) >= -tol)\n",
+     "    mask = ~(np.asarray(m, dtype=float) > -tol)\n",
+     "tests/test_sysmodel.py::test_classify_agrees_with_positive_stack_on_a_seeded_battery"),
+    # the Metzler test's exemption of the diagonal
+    ("poslp/sysmodel.py",
+     "        mask &= ~np.eye(*mask.shape[-2:], dtype=bool)\n",
+     "        pass\n",
+     "tests/test_numlin.py::test_metzler_diagonal"),
     # the documented sign of an infeasibility certificate
     ("poslp/lpcore.py",
      "cert = y[:lp.num_rows] * std.row_sign[:lp.num_rows]",

@@ -568,6 +568,37 @@ def fresh_process(argv):
     return run.returncode, run.stdout, run.stderr
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("vertices", [[], ["--vertices"]])
+def test_polynomial_system_file_with_non_finite_term_is_refused(monkeypatch, tmp_path, value,
+                                                                vertices):
+    # NaN used to reach a vertex "not Hurwitz" verdict or name the LFT block E0,
+    # and Infinity to warn on inf * 0 when the term was evaluated at delta = 0
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    psys = polynomial_system(
+        a_terms={0: [[-2.0, 0.5], [0.3, -1.5]], 1: [[0.1, 0.2], [0.0, 0.4]]},
+        c_terms={0: [[1.0, 0.0]]}, e_terms={0: [[1.0], [0.5]]}, f_terms={0: [[0.0]]},
+        domain=BoxDomain.unit(1))
+    path = tmp_path / "non_finite.json"
+    write_polynomial_system(psys, path)
+    doc = json.loads(path.read_text())
+    doc["terms"][1]["A"][0][0] = value
+    path.write_text(json.dumps(doc))
+    assert fresh_process(["robust-gain", "--norm", "l1", *vertices, str(path)]) == (
+        1, "", "error: polynomial system term (1,) key 'A' has non-finite entries\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_system_file_with_non_finite_entry_is_refused(monkeypatch, tmp_path, system_file, value):
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    doc = json.loads(open(system_file).read())
+    doc["E"][1][0] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    assert fresh_process(["check", str(path)]) == (
+        1, "", "error: system key 'E' has non-finite entries\n")
+
+
 def test_parser_is_built_once_and_reused(monkeypatch, capsys, system_file, poly_file):
     builds, grids = [], []
     build, certify = cli.build_parser, robust.grid_certify_gain

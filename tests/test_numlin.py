@@ -1,48 +1,63 @@
 import numpy as np
 import pytest
 
-from poslp import numlin
+from poslp import numlin, sysmodel
 from poslp.cases import POLY3_A, POLY3_E
 from poslp.errors import DimensionError, SingularMatrixError
 
 
+def _metzler(m, tol=0.0):
+    return not sysmodel.negative_entries(m, tol, off_diagonal=True).any()
+
+
+def _nonnegative(m, tol=0.0):
+    return not sysmodel.negative_entries(m, tol).any()
+
+
+def _violations(m, tol=0.0, off_diagonal=False):
+    """The (index, value) listing of the entries `negative_entries` flags, row-major."""
+    m = np.asarray(m, dtype=float)
+    return [((int(i), int(j)), float(m[i, j]))
+            for i, j in np.argwhere(sysmodel.negative_entries(m, tol, off_diagonal))]
+
+
 def test_metzler_diagonal():
-    assert numlin.is_metzler([[-1.0, 0.0], [0.0, -1.0]])
+    assert _metzler([[-1.0, 0.0], [0.0, -1.0]])
 
 
 def test_metzler_benchmark_matrix():
-    assert numlin.is_metzler(POLY3_A[0])
+    assert _metzler(POLY3_A[0])
 
 
 def test_metzler_negative_offdiagonal():
-    assert not numlin.is_metzler([[-1.0, -0.5], [1.0, -1.0]], tol=0.0)
+    assert not _metzler([[-1.0, -0.5], [1.0, -1.0]], tol=0.0)
 
 
 def test_metzler_requires_square():
     with pytest.raises(DimensionError):
-        numlin.is_metzler([[1.0, 2.0, 3.0]])
+        sysmodel.metzler_stable([[1.0, 2.0, 3.0]])
 
 
 def test_metzler_tolerance():
-    assert numlin.is_metzler([[-1.0, -1e-12], [0.0, -1.0]], tol=1e-9)
+    assert _metzler([[-1.0, -1e-12], [0.0, -1.0]], tol=1e-9)
 
 
 def test_nonnegative_benchmark_matrix():
-    assert numlin.is_nonnegative(POLY3_E[0])
+    assert _nonnegative(POLY3_E[0])
 
 
 def test_nonnegative_zero_matrix():
-    assert numlin.is_nonnegative(np.zeros((3, 2)))
+    assert _nonnegative(np.zeros((3, 2)))
 
 
 def test_nonnegative_rejects_negative():
-    assert not numlin.is_nonnegative([[1.0, -1.0]], tol=0.0)
+    assert not _nonnegative([[1.0, -1.0]], tol=0.0)
 
 
 def test_violation_listings():
     bad = [[-1.0, -0.5], [1.0, -1.0]]
-    assert numlin.metzler_violations(bad) == [((0, 1), -0.5)]
-    assert numlin.nonneg_violations([[1.0, -1.0]]) == [((0, 1), -1.0)]
+    assert _violations(bad, off_diagonal=True) == [((0, 1), -0.5)]
+    assert _violations([[1.0, -1.0]]) == [((0, 1), -1.0)]
 
 
 def test_solve_identity():
@@ -83,6 +98,6 @@ def test_block_matrix_stays_metzler():
         a2 = rng.uniform(0, 1, (n, n)) - 2 * np.diag(rng.uniform(1, 2, n))
         b = rng.uniform(0, 1, (n, n))
         b2 = rng.uniform(0, 1, (n, n))
-        assert numlin.is_metzler(a) and numlin.is_nonnegative(b)
+        assert _metzler(a) and _nonnegative(b)
         block = np.block([[a, b], [b2, a2]])
-        assert numlin.is_metzler(block)
+        assert _metzler(block)

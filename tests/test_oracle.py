@@ -56,7 +56,7 @@ def test_mmatrix_oracle_agrees_with_lp(kind, margin):
     for _ in range(12):
         n = int(rng.integers(2, 9))
         a = _shifted(KINDS[kind](rng, n), margin)
-        assert numlin.is_metzler(a, tol=1e-12)
+        assert not sysmodel.negative_entries(a, 1e-12, off_diagonal=True).any()
         lp = sysmodel.metzler_stable(a, tol=1e-12)
         assert _oracle_hurwitz(a) == lp == (margin > 0)
 
@@ -286,7 +286,8 @@ def test_metzler_violations_in_row_major_order():
     m = rng.standard_normal((7, 5))
     want = [((i, j), float(m[i, j])) for i in range(7) for j in range(5)
             if i != j and m[i, j] < -0.1]
-    assert numlin.metzler_violations(m, tol=0.1) == want
+    mask = sysmodel.negative_entries(m, 0.1, off_diagonal=True)
+    assert [((int(i), int(j)), float(m[i, j])) for i, j in np.argwhere(mask)] == want
 
 
 def test_gain_builds_its_lp_once_and_dumps_the_solved_one(tmp_path, monkeypatch, capsys):

@@ -141,6 +141,12 @@ def test_no_zero_coefficients_stored():
     assert (1,) not in p.terms
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_is_refused_naming_its_exponent(value):
+    with pytest.raises(ValidationError, match=r"^coefficient \(1, 0\) has non-finite entries$"):
+        Poly(2, (1, 2), {(0, 0): [[1.0, 2.0]], (1, 0): [[0.5, value]]})
+
+
 def test_box_domain_validation():
     with pytest.raises(ValidationError):
         BoxDomain([0.0, 1.0], [1.0, 1.0])

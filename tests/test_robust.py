@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poslp import cli, gains, handelman, ilc, lft, numlin, robust, synthesis, sysmodel
+from poslp import cli, gains, handelman, ilc, lft, robust, synthesis, sysmodel
 from poslp.cases import GENE_TABLE, POLY3_REFERENCE, gene_expression_system, poly3_system
 from poslp.errors import (ClassificationError, CombinatorialCapError,
                           DegreeError, DimensionError, DomainError, StabilityError)
@@ -514,8 +514,8 @@ def _reference_validate(psys, which):
 
 def _reference_disturbance_check(psys):
     for point in _reference_points(psys.domain):
-        if not numlin.is_nonnegative(psys.E.eval(point), tol=1e-12) or \
-                not numlin.is_nonnegative(psys.F.eval(point), tol=1e-12):
+        if not np.all(psys.E.eval(point) >= -1e-12) or \
+                not np.all(psys.F.eval(point) >= -1e-12):
             raise ClassificationError(
                 f"E(delta), F(delta) must be nonnegative on the box; fails at {point}")
 

@@ -30,6 +30,33 @@ def test_classify_benchmark_nominal_positive():
     assert sysmodel.classify(benchmark_nominal()).is_positive
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+def test_classify_agrees_with_positive_stack_on_a_seeded_battery(tol):
+    """Entries exactly at -tol pass and the next float below fails; A's diagonal
+    is exempt; classify lists A, E, C, F in that order, row-major within each."""
+    rng = np.random.Generator(np.random.PCG64(29))
+    pool = [-tol, 0.0, 0.5, 1.0, np.nextafter(-tol, -np.inf), -1.0]
+    weights = [0.3, 0.2, 0.2, 0.24, 0.03, 0.03]
+    verdicts = []
+    for _ in range(8):
+        n, p, q = (int(k) for k in rng.integers(1, 4, 3))
+        a, e, c, f = (rng.choice(pool, size=(16,) + shape, p=weights)
+                      for shape in ((n, n), (n, p), (q, n), (q, p)))
+        a[:, range(n), range(n)] = -1.0
+        stack = sysmodel.positive_stack(a, c, e, f, tol)
+        for g in range(16):
+            report = sysmodel.classify(sysmodel.PositiveLtiSystem(
+                A=a[g], B=None, C=c[g], D=None, E=e[g], F=f[g]), tol)
+            want = tuple((name, (i, j), mat[g, i, j])
+                         for name, mat in (("A", a), ("E", e), ("C", c), ("F", f))
+                         for i in range(mat.shape[1]) for j in range(mat.shape[2])
+                         if mat[g, i, j] < -tol and not (name == "A" and i == j))
+            assert report.violations == want
+            assert report.is_positive == bool(stack[g]) == (not want)
+            verdicts.append(report.is_positive)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_transpose_is_involution():
     sys5 = sysmodel.random_positive_system(5, 0, 2, 3, seed=1)
     back = sysmodel.transpose_system(sysmodel.transpose_system(sys5))

@@ -2,12 +2,12 @@
 everything reduced to linear programs solved by the embedded simplex."""
 
 from .lpcore import LinearProgram, LpBuilder, LpSolution, StrictnessPolicy, solve_lp
-from .sysmodel import (PositiveLtiSystem, classify, is_stable, oracle_gains,
-                       random_positive_system, static_gain, transpose_system)
-from .gains import l1_gain, linf_gain
+from .sysmodel import (PositiveLtiSystem, classify, metzler_stable, oracle_gains,
+                       random_positive_system, static_gain)
+from .gains import gain
 from .synthesis import ControllerSpec, stabilize_linf
 from .poly import BoxDomain, Poly, PolynomialLtiSystem, polynomial_system
-from .lft import LftSystem, delay_lft, lft_from_polynomial, transpose_lft
+from .lft import LftSystem, delay_lft, lft_from_polynomial
 from .ilc import (ConstantDelay, FreeConstant, FreePolynomial,
                   SaturatedStaticGain, TimeVaryingDelay, instantiate)
 from .robust import (exact_constant_delta, grid_certify_gain, grid_certify_synthesis,

@@ -190,7 +190,7 @@ def cmd_check(args):
         "violations": [{"matrix": m, "index": list(idx), "value": v}
                        for m, idx, v in report.violations],
         "is_stable": (None if sysmodel.negative_entries(sys_in.A, off_diagonal=True).any()
-                      else sysmodel.is_stable(sys_in, policy)),
+                      else sysmodel.metzler_stable(sys_in.A, policy)),
         "epsilon": policy.epsilon,
     }
     return emit(args, doc, lambda d: [
@@ -203,7 +203,7 @@ def cmd_check(args):
 def cmd_gain(args):
     sys_in = sysmodel.read_system(args.system)
     policy = policy_from(args)
-    res = (gains.l1_gain if args.norm == "l1" else gains.linf_gain)(sys_in, policy)
+    res = gains.gain(sys_in, args.norm, policy)
     maybe_dump(args, res.lp)
     try:        # the static-gain oracle, for visibility of the eps bias
         oracle = sysmodel.oracle_gains(sys_in)[0 if args.norm == "l1" else 1]
@@ -300,7 +300,8 @@ def cmd_robust_synth(args):
     }
     return emit(args, doc, lambda d: [
         f"robust gamma = {d['gamma']:.10g}", "K =", _array(d["K"]),
-        f"grid check: {'ok' if d['grid_verdict'] else 'REFUTED: ' + str(verdict.failure)}"])
+        "grid check: ok" if d["grid_verdict"] else _grid_line(d) if verdict.failure is None
+        else f"grid check: REFUTED: {verdict.failure}"])
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +322,8 @@ def _reproduce_drug(args, policy):
         a11, a12, a21 = rng.uniform(0.1, 10.0, 3)
         k1, k2 = rng.uniform(0.1, 10.0, 2)
         tight = StrictnessPolicy(epsilon=1e-9, lambda_floor=1e-9)
-        got_l1 = gains.l1_gain(drug_system(a11, a12, a21, np.diag([k1, k2])), tight).gamma
-        got_linf = gains.linf_gain(drug_system(a11, a12, a21, np.diag([k1, k2])), tight).gamma
+        drug = drug_system(a11, a12, a21, np.diag([k1, k2]))
+        got_l1, got_linf = (gains.gain(drug, norm, tight).gamma for norm in ("l1", "linf"))
         ref_l1, ref_linf = drug_gain_formulas(a11, a12, a21, k1, k2)
         rows.append({"a11": a11, "a12": a12, "a21": a21, "k1": k1, "k2": k2,
                      "l1_lp": got_l1, "l1_formula": ref_l1,
@@ -405,7 +406,7 @@ def _reproduce_delay(args, policy):
         else:
             np.fill_diagonal(a, -(a.sum(axis=1) + ah.sum(axis=1)) + margin)
         verdict = robust.exact_constant_delta(lft.delay_lft(a, ah), np.eye(n),
-                                              policy).feasible
+                                              policy) is not None
         direct = sysmodel.metzler_stable(a + ah, policy)
         agree += verdict == direct
         rows.append({"n": n, "ilc_verdict": verdict, "direct_verdict": direct})

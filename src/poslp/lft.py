@@ -176,12 +176,25 @@ def _loop_blocks(psys, layout, n0):
     return c0, f00, f01, Poly(nparams, (n0, n0), delta)
 
 
-def lft_from_polynomial(psys, layout=None):
-    """Canonical positive LFT of a polynomial system (disturbance channel only),
-    on the `channel_layout` `layout`, or else on the system's own.
+def _transposes(norm):
+    """Whether the `norm` program is the L1 program of the transposed system: True for
+    "linf", False for "l1", DimensionError for any other norm."""
+    if norm not in ("l1", "linf"):
+        raise DimensionError(f"unknown norm {norm!r}: use 'l1' or 'linf'")
+    return norm == "linf"
 
-    Control matrices B, D are ignored; robust synthesis writes its program on
-    the `transpose_lft` of its own layout."""
+
+def lft_from_polynomial(psys, norm="l1", layout=None):
+    """Canonical positive LFT whose L1 program is the `norm` program of a polynomial
+    system (disturbance channel only): for Linf that of the coefficient-wise transposed
+    system (A^T, C^T in, E^T out, F^T).  It is built on the `channel_layout` `layout`,
+    or else on the (transposed) system's own; robust synthesis passes one whose chains
+    also cover B and D.  Control matrices B, D are otherwise ignored."""
+    if _transposes(norm):
+        psys = PolynomialLtiSystem(
+            A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
+            D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
+            domain=psys.domain)
     psys = psys.on_unit_box()
     blocks, n0 = layout or channel_layout(psys)
     n, q = psys.n, psys.q
@@ -194,20 +207,11 @@ def lft_from_polynomial(psys, layout=None):
                      delta_structure=delta, domain=psys.domain)
 
 
-def transpose_lft(psys, layout=None):
-    """Canonical LFT of the coefficient-wise transposed polynomial system
-    (A^T, C^T in, E^T out, F^T), on `layout`, a `channel_layout` of `psys`
-    (robust synthesis passes one whose chains also cover B and D), or else on
-    the transposed system's own layout."""
-    tsys = PolynomialLtiSystem(
-        A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
-        D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
-        domain=psys.domain)
-    return lft_from_polynomial(tsys, layout)
-
-
-def plain_lft(a, c, e, f):
-    """LFT of dx/dt = A x + E w, z = C x + F w with no uncertainty channel (n0 = 0)."""
+def plain_lft(a, c, e, f, norm):
+    """LFT with no uncertainty channel (n0 = 0) whose L1 program is the `norm` program
+    of dx/dt = A x + E w, z = C x + F w: for Linf that of (A^T, C^T in, E^T out, F^T)."""
+    if _transposes(norm):
+        a, c, e, f = a.T, e.T, c.T, f.T
     n, q, p = a.shape[0], c.shape[0], e.shape[1]
     return LftSystem(A=a, E0=np.zeros((n, 0)), E1=e, C0=np.zeros((0, n)), C1=c,
                      F00=np.zeros((0, 0)), F01=np.zeros((0, p)), F10=np.zeros((q, 0)),

@@ -1,11 +1,12 @@
 """Robust gain analysis and robust synthesis as semi-infinite linear programs.
 
-`robust_gain` writes the L1 program of a polynomial system's canonical LFT,
-and its Linf program as the L1 program of the transposed system's.  Programs
-built here keep their polynomial-in-delta rows symbolic (nothing is solved
-eagerly); the handelman module turns them into finite LPs, and a grid
-sweep of frozen-parameter oracle gains runs after every solve as an
-independent sanity check that can refute, but never certify, a bound.
+`robust_gain` writes the L1 program of the canonical LFT that
+`lft.lft_from_polynomial` builds for the norm asked (for Linf, that of the
+transposed system).  Programs built here keep their polynomial-in-delta rows
+symbolic (nothing is solved eagerly); the handelman module turns them into
+finite LPs, and a grid sweep of frozen-parameter oracle gains runs after every
+solve as an independent sanity check that can refute, but never certify, a
+bound.
 
 The gain bounds certified with free or polynomial scalings are sufficient
 only (the Lyapunov vector does not depend on the parameter); the constant
@@ -25,7 +26,7 @@ from . import handelman, ilc, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
 from .lft import (_chain_coefficients, _close_stack, _wellposed_points, channel_layout,
-                  lft_from_polynomial, plain_lft, transpose_lft)
+                  lft_from_polynomial, plain_lft)
 from .lpcore import LpBuilder, StrictnessPolicy, solve_lp
 from .poly import monomials
 from .synthesis import ControllerSpec, controller_rows, recover_k
@@ -182,14 +183,12 @@ def _assemble_gain(lft, template, policy, mu_block=None):
 
 def robust_gain(psys, norm, template, policy=None):
     """Robust `norm` program ("l1" or "linf") for the w -> z transfer of a
-    polynomial system positive on a sample of its box: the L1 assembly on its
-    canonical LFT, and for Linf on that of the transposed system.
+    polynomial system positive on a sample of its box: the L1 assembly on the
+    canonical LFT `lft_from_polynomial` builds for `norm`.
 
     Feasibility at gain gamma certifies stability and the bound for every
     delta in the box; the converse generally fails (constant Lyapunov
     vector), so the bound is sufficient only."""
-    if norm not in ("l1", "linf"):
-        raise DimensionError(f"unknown norm {norm!r}: use 'l1' or 'linf'")
     points = _wellposed_points(psys.domain)
     a, _, c, _, e, f = psys.frozen_stack(points)
     refused = ~sysmodel.positive_stack(a, c, e, f, tol=1e-9)
@@ -198,8 +197,7 @@ def robust_gain(psys, norm, template, policy=None):
         report = sysmodel.classify(psys.frozen_at(point), tol=1e-9)
         raise ClassificationError(
             f"closed loop is not positive at delta={point}: {report.violations[:3]}")
-    lft = lft_from_polynomial(psys) if norm == "l1" else transpose_lft(psys)
-    return _assemble_gain(lft, template, policy or StrictnessPolicy())
+    return _assemble_gain(lft_from_polynomial(psys, norm), template, policy or StrictnessPolicy())
 
 
 @dataclass
@@ -250,17 +248,9 @@ def solve_robust(rlp, b=None, form="reduced"):
 # ---------------------------------------------------------------------------
 # exact analysis for constant nonnegative Delta0 (lossless)
 
-@dataclass
-class ExactDeltaResult:
-    feasible: bool
-    gamma: float
-    lam: np.ndarray | None = None
-    phi1: np.ndarray | None = None
-    phi2: np.ndarray | None = None
-
-
 def exact_constant_delta(lft, delta0, policy=None):
-    """Stability and L1 bound of the loop closed with a constant Delta0 >= 0.
+    """Stability and L1 bound of the loop closed with a constant Delta0 >= 0: the
+    `RobustResult` of its program, or None when the loop is not stable.
 
     Feasibility here is necessary AND sufficient: the saturated constant
     scalings phi1 = -Delta0^T phi2 characterize every LTI positive channel
@@ -269,11 +259,9 @@ def exact_constant_delta(lft, delta0, policy=None):
     rlp = _assemble_gain(lft, template, policy or StrictnessPolicy())
     _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")
     try:
-        res = solve_robust(rlp)
+        return solve_robust(rlp)
     except InfeasibleError:
-        return ExactDeltaResult(feasible=False, gamma=np.nan)
-    (phi1,), (phi2,) = res.phi1.values(), res.phi2.values()
-    return ExactDeltaResult(feasible=True, gamma=res.gamma, lam=res.lam, phi1=phi1, phi2=phi2)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +270,10 @@ def exact_constant_delta(lft, delta0, policy=None):
 VERTEX_CAP = 20        # parameters: the vertex program replicates its rows 2 ** N times
 
 
-def vertex_gain(psys, which="linf", policy=None):
-    """Shared-Lyapunov gain bound with the rows replicated at every vertex of
-    the box; valid for matrices affine in the parameters (convexity)."""
+def vertex_gain(psys, norm, policy=None):
+    """Shared-Lyapunov `norm`-gain bound with the rows replicated at every vertex
+    of the box; valid for matrices affine in the parameters (convexity)."""
     policy = policy or StrictnessPolicy()
-    if which not in ("l1", "linf"):
-        raise DimensionError("which must be 'l1' or 'linf'")
     if psys.degree() > 1:
         raise DegreeError("vertex enumeration needs affine parameter dependence")
     if psys.nparams > VERTEX_CAP:
@@ -309,8 +295,7 @@ def vertex_gain(psys, which="linf", policy=None):
     lam = b.add_vars("lam", psys.n, lower=policy.lambda_floor)
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     for v in range(len(verts)):
-        mats = (a[v], c[v], e[v], f[v]) if which == "l1" else (a[v].T, e[v].T, c[v].T, f[v].T)
-        vertex = plain_lft(*mats)
+        vertex = plain_lft(a[v], c[v], e[v], f[v], norm)
         lin = [(lam, np.vstack([vertex.A.T, vertex.E1.T]))]
         _lyapunov_rows(b, [], (), vertex, lin, gamma, {}, {}, policy.epsilon, f"v{v}_")
     try:
@@ -349,7 +334,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     layout = channel_layout(psys, ("A", "B", "E"), ("C", "D", "F"), psys.q, "robust synthesis")
     (mu_chain,) = _chain_coefficients(psys, layout[0], ("B",), ("D",))
     mu_block = np.vstack([psys.B.coeff(zero)] + mu_chain + [psys.D.coeff(zero)])
-    rlp = _assemble_gain(transpose_lft(psys, layout), template, policy, mu_block)
+    rlp = _assemble_gain(lft_from_polynomial(psys, "linf", layout), template, policy, mu_block)
 
     b, poly = rlp.builder, list(rlp.poly_rows)
     mats = (psys.A, psys.B, psys.C, psys.D)

@@ -92,15 +92,6 @@ def classify(sys, tol=0.0):
     return PositivityReport(is_positive=not violations, violations=violations)
 
 
-def transpose_system(sys):
-    """Swap the roles of the disturbance channel: (A^T, C^T in, E^T out, F^T).
-
-    The L1-gain of the result equals the Linf-gain of the original and vice
-    versa.  B and D do not participate and are dropped."""
-    return PositiveLtiSystem(A=sys.A.T, B=None, C=sys.E.T, D=None,
-                             E=sys.C.T, F=sys.F.T)
-
-
 def metzler_stable(a, policy=None, tol=0.0):
     """Hurwitz test for a Metzler matrix via the copositive Lyapunov LP
     {lambda >= floor, lambda^T A <= -eps}.
@@ -120,10 +111,6 @@ def metzler_stable(a, policy=None, tol=0.0):
     lam = b.add_vars("lam", n, lower=policy.lambda_floor)
     b.add_rows(lam, a.T, "<=", -policy.epsilon, [f"st{j}" for j in range(n)])
     return solve_lp(b.build()).status == "optimal"
-
-
-def is_stable(sys, policy=None, tol=0.0):
-    return metzler_stable(sys.A, policy, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ MUTANTS = (
      '    _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")\n',
      "    pass\n",
      "tests/test_lft.py::test_singular_constant_delta_keeps_its_message"),
+    # Linf as the L1 program of the transposed system, decided in `lft` alone
+    ("poslp/lft.py",
+     "        a, c, e, f = a.T, e.T, c.T, f.T\n",
+     "        pass\n",
+     "tests/test_lft.py::test_linf_entry_is_the_l1_entry_on_the_transpose[gain]"),
+    ("poslp/lft.py",
+     '    if _transposes(norm):\n        psys = PolynomialLtiSystem(\n',
+     '    if False:\n        psys = PolynomialLtiSystem(\n',
+     "tests/test_lft.py::test_linf_entry_is_the_l1_entry_on_the_transpose[robust_gain-const]"),
 )
 
 

@@ -18,6 +18,7 @@ from poslp.lpcore import lp_to_text
 from poslp.poly import BoxDomain, polynomial_system, read_polynomial_system, write_polynomial_system
 from poslp.synthesis import ControllerSpec
 from poslp.sysmodel import write_system
+from test_golden import uncertain_input_plant
 
 
 @pytest.fixture
@@ -143,7 +144,7 @@ def test_dump_lp_writes_the_lp_a_verdict_refuted(capsys, tmp_path, row):
     if row == "unstable gain":
         write_system(UNSTABLE, sys_path)
         argv, prefix = ["gain", "--norm", "l1", str(sys_path)], "infeasible:"
-        lp = _refuted_lp(lambda: gains.l1_gain(UNSTABLE))
+        lp = _refuted_lp(lambda: gains.gain(UNSTABLE, "l1"))
     elif row == "infeasible bounded synth":
         write_system(UNCONTROLLABLE, sys_path)
         bounds = tmp_path / "bounds.json"
@@ -160,7 +161,7 @@ def test_dump_lp_writes_the_lp_a_verdict_refuted(capsys, tmp_path, row):
     else:
         write_system(NOT_POSITIVE, sys_path)
         argv, prefix = ["gain", "--norm", "l1", str(sys_path)], "error:"
-        lp = _refuted_lp(lambda: gains.l1_gain(NOT_POSITIVE))
+        lp = _refuted_lp(lambda: gains.gain(NOT_POSITIVE, "l1"))
     assert cli.main([*argv, "--dump-lp", str(dump)]) == 1
     assert capsys.readouterr().err.startswith(prefix)
     assert dump.exists() == (lp is not None) == (row != "non-positive gain")
@@ -727,6 +728,22 @@ def test_robust_gain_below_the_oracle_prints_refuted(capsys, monkeypatch, poly_f
     code, out = run(capsys, "robust-gain", "--norm", "l1", poly_file, "--format", "text")
     assert code == 0
     assert out.splitlines()[1] == "grid check: max frozen-delta oracle 92.835821 -> REFUTED"
+
+
+def test_robust_synth_below_the_oracle_prints_refuted(capsys, monkeypatch, tmp_path):
+    # half of the plant's robust Linf bound lies below its closed-loop grid oracle,
+    # a refutation by gain rather than by structure: the text names the oracle
+    path = tmp_path / "plant_b.json"
+    write_polynomial_system(uncertain_input_plant(), path)
+    solve = robust.solve_robust
+
+    def halved(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, gamma=0.5 * res.gamma)
+    monkeypatch.setattr(robust, "solve_robust", halved)
+    code, out = run(capsys, "robust-synth", str(path), "--format", "text")
+    assert code == 0
+    assert out.splitlines()[-1] == "grid check: max frozen-delta oracle 1.369163 -> REFUTED"
 
 
 def test_vertex_program_too_large_to_fit_is_refused(capsys, tmp_path):

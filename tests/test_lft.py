@@ -5,12 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from test_golden import small_plant, uncertain_input_plant
+from test_sysmodel import transposed
 
-from poslp import ilc, lft, robust, sysmodel
-from poslp.cases import (POLY3_A, POLY3_C, POLY3_E, POLY3_F, gene_expression_system,
+from poslp import cli, gains, ilc, lft, robust, sysmodel
+from poslp.cases import (GENE_TABLE, POLY3_A, POLY3_C, POLY3_E, POLY3_F, gene_expression_system,
                          poly3_system)
 from poslp.errors import DimensionError, ModelError, WellPosednessError
-from poslp.poly import BoxDomain, Poly, polynomial_system, read_polynomial_system
+from poslp.poly import (BoxDomain, Poly, PolynomialLtiSystem, polynomial_system,
+                        read_polynomial_system)
 
 
 def affine_toy():
@@ -85,6 +87,43 @@ def test_loop_closure_identity_random_samples():
                                atol=1e-10)
 
 
+def _transposed_polynomial(psys):
+    """(A^T, C^T in, E^T out, F^T) coefficient-wise, on the same box."""
+    return PolynomialLtiSystem(
+        A=psys.A.transpose(), B=Poly.zero(psys.nparams, (psys.n, 0)), C=psys.E.transpose(),
+        D=Poly.zero(psys.nparams, (psys.p, 0)), E=psys.C.transpose(), F=psys.F.transpose(),
+        domain=psys.domain)
+
+
+def _robust_gain_solved(scaling):
+    return lambda psys, norm: robust.solve_robust(
+        robust.robust_gain(psys, norm, cli.parse_scaling(scaling)))
+
+
+@pytest.mark.parametrize("solve, systems, transpose", [
+    pytest.param(gains.gain, lambda: [sysmodel.random_positive_system(n, 0, p, q, seed=90 + n)
+                                      for n, p, q in ((1, 1, 1), (4, 2, 3), (9, 3, 2))],
+                 transposed, id="gain"),
+    pytest.param(robust.vertex_gain, lambda: [gene_expression_system(big_n)
+                                              for big_n, _ in GENE_TABLE],
+                 _transposed_polynomial, id="vertex_gain"),
+    *(pytest.param(_robust_gain_solved(scaling),
+                   lambda: [poly3_system(), gene_expression_system(0.3)],
+                   _transposed_polynomial, id=f"robust_gain-{scaling}")
+      for scaling in ("const", "saturated")),
+])
+def test_linf_entry_is_the_l1_entry_on_the_transpose(solve, systems, transpose):
+    # every gain entry takes the norm as one argument and `lft` alone transposes:
+    # Linf on the system is L1 on its transpose, bit for bit
+    for sys in systems():
+        linf, l1 = solve(sys, "linf"), solve(transpose(sys), "l1")
+        assert np.float64(linf.gamma).tobytes() == np.float64(l1.gamma).tobytes()
+        assert linf.lam.tobytes() == l1.lam.tobytes()
+    with pytest.raises(DimensionError) as err:
+        solve(sys, "l2")
+    assert str(err.value) == "unknown norm 'l2': use 'l1' or 'linf'"
+
+
 def test_positivity_preserved_on_grid():
     psys = poly3_system()
     l = lft.lft_from_polynomial(psys)
@@ -95,7 +134,7 @@ def test_positivity_preserved_on_grid():
 def test_transposed_benchmark_blocks():
     psys = poly3_system()
     l = lft.lft_from_polynomial(psys)
-    tl = lft.transpose_lft(psys)
+    tl = lft.lft_from_polynomial(psys, "linf")
     assert np.array_equal(tl.E0, np.hstack([POLY3_A[1].T, POLY3_A[2].T,
                                             POLY3_C[1].T, POLY3_C[2].T]))
     assert np.array_equal(tl.F10, np.hstack([POLY3_E[1].T, POLY3_E[2].T,
@@ -111,7 +150,7 @@ def test_transpose_of_degree_zero_is_plain_transpose():
     s = sysmodel.random_positive_system(3, 0, 2, 2, seed=22)
     psys = polynomial_system(a_terms={0: s.A}, c_terms={0: s.C},
                              e_terms={0: s.E}, f_terms={0: s.F})
-    tl = lft.transpose_lft(psys)
+    tl = lft.lft_from_polynomial(psys, "linf")
     assert np.array_equal(tl.A, s.A.T)
     assert np.array_equal(tl.E1, s.C.T)
     assert np.array_equal(tl.C1, s.E.T)
@@ -128,7 +167,7 @@ def test_transposed_closure_equals_transpose_of_closure():
         e_terms={0: base.E, 2: rng.uniform(0, 0.2, (3, 2))},
         f_terms={0: base.F},
         domain=BoxDomain.unit(1))
-    tl = lft.transpose_lft(psys)
+    tl = lft.lft_from_polynomial(psys, "linf")
     for _ in range(20):
         d = rng.uniform(0, 1, 1)
         closed_t = _close(tl, tl.delta_structure.eval(d))
@@ -302,7 +341,7 @@ def test_closures_keep_the_point_by_point_bytes(seed, nparams):
     rng = np.random.Generator(np.random.PCG64(seed))
     lower, upper = psys.domain.lower, psys.domain.upper
     points = [lower + rng.uniform(0, 1, nparams) * (upper - lower) for _ in range(10)]
-    for l in (lft.lft_from_polynomial(psys), lft.transpose_lft(psys)):
+    for l in (lft.lft_from_polynomial(psys), lft.lft_from_polynomial(psys, "linf")):
         sample, deltas, stacks = lft._check_well_posed(l)
         assert np.array_equal(sample, _reference_points(l.domain))
         for g, point in enumerate(sample):
@@ -356,7 +395,7 @@ def _synthesis_lft(psys):
     """The transposed LFT robust synthesis writes its program on."""
     unit = psys.on_unit_box()
     layout = lft.channel_layout(unit, ("A", "B", "E"), ("C", "D", "F"), unit.q, "robust synthesis")
-    return lft.transpose_lft(unit, layout)
+    return lft.lft_from_polynomial(unit, "linf", layout)
 
 
 def _robust_relax_inputs(directory):
@@ -378,7 +417,7 @@ def test_every_canonical_lft_is_well_posed_by_structure(monkeypatch, tmp_path):
     calls = _close_stack_calls(monkeypatch)
     built = []
     for psys in psystems:
-        built += [lft.lft_from_polynomial(psys), lft.transpose_lft(psys)]
+        built += [lft.lft_from_polynomial(psys), lft.lft_from_polynomial(psys, "linf")]
         if psys.m:
             built.append(_synthesis_lft(psys))
     assert len(built) == 48

@@ -38,7 +38,7 @@ def test_min_gamma_two_lower_bounds():
 
 def test_gene_expression_nominal_linf_lp():
     sys0 = gene_expression_system(0.0).frozen_at([0.0, 0.0, 0.0])
-    sol = solve_lp(gains.linf_lp(sys0))
+    sol = solve_lp(gains.gain_lp(sys0, "linf"))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(2.0, rel=1e-5)
 
@@ -176,7 +176,7 @@ def test_gain_bias_shrinks_with_epsilon():
     oracle = sysmodel.oracle_gains(sys5)[0]
     values = []
     for eps in (1e-5, 1e-6, 1e-7):
-        res = gains.l1_gain(sys5, StrictnessPolicy(epsilon=eps))
+        res = gains.gain(sys5, "l1", StrictnessPolicy(epsilon=eps))
         values.append(res.gamma)
     assert values[0] >= values[1] >= values[2] >= oracle - 1e-12
     assert (values[2] - oracle) / oracle <= 1e-4
@@ -627,7 +627,7 @@ def test_dense_pivots_match_dense_update_bit_for_bit(monkeypatch):
     # every pivot choice, vertex, dual and certificate byte for byte
     for n in (24, 72, 120):
         s = sysmodel.random_positive_system(n, 0, 3, 3, seed=n)
-        for name, lp in ((f"l1 n={n}", gains.l1_lp(s)), (f"linf n={n}", gains.linf_lp(s))):
+        for name, lp in ((f"{norm} n={n}", gains.gain_lp(s, norm)) for norm in ("l1", "linf")):
             with monkeypatch.context() as patch:
                 dense_pivots = counting_einsum(patch)
                 got = solve_lp(lp)
@@ -853,8 +853,8 @@ def loop_reference_lps():
     """Gain, synthesis and poly3 robust LPs, and random LPs of every kind."""
     for n in (8, 24, 48):
         s = sysmodel.random_positive_system(n, 0, 3, 3, seed=n)
-        yield f"l1 n={n}", gains.l1_lp(s)
-        yield f"linf n={n}", gains.linf_lp(s)
+        yield f"l1 n={n}", gains.gain_lp(s, "l1")
+        yield f"linf n={n}", gains.gain_lp(s, "linf")
     yield from tall_lps()
     kinds = ("degenerate", "infeasible", "unbounded", "free", "two-sided", "redundant")
     rng = np.random.default_rng(2027)

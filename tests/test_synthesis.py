@@ -23,7 +23,7 @@ def test_scalar_design_matches_closed_form():
 def test_zero_controller_feasible_for_positive_stable_plant():
     s = sysmodel.random_positive_system(4, 2, 2, 2, seed=8)
     res = synthesis.stabilize_linf(s)
-    open_gain = gains.linf_gain(s).gamma
+    open_gain = gains.gain(s, "linf").gamma
     assert res.gamma <= open_gain + 1e-6
 
 
@@ -32,7 +32,7 @@ def test_all_zero_structure_reduces_to_open_loop_analysis():
     spec = ControllerSpec(zero_pattern=tuple((i, j) for i in range(1) for j in range(3)))
     res = synthesis.stabilize_linf(s, spec)
     assert np.allclose(res.K, 0.0)
-    assert res.gamma == pytest.approx(gains.linf_gain(s).gamma, rel=1e-9)
+    assert res.gamma == pytest.approx(gains.gain(s, "linf").gamma, rel=1e-9)
 
 
 def test_structured_zeros_exact():
@@ -64,7 +64,7 @@ def test_closed_loop_certified_on_random_battery():
         cl = synthesis.closed_loop(s, res.K)
         # tol absorbs the 1e-16-level roundoff of re-forming A + BK from K
         assert sysmodel.classify(cl, tol=1e-9).is_positive
-        assert sysmodel.is_stable(cl, tol=1e-9)
+        assert sysmodel.metzler_stable(cl.A, tol=1e-9)
         linf = sysmodel.oracle_gains(cl, tol=1e-9)[1]
         assert linf <= res.gamma * (1 + 1e-6) + 1e-6
 
@@ -77,7 +77,7 @@ def test_open_loop_need_not_be_positive():
     res = synthesis.stabilize_linf(s)
     cl = synthesis.closed_loop(s, res.K)
     assert sysmodel.classify(cl, tol=1e-9).is_positive
-    assert sysmodel.is_stable(cl, tol=1e-9)
+    assert sysmodel.metzler_stable(cl.A, tol=1e-9)
 
 
 def test_mu_lambda_consistency():

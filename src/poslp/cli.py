@@ -99,12 +99,10 @@ def _parser():
 
 
 def parse_scaling(text):
-    """const | poly:<d> | saturated[:<d>]; anything else is a ValidationError."""
-    kind, sep, degree = text.partition(":")
-    if text == "const":
-        return ilc.FreeConstant()
-    if text == "saturated":
-        return ilc.FreePolynomial(2)
+    """poly:<d> | saturated:<d>, with const read as poly:0 and saturated as
+    saturated:2; anything else is a ValidationError."""
+    kind, sep, degree = {"const": "poly:0", "saturated": "saturated:2"}.get(
+        text, text).partition(":")
     if sep and kind in ("poly", "saturated"):
         try:
             return ilc.FreePolynomial(int(degree), saturated=kind == "saturated")
@@ -157,7 +155,7 @@ def emit(args, doc, text):
     """Print the report `doc`: as canonical JSON, or under --format text as the
     lines `text(doc)` formats from it."""
     if args.format == "structured":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     else:
         print("\n".join(text(doc)))
     return 0
@@ -167,7 +165,19 @@ def _array(values):
     return np.array2string(np.array(values), precision=6)
 
 
+def _robust_keys(res, verdict):
+    """The report keys both robust commands write: the bound, its witness and
+    the grid check, which has no oracle (null) where it refutes by structure."""
+    doc = {"gamma": res.gamma, "epsilon": res.epsilon, "witness_lambda": res.lam.tolist(),
+           "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle}
+    if verdict.failure is not None:
+        doc.update(grid_max_oracle=None, grid_failure=verdict.failure)
+    return doc
+
+
 def _grid_line(doc):
+    if "grid_failure" in doc:
+        return f"grid check: REFUTED: {doc['grid_failure']}"
     return (f"grid check: max frozen-delta oracle {doc['grid_max_oracle']:.6f} "
             f"-> {'ok' if doc['grid_verdict'] else 'REFUTED'}")
 
@@ -250,11 +260,7 @@ def cmd_robust_gain(args):
                                   b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
-    doc = {
-        "norm": args.norm, "gamma": res.gamma, "epsilon": res.epsilon,
-        "witness_lambda": res.lam.tolist(),
-        "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle,
-    }
+    doc = {"norm": args.norm, **_robust_keys(res, verdict)}
     if args.vertices:
         doc.update(status="optimal", method="vertices",
                    conservatism_note="vertex method is exact for affine dependence "
@@ -291,17 +297,13 @@ def cmd_robust_synth(args):
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid)
     doc = {
-        "status": "optimal", "gamma": res.gamma, "epsilon": res.epsilon,
-        "product_degree": res.b, "form": res.form, "K": res.K.tolist(),
+        "status": "optimal", "product_degree": res.b, "form": res.form, "K": res.K.tolist(),
         "lp_vars": res.lp.num_vars, "lp_rows": res.lp.num_rows,
-        "witness_lambda": res.lam.tolist(),
-        "grid_verdict": verdict.ok, "grid_max_oracle": verdict.max_oracle,
-        "conservatism_note": ROBUST_NOTE,
+        "conservatism_note": ROBUST_NOTE, **_robust_keys(res, verdict),
     }
     return emit(args, doc, lambda d: [
         f"robust gamma = {d['gamma']:.10g}", "K =", _array(d["K"]),
-        "grid check: ok" if d["grid_verdict"] else _grid_line(d) if verdict.failure is None
-        else f"grid check: REFUTED: {verdict.failure}"])
+        "grid check: ok" if d["grid_verdict"] else _grid_line(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,8 @@ def _reproduce_gene(args, policy):
 def _reproduce_poly3(args, policy):
     which = "l1" if args.case == "table4" else "linf"
     psys = poly3_system()
-    res_const = robust.solve_robust(robust.robust_gain(psys, which, ilc.FreeConstant(), policy))
+    const = ilc.FreePolynomial(0, saturated=False)
+    res_const = robust.solve_robust(robust.robust_gain(psys, which, const, policy))
     res_sat = robust.solve_robust(robust.robust_gain(psys, which, ilc.FreePolynomial(2), policy),
                                   b=2)
     sweep = robust.grid_certify_gain(psys, res_sat.gamma, which, 1001).max_oracle

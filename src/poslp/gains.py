@@ -17,7 +17,7 @@ restriction on the certified bound.
 """
 
 from .errors import ClassificationError, InfeasibleError, StabilityError
-from .ilc import FreeConstant
+from .ilc import FreePolynomial
 from .lft import plain_lft
 from .lpcore import StrictnessPolicy
 from .robust import _assemble_gain, solve_robust
@@ -27,7 +27,7 @@ from .sysmodel import classify
 def _program(sys, norm, policy):
     """The robust `norm` program of the system's LFT with no uncertainty channel."""
     lft = plain_lft(sys.A, sys.C, sys.E, sys.F, norm)
-    return _assemble_gain(lft, FreeConstant(), policy or StrictnessPolicy())
+    return _assemble_gain(lft, FreePolynomial(0, saturated=False), policy or StrictnessPolicy())
 
 
 def gain_lp(sys, norm, policy=None):

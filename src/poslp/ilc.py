@@ -22,18 +22,13 @@ from .poly import monomials
 
 
 @dataclass(frozen=True)
-class FreeConstant:
-    """Constant phi1, phi2 constrained only by phi1 + Delta(delta)^T phi2 >= 0."""
-
-
-@dataclass(frozen=True)
 class FreePolynomial:
     """Polynomial scalings of the given degree (the degree of phi1).
 
     With ``saturated`` (the default) phi1 is tied to phi2 through
     phi1(delta) = -Delta(delta)^T phi2(delta) and the ILC inequality
     disappears; otherwise both are free and the inequality is kept as a
-    polynomial constraint."""
+    polynomial constraint (at degree 0: free constant scalings)."""
 
     degree: int
     saturated: bool = True
@@ -42,7 +37,8 @@ class FreePolynomial:
 @dataclass(frozen=True, eq=False)
 class SaturatedStaticGain:
     """Constant scalings saturating the ILC of an LTI channel with known
-    nonnegative static gain: phi1 = -Delta0^T phi2."""
+    nonnegative static gain: phi1 = -Delta0^T phi2.  Delta0 = I is the
+    constant-delay channel, whose static gain is I for every delay."""
 
     delta0: np.ndarray
 
@@ -51,11 +47,6 @@ class SaturatedStaticGain:
         if sysmodel.negative_entries(d0).any():
             raise ClassificationError("SaturatedStaticGain needs Delta0 >= 0")
         object.__setattr__(self, "delta0", d0)
-
-
-@dataclass(frozen=True)
-class ConstantDelay:
-    """Constant-delay channel: unit static gain for every delay, phi1 = -phi2."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +101,6 @@ def instantiate(template, channel):
     n0 = channel.n0
     nparams = channel.domain.nparams if channel.domain is not None else 0
 
-    if isinstance(template, FreeConstant):
-        template = FreePolynomial(0, saturated=False)
-
     if isinstance(template, FreePolynomial):
         if template.degree < 0:
             raise DomainError("polynomial scaling degree must be >= 0")
@@ -141,8 +129,6 @@ def instantiate(template, channel):
         if template.delta0.shape != (n0, n0):
             raise DimensionError(f"Delta0 must be {n0} x {n0}, got {template.delta0.shape}")
         c1, c2, phi1_lower = eye, template.delta0.T.copy(), None
-    elif isinstance(template, ConstantDelay):
-        c1, c2, phi1_lower = eye, eye, None
     elif isinstance(template, TimeVaryingDelay):
         c1, c2, phi1_lower = (1.0 - template.mu) * eye, eye, 0.0
     else:

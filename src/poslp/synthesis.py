@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numlin
 from .errors import ClassificationError, InfeasibleError, ModelError, ValidationError
-from .ilc import FreeConstant
+from .ilc import FreePolynomial
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
 from .sysmodel import PositiveLtiSystem, negative_entries
 
@@ -61,7 +61,7 @@ def _program(sys, spec, policy):
         raise ClassificationError("synthesis requires nonnegative E and F")
     psys = PolynomialLtiSystem(*(Poly.constant(getattr(sys, name), 0) for name in "ABCDEF"),
                                domain=BoxDomain.unit(0))
-    return robust_stabilize(psys, FreeConstant(), spec, policy)
+    return robust_stabilize(psys, FreePolynomial(0, saturated=False), spec, policy)
 
 
 def synthesis_lp(sys, spec=None, policy=None):

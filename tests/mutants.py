@@ -80,6 +80,11 @@ MUTANTS = (
      '    _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")\n',
      "    pass\n",
      "tests/test_lft.py::test_singular_constant_delta_keeps_its_message"),
+    # a grid refutation by structure has no oracle: null in the report, not NaN
+    ("poslp/cli.py",
+     "        doc.update(grid_max_oracle=None, grid_failure=verdict.failure)\n",
+     "        doc.update(grid_failure=verdict.failure)\n",
+     "tests/test_cli.py::test_grid_refutation_by_structure_is_named_in_strict_json[l1]"),
     # Linf as the L1 program of the transposed system, decided in `lft` alone
     ("poslp/lft.py",
      "        a, c, e, f = a.T, e.T, c.T, f.T\n",

@@ -17,6 +17,9 @@ from poslp.poly import BoxDomain, polynomial_system
 from poslp.synthesis import ControllerSpec
 from test_sysmodel import transposed
 
+# free constant scalings: the unsaturated polynomial ones of degree 0
+CONST = ilc.FreePolynomial(0, saturated=False)
+
 
 def report(number, label, ok, detail=""):
     print(f"ACCEPTANCE {number:2d} [{'PASS' if ok else 'FAIL'}] {label}"
@@ -98,9 +101,9 @@ def test_c05_polynomial_benchmark_bounds_and_sweep(bench_psys):
     psys = bench_psys
     got = {
         ("l1", "const"): robust.solve_robust(
-            robust.robust_gain(psys, "l1", ilc.FreeConstant())).gamma,
+            robust.robust_gain(psys, "l1", CONST)).gamma,
         ("linf", "const"): robust.solve_robust(
-            robust.robust_gain(psys, "linf", ilc.FreeConstant())).gamma,
+            robust.robust_gain(psys, "linf", CONST)).gamma,
         ("l1", "saturated2"): robust.solve_robust(
             robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)), b=2).gamma,
         ("linf", "saturated2"): robust.solve_robust(
@@ -207,8 +210,8 @@ def test_c08_handelman_regression(bench_psys):
           and chi[0] == [1.0, 1.0, 1.0, 1.0, 1.0])
 
     battery = [
-        robust.robust_gain(psys, "l1", ilc.FreeConstant()),
-        robust.robust_gain(psys, "linf", ilc.FreeConstant()),
+        robust.robust_gain(psys, "l1", CONST),
+        robust.robust_gain(psys, "linf", CONST),
         robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)),
         robust.robust_gain(psys, "linf", ilc.FreePolynomial(2)),
         robust.robust_gain(psys, "l1", ilc.FreePolynomial(1, saturated=False)),
@@ -247,11 +250,11 @@ def test_c09_reduction_consistency():
 
     pairs = [
         (gains.gain_lp(s, "l1"),
-         handelman.relax_reduced(robust.robust_gain(psys, "l1", ilc.FreeConstant()))),
+         handelman.relax_reduced(robust.robust_gain(psys, "l1", CONST))),
         (gains.gain_lp(s, "linf"),
-         handelman.relax_reduced(robust.robust_gain(psys, "linf", ilc.FreeConstant()))),
+         handelman.relax_reduced(robust.robust_gain(psys, "linf", CONST))),
         (synthesis.synthesis_lp(s),
-         handelman.relax_reduced(robust.robust_stabilize(psys, ilc.FreeConstant()))),
+         handelman.relax_reduced(robust.robust_stabilize(psys, CONST))),
     ]
     ok = all(digest(a) == digest(b) for a, b in pairs)
     report(9, "zero-channel robust pipelines emit byte-identical LPs "

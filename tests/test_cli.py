@@ -746,6 +746,71 @@ def test_robust_synth_below_the_oracle_prints_refuted(capsys, monkeypatch, tmp_p
     assert out.splitlines()[-1] == "grid check: max frozen-delta oracle 1.369163 -> REFUTED"
 
 
+def strict_json(text):
+    """The report parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_grid_refutation_by_structure_is_named_in_strict_json(capsys, tmp_path, norm):
+    # A[0, 1] = 10 (delta - 0.55)^2 - 0.01 is negative only near delta = 0.55,
+    # between two points of the positivity sample, so a bound is found; the
+    # grid refutes it by structure, where no oracle exists
+    path = tmp_path / "dip.json"
+    write_polynomial_system(polynomial_system(
+        a_terms={0: [[-3.0, 3.015], [0.5, -2.0]], 1: [[0.0, -11.0], [0.0, 0.0]],
+                 2: [[0.0, 10.0], [0.0, 0.0]]},
+        c_terms={0: [[1.0, 1.0]]}, e_terms={0: [[1.0], [0.5]]}, f_terms={0: [[0.0]]}), path)
+    argv = ["robust-gain", "--norm", norm, "--scaling", "const", str(path)]
+    code, out = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["grid_verdict"] is False and doc["grid_max_oracle"] is None
+    assert doc["grid_failure"] == "not positive at [0.52]"
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == "grid check: REFUTED: not positive at [0.52]"
+
+
+def test_robust_synth_refuted_by_structure_writes_strict_json(capsys, monkeypatch, tmp_path):
+    # a closed loop the grid finds not positive has no oracle: null, and the reason
+    path = tmp_path / "plant_b.json"
+    write_polynomial_system(uncertain_input_plant(), path)
+    certify = robust.grid_certify_synthesis
+
+    def not_positive(*args, **kwargs):
+        return dataclasses.replace(certify(*args, **kwargs), ok=False, max_oracle=np.nan,
+                                   failure="closed loop not positive at [0.5]")
+    monkeypatch.setattr(robust, "grid_certify_synthesis", not_positive)
+    code, out = run(capsys, "robust-synth", str(path), "--format", "structured")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["grid_verdict"] is False and doc["grid_max_oracle"] is None
+    assert doc["grid_failure"] == "closed loop not positive at [0.5]"
+    code, out = run(capsys, "robust-synth", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "grid check: REFUTED: closed loop not positive at [0.5]"
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("short, full", [("const", "poly:0"), ("saturated", "saturated:2")])
+def test_short_scaling_spellings_read_as_their_degree(capsys, tmp_path, poly_file, norm, short,
+                                                      full):
+    reports, dumps = [], []
+    for scaling in (short, full):
+        dump = tmp_path / f"{scaling}.lp"
+        code, out = run(capsys, "robust-gain", "--norm", norm, "--scaling", scaling, poly_file,
+                        "--format", "structured", "--dump-lp", str(dump))
+        assert code == 0
+        reports.append(json.loads(out))
+        dumps.append(dump.read_bytes())
+    assert dumps[0] == dumps[1]
+    assert [doc.pop("scaling") for doc in reports] == [short, full]
+    assert reports[0] == reports[1]
+
+
 def test_vertex_program_too_large_to_fit_is_refused(capsys, tmp_path):
     # A = -2 + 0.1 (delta_1 + ... + delta_14): 2^14 vertices give a phase-1
     # tableau of 32768 x 65539 (16 GiB), refused before it is allocated; the

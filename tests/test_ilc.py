@@ -4,8 +4,7 @@ import pytest
 from poslp import ilc, lft
 from poslp.cases import poly3_system
 from poslp.errors import ClassificationError, DomainError
-from poslp.ilc import (ConstantDelay, FreeConstant, FreePolynomial,
-                       SaturatedStaticGain, TimeVaryingDelay, instantiate)
+from poslp.ilc import FreePolynomial, SaturatedStaticGain, TimeVaryingDelay, instantiate
 
 
 class FakeChannel:
@@ -20,7 +19,8 @@ def delay_channel(n=1):
 
 
 def test_constant_delay_single_channel():
-    cset = instantiate(ConstantDelay(), delay_channel())
+    # a constant delay has static gain I: the saturated static-gain template with Delta0 = I
+    cset = instantiate(SaturatedStaticGain(np.eye(1)), delay_channel())
     assert len(cset.equalities) == 1
     ((w1, a1, c1), (w2, a2, c2)) = cset.equalities[0]
     assert (w1, c1) == (1, 1.0) and (w2, c2) == (2, 1.0)   # phi1 + phi2 = 0
@@ -29,7 +29,7 @@ def test_constant_delay_single_channel():
 
 def test_time_varying_delay_reduces_to_constant_delay_at_mu_zero():
     tvd = instantiate(TimeVaryingDelay(0.0), delay_channel())
-    cd = instantiate(ConstantDelay(), delay_channel())
+    cd = instantiate(SaturatedStaticGain(np.eye(1)), delay_channel())
     assert tvd.equalities == cd.equalities
     # only the sign restriction phi1 >= 0 remains as a difference
     assert tvd.phi1_lower == 0.0 and cd.phi1_lower is None
@@ -85,8 +85,9 @@ def test_equal_static_gains_give_identical_sets():
 
 
 def test_free_constant_keeps_inequality():
+    # free constant scalings are the unsaturated polynomial ones of degree 0
     l = lft.lft_from_polynomial(poly3_system())
-    cset = instantiate(FreeConstant(), l)
+    cset = instantiate(FreePolynomial(0, saturated=False), l)
     assert cset.ilc_row
     assert cset.equalities == ()
     assert cset.phi1_degree == 0 and cset.phi2_degree == 0
@@ -132,7 +133,7 @@ def test_saturated_identity_holds_pointwise():
 @pytest.mark.parametrize("template, channel", [
     (FreePolynomial(2), lambda: lft.lft_from_polynomial(poly3_system())),
     (SaturatedStaticGain(np.array([[1.0, 0.3], [0.0, 2.0]])), lambda: FakeChannel(2)),
-    (ConstantDelay(), lambda: delay_channel(3)),
+    (SaturatedStaticGain(np.eye(3)), lambda: delay_channel(3)),
     (TimeVaryingDelay(0.25), lambda: delay_channel(3)),
 ])
 def test_equality_coefficients_are_channel_matrices(template, channel):

@@ -383,7 +383,7 @@ def test_canonical_lfts_close_no_sample(monkeypatch):
     # their Delta F00 is strictly lower triangular, so nothing is sampled
     calls = _close_stack_calls(monkeypatch)
     assert type(lft.lft_from_polynomial(poly3_system())) is lft.LftSystem
-    robust.robust_stabilize(small_plant(), ilc.FreeConstant())
+    robust.robust_stabilize(small_plant(), ilc.FreePolynomial(0, saturated=False))
     assert calls == []
 
 

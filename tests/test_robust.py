@@ -10,6 +10,9 @@ from poslp.poly import BoxDomain, polynomial_system
 from poslp.synthesis import ControllerSpec
 from test_sysmodel import transposed
 
+# free constant scalings: the unsaturated polynomial ones of degree 0
+CONST = ilc.FreePolynomial(0, saturated=False)
+
 
 @pytest.fixture(scope="module")
 def bench():
@@ -26,20 +29,20 @@ def degree_zero_psys(seed=30, n=4, m=2, p=2, q=2):
 
 def test_degree_zero_l1_collapses_byte_identical():
     s, psys = degree_zero_psys()
-    rlp = robust.robust_gain(psys, "l1", ilc.FreeConstant())
+    rlp = robust.robust_gain(psys, "l1", CONST)
     for relax in (handelman.relax_full, handelman.relax_reduced):
         assert lp_to_text(relax(rlp)) == lp_to_text(gains.gain_lp(s, "l1"))
 
 
 def test_degree_zero_linf_collapses_byte_identical():
     s, psys = degree_zero_psys(seed=31)
-    rlp = robust.robust_gain(psys, "linf", ilc.FreeConstant())
+    rlp = robust.robust_gain(psys, "linf", CONST)
     assert lp_to_text(handelman.relax_reduced(rlp)) == lp_to_text(gains.gain_lp(s, "linf"))
 
 
 def test_degree_zero_synthesis_collapses_byte_identical():
     s, psys = degree_zero_psys(seed=32)
-    rlp = robust.robust_stabilize(psys, ilc.FreeConstant())
+    rlp = robust.robust_stabilize(psys, CONST)
     assert lp_to_text(handelman.relax_reduced(rlp)) == lp_to_text(synthesis.synthesis_lp(s))
 
 
@@ -170,9 +173,9 @@ def test_nominal_programs_match_per_row_reference(monkeypatch):
 
 def test_benchmark_constant_scalings(bench):
     psys = bench
-    res1 = robust.solve_robust(robust.robust_gain(psys, "l1", ilc.FreeConstant()))
+    res1 = robust.solve_robust(robust.robust_gain(psys, "l1", CONST))
     assert res1.gamma == pytest.approx(POLY3_REFERENCE[("l1", "const")], rel=5e-3)
-    res2 = robust.solve_robust(robust.robust_gain(psys, "linf", ilc.FreeConstant()))
+    res2 = robust.solve_robust(robust.robust_gain(psys, "linf", CONST))
     assert res2.gamma == pytest.approx(POLY3_REFERENCE[("linf", "const")], rel=5e-3)
 
 
@@ -203,7 +206,7 @@ def test_bound_dominates_frozen_oracle_gains(bench):
 
 def test_ilc_inequality_holds_for_solved_scalings(bench):
     psys, l = bench, lft.lft_from_polynomial(bench)
-    rlp = robust.robust_gain(psys, "l1", ilc.FreeConstant())
+    rlp = robust.robust_gain(psys, "l1", CONST)
     res = robust.solve_robust(rlp)
     phi1 = res.phi1[(0,)]
     phi2 = res.phi2[(0,)]
@@ -230,7 +233,7 @@ def test_non_positive_lft_rejected():
         f_terms={0: [[0.0]]}, domain=BoxDomain.unit(1))
     for norm in ("l1", "linf"):
         with pytest.raises(ClassificationError):
-            robust.robust_gain(psys, norm, ilc.FreeConstant())
+            robust.robust_gain(psys, norm, CONST)
 
 
 # --- exact constant-Delta analysis -----------------------------------------
@@ -400,7 +403,7 @@ def test_robust_programs_build_one_lp(monkeypatch, bench):
     monkeypatch.setattr(LpBuilder, "build", spy)
     for assemble, form in ((lambda: robust.robust_gain(psys, "l1", ilc.FreePolynomial(2)),
                             "reduced"),
-                           (lambda: robust.robust_gain(psys, "linf", ilc.FreeConstant()), "full"),
+                           (lambda: robust.robust_gain(psys, "linf", CONST), "full"),
                            (lambda: robust.robust_stabilize(scalar_uncertain_plant(),
                                                             ilc.FreePolynomial(1)), "reduced")):
         builds.clear()
@@ -446,7 +449,7 @@ def test_robust_synthesis_rejects_negative_disturbance_matrices():
         d_terms={0: [[0.0]]}, e_terms={0: [[1.0]], 1: [[-2.0]]},
         f_terms={0: [[0.0]]}, domain=BoxDomain.unit(1))
     with pytest.raises(ClassificationError):
-        robust.robust_stabilize(psys, ilc.FreeConstant())
+        robust.robust_stabilize(psys, CONST)
 
 
 def lyapunov_coefficients(rlp):
@@ -553,7 +556,7 @@ def _leaves_positivity_at_0_6():
 ])
 def test_lft_validation_matches_reference_loop(make, which, expect):
     psys = make()
-    got = _outcome(robust.robust_gain, psys, which, ilc.FreeConstant())
+    got = _outcome(robust.robust_gain, psys, which, CONST)
     assert got == _outcome(_reference_validate, psys, which)
     if expect is None:
         assert got is None
@@ -562,7 +565,7 @@ def test_lft_validation_matches_reference_loop(make, which, expect):
         assert got[0] is error and got[1].startswith(expect)
     # a Linf refusal names the user's matrices, not the transposed system's
     if which == "linf":
-        assert got == _outcome(robust.robust_gain, psys, "l1", ilc.FreeConstant())
+        assert got == _outcome(robust.robust_gain, psys, "l1", CONST)
 
 
 @pytest.mark.parametrize("which", ["l1", "linf"])
@@ -576,7 +579,7 @@ def test_robust_gain_closes_the_sample_once(monkeypatch, which):
         calls.append(len(deltas))
         return close(l, deltas, where)
     monkeypatch.setattr(lft, "_close_stack", spy)
-    robust.robust_gain(poly3_system(), which, ilc.FreeConstant())
+    robust.robust_gain(poly3_system(), which, CONST)
     assert calls == []
 
 
@@ -598,7 +601,7 @@ def _disturbance_plant(e_terms, f_terms, domain):
     (_disturbance_plant({0: [[1.0]], 1: [[-1.0]]}, {0: [[0.0]]}, BoxDomain.unit(1)), None),
 ])
 def test_disturbance_check_matches_reference_loop(psys, expect):
-    got = _outcome(robust.robust_stabilize, psys, ilc.FreeConstant())
+    got = _outcome(robust.robust_stabilize, psys, CONST)
     assert got == _outcome(_reference_disturbance_check, psys)
     if expect is None:
         assert got is None
@@ -613,7 +616,7 @@ def test_synthesis_recovers_k_the_same_way():
         d_terms={0: [[0.0, 0.0]]}, e_terms={0: [[1.0], [0.5]]}, f_terms={0: [[0.0]]},
         domain=BoxDomain.unit(1))
     spec = ControllerSpec(zero_pattern=((0, 1),))
-    res = robust.solve_robust(robust.robust_stabilize(psys, ilc.FreeConstant(), spec))
+    res = robust.solve_robust(robust.robust_stabilize(psys, CONST, spec))
     k = np.column_stack([res.mu[j] / res.lam[j] for j in range(len(res.lam))])
     k[0, 1] = 0.0
     assert res.K.tobytes() == k.tobytes()

@@ -295,7 +295,7 @@ def cmd_robust_synth(args):
     rlp = robust.robust_stabilize(psys, template, spec, policy)
     res = robust.solve_robust(rlp, b=args.degree, form=args.form)
     maybe_dump(args, res.lp)
-    verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, args.grid)
+    verdict = robust.grid_certify_gain(psys, res.gamma, "linf", args.grid, res.K)
     doc = {
         "status": "optimal", "product_degree": res.b, "form": res.form, "K": res.K.tolist(),
         "lp_vars": res.lp.num_vars, "lp_rows": res.lp.num_rows,

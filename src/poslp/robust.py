@@ -318,7 +318,7 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     policy = policy or StrictnessPolicy()
     spec = spec or ControllerSpec()
     if psys.m == 0:
-        raise ModelError("robust synthesis needs control matrices B and D")
+        raise ModelError("synthesis needs control matrices B and D")
     spec.validate(psys.m, psys.n)
     points = _wellposed_points(psys.domain)
     bad = np.logical_or(*[sysmodel.negative_entries(mat.eval_many(points), 1e-12)
@@ -378,7 +378,7 @@ def certification_grid(domain, points):
     return domain.grid(max(2, per_axis))
 
 
-def _grid_sweep(psys, gamma, which, points, k=None):
+def grid_certify_gain(psys, gamma, which="l1", points=101, k=None):
     """Frozen-delta oracle over the certification grid, on the closed loop
     A + B K, C + D K when a gain K is given: the first point that is not
     positive (tol 1e-9) or not Hurwitz refutes, otherwise the worst
@@ -389,6 +389,7 @@ def _grid_sweep(psys, gamma, which, points, k=None):
     a, b, c, d, e, f = psys.frozen_stack(grid)
     loop = ""
     if k is not None:
+        k = np.asarray(k, dtype=float)
         a, c, loop = a + b @ k, c + d @ k, "closed loop "
     gain, failed = sysmodel.frozen_oracle(
         a, c, e, f, sysmodel.positive_stack(a, c, e, f, tol=1e-9))
@@ -401,13 +402,3 @@ def _grid_sweep(psys, gamma, which, points, k=None):
     point = int(np.argmax(vals))
     worst = float(vals[point])
     return GridVerdict(_bound_ok(worst, gamma), len(grid), worst, grid[point])
-
-
-def grid_certify_gain(psys, gamma, which="l1", points=101):
-    """Sweep frozen-delta oracle gains over the box and compare to gamma."""
-    return _grid_sweep(psys, gamma, which, points)
-
-
-def grid_certify_synthesis(psys, k, gamma, points=101):
-    """Closed-loop positivity, stability and Linf bound on a grid."""
-    return _grid_sweep(psys, gamma, "linf", points, np.asarray(k, dtype=float))

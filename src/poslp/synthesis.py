@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import ClassificationError, InfeasibleError, ModelError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .ilc import FreePolynomial
 from .poly import BoxDomain, Poly, PolynomialLtiSystem
-from .sysmodel import PositiveLtiSystem, negative_entries
+from .sysmodel import PositiveLtiSystem
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,9 @@ class ControllerSpec:
                 raise ValidationError("k_lower exceeds k_upper componentwise")
 
 
-FULL = ControllerSpec()
-
-
 def _program(sys, spec, policy):
     """The robust synthesis program of the system with no parameter."""
     from .robust import robust_stabilize    # not at the top: robust imports this module
-    if sys.m == 0:
-        raise ModelError("synthesis needs control matrices B and D")
-    spec.validate(sys.m, sys.n)
-    if negative_entries(sys.E).any() or negative_entries(sys.F).any():
-        raise ClassificationError("synthesis requires nonnegative E and F")
     psys = PolynomialLtiSystem(*(Poly.constant(getattr(sys, name), 0) for name in "ABCDEF"),
                                domain=BoxDomain.unit(0))
     return robust_stabilize(psys, FreePolynomial(0, saturated=False), spec, policy)
@@ -70,7 +62,7 @@ def synthesis_lp(sys, spec=None, policy=None):
     transposed closed loop, are strict (closed with epsilon); the Metzler and
     nonnegativity rows that force closed-loop positivity are not, as in the
     characterization."""
-    return _program(sys, spec or FULL, policy).builder.build()
+    return _program(sys, spec, policy).builder.build()
 
 
 def controller_rows(num_vars, lam, mu, spec, mats, zero):
@@ -131,7 +123,7 @@ def stabilize_linf(sys, spec=None, policy=None):
     positive and stable (the conditions are lossless)."""
     from .robust import solve_robust
     try:
-        return solve_robust(_program(sys, spec or FULL, policy))
+        return solve_robust(_program(sys, spec, policy))
     except InfeasibleError as err:
         raise InfeasibleError("synthesis LP infeasible: no controller in the requested set "
                               "renders the closed loop positive and stable",

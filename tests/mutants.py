@@ -94,6 +94,16 @@ MUTANTS = (
      '    if _transposes(norm):\n        psys = PolynomialLtiSystem(\n',
      '    if False:\n        psys = PolynomialLtiSystem(\n',
      "tests/test_lft.py::test_linf_entry_is_the_l1_entry_on_the_transpose[robust_gain-const]"),
+    # the grid sweep of a synthesis closes the loop with its K
+    ("poslp/robust.py",
+     '        a, c, loop = a + b @ k, c + d @ k, "closed loop "\n',
+     '        a, c, loop = a, c, "closed loop "\n',
+     "tests/test_oracle.py::test_grid_synthesis_verdict_matches_reference_loop"),
+    # the one check that synthesis input has control matrices, nominal or robust
+    ("poslp/robust.py",
+     "    if psys.m == 0:\n",
+     "    if False:\n",
+     "tests/test_synthesis.py::test_missing_bd_rejected"),
 )
 
 

@@ -276,7 +276,7 @@ def test_c10_robust_synthesis_grid_certification():
     for name, psys in (("scalar", scalar), ("2x2", two_by_two)):
         rlp = robust.robust_stabilize(psys, ilc.FreePolynomial(1))
         res = robust.solve_robust(rlp)
-        verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, points=101)
+        verdict = robust.grid_certify_gain(psys, res.gamma, "linf", 101, k=res.K)
         ok = ok and verdict.ok
         details.append(f"{name}: gamma {res.gamma:.3g} grid "
                        f"{'ok' if verdict.ok else verdict.failure}")

@@ -417,6 +417,25 @@ def test_saturated_scaling_below_delta_degree_is_refused(capsys, poly_file):
     assert err == "error: saturated scalings need degree >= 1 (the degree of Delta(delta)), got 0\n"
 
 
+@pytest.mark.parametrize("scaling", ["poly:-1", "saturated:-2"])
+def test_negative_scaling_degree_is_refused(capsys, poly_file, scaling):
+    err = refused(capsys, ["robust-gain", "--norm", "l1", "--scaling", scaling, poly_file])
+    assert err == "error: polynomial scaling degree must be >= 0\n"
+
+
+def test_robust_synth_without_control_matrices_is_refused(capsys, poly_file):
+    err = refused(capsys, ["robust-synth", poly_file])
+    assert err == "error: synthesis needs control matrices B and D\n"
+
+
+def test_synth_bounds_of_the_wrong_shape_are_refused(capsys, tmp_path):
+    system, bounds = tmp_path / "sys.json", tmp_path / "bounds.json"
+    write_system(sysmodel.random_positive_system(3, 2, 1, 1, seed=17), system)
+    bounds.write_text(json.dumps({"K_lower": [[-1.0, -1.0]], "K_upper": [[1.0, 1.0]]}))
+    err = refused(capsys, ["synth", str(system), "--bounds", str(bounds)])
+    assert err == "error: controller bounds must be 2x3\n"
+
+
 def test_system_file_with_misshaped_matrix_is_refused(capsys, tmp_path):
     path = tmp_path / "short_a.json"
     path.write_text(json.dumps({"n": 2, "p": 1, "q": 1, "A": [1, 2, 3]}))
@@ -778,12 +797,12 @@ def test_robust_synth_refuted_by_structure_writes_strict_json(capsys, monkeypatc
     # a closed loop the grid finds not positive has no oracle: null, and the reason
     path = tmp_path / "plant_b.json"
     write_polynomial_system(uncertain_input_plant(), path)
-    certify = robust.grid_certify_synthesis
+    certify = robust.grid_certify_gain
 
     def not_positive(*args, **kwargs):
         return dataclasses.replace(certify(*args, **kwargs), ok=False, max_oracle=np.nan,
                                    failure="closed loop not positive at [0.5]")
-    monkeypatch.setattr(robust, "grid_certify_synthesis", not_positive)
+    monkeypatch.setattr(robust, "grid_certify_gain", not_positive)
     code, out = run(capsys, "robust-synth", str(path), "--format", "structured")
     assert code == 0
     doc = strict_json(out)

@@ -195,6 +195,15 @@ def test_degree_above_b_rejected():
         hd.relax_full(rlp, b=2)
 
 
+def test_plan_below_a_row_degree_is_refused():
+    # a plan made for degree-1 rows has no monomial of degree 2 to match
+    low = PolyRow(name="low", terms={(1,): (np.array([1.0]), 0.0)})
+    high = PolyRow(name="high", terms={(2,): (np.array([1.0]), 0.0)})
+    plan = hd.plan_relaxation(make_rlp([low]), b=1)
+    with pytest.raises(DegreeError, match="^row high degree 2 > b=1$"):
+        hd.relax_reduced(make_rlp([high]), plan=plan)
+
+
 def test_tail_dimension_counts():
     # univariate: K = (b+1)(b+2)/2 products, M = b+1 matched monomials;
     # the reduced form keeps K - M tail variables per polynomial row

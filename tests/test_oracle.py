@@ -232,7 +232,7 @@ def test_grid_failures_name_the_first_failing_point():
     (0.5 * np.eye(2), "closed loop not Hurwitz at [0.84]"),
 ])
 def test_grid_synthesis_verdict_matches_reference_loop(k, expect):
-    verdict = robust.grid_certify_synthesis(PLANT, k, 3.0, points=101)
+    verdict = robust.grid_certify_gain(PLANT, 3.0, "linf", 101, k=k)
     _assert_same(verdict, _reference_sweep(PLANT, 3.0, "linf", 101, k))
     assert verdict.failure == expect
 

@@ -422,7 +422,7 @@ def test_robust_synthesis_2x2_grid_certification():
         domain=BoxDomain.unit(1))
     rlp = robust.robust_stabilize(psys, ilc.FreePolynomial(1))
     res = robust.solve_robust(rlp)
-    verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, points=101)
+    verdict = robust.grid_certify_gain(psys, res.gamma, "linf", 101, k=res.K)
     assert verdict.ok, verdict.failure
 
 
@@ -439,7 +439,7 @@ def test_robust_synthesis_structured_and_bounded():
     rlp = robust.robust_stabilize(psys, ilc.FreePolynomial(1), spec)
     res = robust.solve_robust(rlp)
     assert res.K[0, 1] == 0.0
-    verdict = robust.grid_certify_synthesis(psys, res.K, res.gamma, points=51)
+    verdict = robust.grid_certify_gain(psys, res.gamma, "linf", 51, k=res.K)
     assert verdict.ok, verdict.failure
 
 

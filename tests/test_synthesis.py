@@ -89,14 +89,15 @@ def test_mu_lambda_consistency():
 
 def test_missing_bd_rejected():
     s = sysmodel.random_positive_system(3, 0, 1, 1, seed=16)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="^synthesis needs control matrices B and D$"):
         synthesis.stabilize_linf(s)
 
 
 def test_negative_e_rejected():
     s = sysmodel.PositiveLtiSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]],
                                    D=[[0.0]], E=[[-1.0]], F=[[0.0]])
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError,
+                       match=r"must be nonnegative on the box; fails at \[\]$"):
         synthesis.stabilize_linf(s)
 
 
@@ -107,6 +108,8 @@ def test_bad_spec_rejected():
     with pytest.raises(ValidationError):
         synthesis.stabilize_linf(
             s, ControllerSpec(k_lower=np.ones((2, 3)), k_upper=-np.ones((2, 3))))
+    with pytest.raises(ValidationError, match="^bounded spec needs both k_lower and k_upper$"):
+        synthesis.stabilize_linf(s, ControllerSpec(k_lower=np.ones((2, 3))))
 
 
 def test_infeasible_when_no_controller_exists():

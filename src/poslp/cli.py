@@ -45,12 +45,13 @@ def build_parser():
     norm = argparse.ArgumentParser(add_help=False)
     norm.add_argument("--norm", choices=("l1", "linf"), required=True,
                       help="induced gain of the w -> z channel: l1 or linf")
+    # None when absent, so `robust-gain --vertices` can refuse them; see `relaxation`
     relax = argparse.ArgumentParser(add_help=False)
-    relax.add_argument("--scaling", default="saturated",
+    relax.add_argument("--scaling",
                        help="const | poly:<d> | saturated[:<d>] (default saturated:2)")
-    relax.add_argument("--degree", type=int, default=None,
+    relax.add_argument("--degree", type=int,
                        help="Handelman product degree b (default: row degree + 2)")
-    relax.add_argument("--form", choices=("reduced", "full"), default="reduced",
+    relax.add_argument("--form", choices=("reduced", "full"),
                        help="Handelman relaxation form (default reduced)")
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--zeros", metavar="FILE", help="JSON file with a zero_pattern index list")
@@ -76,7 +77,7 @@ def build_parser():
                        help="robust gain of a polynomially-uncertain system")
     p.add_argument("system", help="polynomial system file")
     p.add_argument("--vertices", action="store_true",
-                   help="use vertex enumeration (affine dependence only)")
+                   help="use vertex enumeration (affine dependence only; no relaxation flags)")
 
     p = sub.add_parser("robust-synth", parents=[common, dump, grid, relax, spec],
                        help="robust state-feedback synthesis (Linf)")
@@ -109,6 +110,13 @@ def parse_scaling(text):
         except ValueError:
             pass
     raise ValidationError(f"unknown scaling {text!r} (use const, poly:<d> or saturated[:<d>])")
+
+
+def relaxation(args):
+    """The --scaling name and template and the --form of a robust command's LFT path,
+    saturated and reduced when the flags are absent."""
+    scaling = "saturated" if args.scaling is None else args.scaling
+    return scaling, parse_scaling(scaling), "reduced" if args.form is None else args.form
 
 
 def robust_input(args):
@@ -251,13 +259,16 @@ ROBUST_NOTE = "certified upper bound; sufficiency only for parameter-independent
 
 
 def cmd_robust_gain(args):
+    for key in ("degree", "form", "scaling"):
+        if args.vertices and getattr(args, key) is not None:
+            raise ValidationError(f"robust-gain --vertices does not read --{key}")
     psys, policy = robust_input(args)
-    template = parse_scaling(args.scaling)
     if args.vertices:
         res = robust.vertex_gain(psys, args.norm, policy)
     else:
+        scaling, template, form = relaxation(args)
         res = robust.solve_robust(robust.robust_gain(psys, args.norm, template, policy),
-                                  b=args.degree, form=args.form)
+                                  b=args.degree, form=form)
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_gain(psys, res.gamma, args.norm, args.grid)
     doc = {"norm": args.norm, **_robust_keys(res, verdict)}
@@ -268,7 +279,7 @@ def cmd_robust_gain(args):
         return emit(args, doc, lambda d: [
             f"{d['norm']}-gain (vertex method) gamma = {d['gamma']:.6f} "
             f"over {2 ** psys.nparams} vertices", _grid_line(d)])
-    doc.update(status="optimal", method="lft-ilc", scaling=args.scaling,
+    doc.update(status="optimal", method="lft-ilc", scaling=scaling,
                product_degree=res.b, form=res.form, lp_vars=res.lp.num_vars,
                lp_rows=res.lp.num_rows, conservatism_note=ROBUST_NOTE)
     if res.certificate is not None:
@@ -291,9 +302,9 @@ def cmd_robust_gain(args):
 def cmd_robust_synth(args):
     psys, policy = robust_input(args)
     spec = load_spec(args.zeros, args.bounds)
-    template = parse_scaling(args.scaling)
+    _, template, form = relaxation(args)
     rlp = robust.robust_stabilize(psys, template, spec, policy)
-    res = robust.solve_robust(rlp, b=args.degree, form=args.form)
+    res = robust.solve_robust(rlp, b=args.degree, form=form)
     maybe_dump(args, res.lp)
     verdict = robust.grid_certify_gain(psys, res.gamma, "linf", args.grid, res.K)
     doc = {

@@ -29,7 +29,8 @@ class LftSystem:
     every canonical LFT) and otherwise sampled on the box by `_check_well_posed` on construction.
     ``delta_structure`` is an n0 x n0 matrix polynomial describing Delta(delta); it is None for
     operator-type uncertainty (e.g. delays), analyzed only through a constant static gain.  A
-    canonical LFT is written in theta on the unit box `domain`."""
+    canonical LFT is written in theta on the unit box `domain`.  The blocks may also be
+    (G, rows, cols) stacks of G systems of one shape, as `plain_lft` builds for vertices."""
 
     A: np.ndarray
     E0: np.ndarray
@@ -44,28 +45,30 @@ class LftSystem:
     domain: BoxDomain | None
 
     def __post_init__(self):
-        a = numlin.as_matrix(self.A, "A")
-        n = a.shape[0]
-        if a.shape != (n, n):
+        a = numlin.as_matrix(self.A, "A", stack=True)
+        stack, n = a.shape[:-2], a.shape[-1]
+        if a.shape[-2] != n:
             raise DimensionError("A must be square")
-        e0 = numlin.as_matrix(self.E0, "E0")
-        c0 = numlin.as_matrix(self.C0, "C0")
-        n0 = e0.shape[1]
-        e1 = numlin.as_matrix(self.E1, "E1")
-        c1 = numlin.as_matrix(self.C1, "C1")
-        p, q = e1.shape[1], c1.shape[0]
-        f00 = numlin.as_matrix(self.F00, "F00")
-        f01 = numlin.as_matrix(self.F01, "F01")
-        f10 = numlin.as_matrix(self.F10, "F10")
-        f11 = numlin.as_matrix(self.F11, "F11")
+        e0 = numlin.as_matrix(self.E0, "E0", stack=True)
+        c0 = numlin.as_matrix(self.C0, "C0", stack=True)
+        n0 = e0.shape[-1]
+        e1 = numlin.as_matrix(self.E1, "E1", stack=True)
+        c1 = numlin.as_matrix(self.C1, "C1", stack=True)
+        p, q = e1.shape[-1], c1.shape[-2]
+        f00 = numlin.as_matrix(self.F00, "F00", stack=True)
+        f01 = numlin.as_matrix(self.F01, "F01", stack=True)
+        f10 = numlin.as_matrix(self.F10, "F10", stack=True)
+        f11 = numlin.as_matrix(self.F11, "F11", stack=True)
         expect = {"E0": (e0, (n, n0)), "C0": (c0, (n0, n)), "E1": (e1, (n, p)),
                   "C1": (c1, (q, n)), "F00": (f00, (n0, n0)), "F01": (f01, (n0, p)),
                   "F10": (f10, (q, n0)), "F11": (f11, (q, p))}
         for name, (mat, shape) in expect.items():
-            if mat.shape != shape:
-                raise DimensionError(f"{name} has shape {mat.shape}, expected {shape}")
+            if mat.shape != stack + shape:
+                raise DimensionError(f"{name} has shape {mat.shape}, expected {stack + shape}")
             object.__setattr__(self, name, mat)
         object.__setattr__(self, "A", a)
+        if self.delta_structure is not None and stack:
+            raise DimensionError("a stack of LFTs has no delta_structure")
         if self.delta_structure is not None:
             if self.delta_structure.shape != (n0, n0):
                 raise DimensionError("delta_structure must be n0 x n0")
@@ -79,19 +82,19 @@ class LftSystem:
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def n0(self):
-        return self.E0.shape[1]
+        return self.E0.shape[-1]
 
     @property
     def p(self):
-        return self.E1.shape[1]
+        return self.E1.shape[-1]
 
     @property
     def q(self):
-        return self.C1.shape[0]
+        return self.C1.shape[-2]
 
 
 def _wellposed_points(domain):
@@ -209,13 +212,14 @@ def lft_from_polynomial(psys, norm="l1", layout=None):
 
 def plain_lft(a, c, e, f, norm):
     """LFT with no uncertainty channel (n0 = 0) whose L1 program is the `norm` program
-    of dx/dt = A x + E w, z = C x + F w: for Linf that of (A^T, C^T in, E^T out, F^T)."""
+    of dx/dt = A x + E w, z = C x + F w: for Linf that of (A^T, C^T in, E^T out, F^T).
+    Given (G, rows, cols) stacks of G systems, the stack of their LFTs."""
     if _transposes(norm):
-        a, c, e, f = a.T, e.T, c.T, f.T
-    n, q, p = a.shape[0], c.shape[0], e.shape[1]
-    return LftSystem(A=a, E0=np.zeros((n, 0)), E1=e, C0=np.zeros((0, n)), C1=c,
-                     F00=np.zeros((0, 0)), F01=np.zeros((0, p)), F10=np.zeros((q, 0)),
-                     F11=f, delta_structure=None, domain=None)
+        a, c, e, f = (np.swapaxes(m, -1, -2) for m in (a, e, c, f))
+    stack, n, q, p = a.shape[:-2], a.shape[-1], c.shape[-2], e.shape[-1]
+    return LftSystem(A=a, E0=np.zeros(stack + (n, 0)), E1=e, C0=np.zeros(stack + (0, n)), C1=c,
+                     F00=np.zeros(stack + (0, 0)), F01=np.zeros(stack + (0, p)),
+                     F10=np.zeros(stack + (q, 0)), F11=f, delta_structure=None, domain=None)
 
 
 def delay_lft(a, a_h, e=None, c=None, f=None):

@@ -21,10 +21,10 @@ def _float_array(value, what):
     raise ValidationError(f"{what} is not a numeric array")
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite 2-D float array."""
+def as_matrix(a, name="matrix", stack=False):
+    """Coerce to a finite 2-D float array, or with `stack` to a (..., rows, cols) stack."""
     m = _float_array(a, name)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise DimensionError(f"{name} has non-finite entries")

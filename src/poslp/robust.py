@@ -67,15 +67,16 @@ def _span(cols):
     return slice(start, start + len(cols))
 
 
-def _terms(num_vars, rows, parts):
+def _terms(num_vars, rows, parts, stack=()):
     """{alpha: coefficient block (rows, num_vars)}, the sum of the dense
-    blocks of `parts` (alpha, row slice, consecutive variable columns, block)."""
+    blocks of `parts` (alpha, row slice, consecutive variable columns, block);
+    over a `stack` of G systems, their G blocks one under the other."""
     terms = {}
     for alpha, row_slice, cols, block in parts:
         if alpha not in terms:
-            terms[alpha] = np.zeros((rows, num_vars))
-        terms[alpha][row_slice, _span(cols)] += block
-    return terms
+            terms[alpha] = np.zeros(stack + (rows, num_vars))
+        terms[alpha][..., row_slice, _span(cols)] += block
+    return {alpha: coeffs.reshape(-1, num_vars) for alpha, coeffs in terms.items()}
 
 
 def _add_rows(b, poly, zero, names, relation, terms, const=0.0, epsilon=0.0):
@@ -138,25 +139,29 @@ def _ilc_rows(b, poly, zero, delta_structure, sset, phi1, phi2):
               _terms(b.num_vars, sset.n0, parts))
 
 
-def _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, epsilon, prefix=""):
+def _lyapunov_rows(b, poly, zero, lft, lam, gamma, phi1, phi2, epsilon, lin=(), prefixes=("",)):
     """The copositive-Lyapunov rows of the L1 program of `lft`, strict by
     `epsilon`: state (st), one per loop signal (ch) and performance (pf),
-    each name after `prefix`.
-    `lin` holds (variable columns, block with one row per st, ch, pf row)
+    each name after its prefix; for a stack of G LFTs and G `prefixes`, one
+    block of rows, system after system.
+    The columns `lam` enter through the input blocks A, E0, E1, and `lin`
+    holds further (variable columns, block with one row per st, ch, pf row)
     pairs; the scalings enter through the loop blocks C0, F00, F01, and the
     constants are the column sums of C1, F10, F11."""
-    n0, n = lft.C0.shape
-    p = lft.F01.shape[1]
-    st, ch, pf = slice(0, n), slice(n, n + n0), slice(n + n0, n + n0 + p)
-    parts = [(zero, slice(None), cols, block) for cols, block in lin]
+    n, n0, p = lft.n, lft.n0, lft.p
+    pf = slice(n + n0, n + n0 + p)
+    inputs = np.concatenate([np.swapaxes(m, -1, -2) for m in (lft.A, lft.E0, lft.E1)], axis=-2)
+    parts = [(zero, slice(None), cols, block) for cols, block in [(lam, inputs), *lin]]
     parts.append((zero, pf, [gamma], -np.ones((p, 1))))
-    for a, ids in phi1.items():
-        parts += [(a, st, ids, lft.C0.T), (a, ch, ids, lft.F00.T), (a, pf, ids, lft.F01.T)]
-    parts += [(a, ch, ids, np.eye(n0)) for a, ids in phi2.items()]
-    names = ([f"{prefix}st{j}" for j in range(n)] + [f"{prefix}ch{j}" for j in range(n0)]
-             + [f"{prefix}pf{j}" for j in range(p)])
-    const = np.concatenate([lft.C1.sum(axis=0), lft.F10.sum(axis=0), lft.F11.sum(axis=0)])
-    _add_rows(b, poly, zero, names, "<=", _terms(b.num_vars, n + n0 + p, parts), const, epsilon)
+    loop = np.concatenate([np.swapaxes(m, -1, -2) for m in (lft.C0, lft.F00, lft.F01)], axis=-2)
+    parts += [(a, slice(None), ids, loop) for a, ids in phi1.items()]
+    parts += [(a, slice(n, n + n0), ids, np.eye(n0)) for a, ids in phi2.items()]
+    names = ([f"st{j}" for j in range(n)] + [f"ch{j}" for j in range(n0)]
+             + [f"pf{j}" for j in range(p)])
+    names = [prefix + name for prefix in prefixes for name in names]
+    const = np.concatenate([m.sum(axis=-2) for m in (lft.C1, lft.F10, lft.F11)], axis=-1)
+    _add_rows(b, poly, zero, names, "<=", _terms(b.num_vars, n + n0 + p, parts, lft.A.shape[:-2]),
+              const.ravel(), epsilon)
 
 
 def _assemble_gain(lft, template, policy, mu_block=None):
@@ -167,14 +172,14 @@ def _assemble_gain(lft, template, policy, mu_block=None):
     b = LpBuilder()
     lam = b.add_vars("lam", lft.n, lower=policy.lambda_floor)
     blocks = {"lam": lam}
-    lin = [(lam, np.vstack([lft.A.T, lft.E0.T, lft.E1.T]))]
+    lin = ()
     if mu_block is not None:
         blocks["mu"] = [b.add_vars(f"mu{j}_", mu_block.shape[1]) for j in range(lft.n)]
-        lin.append((sum(blocks["mu"], []), np.tile(mu_block, (1, lft.n))))
+        lin = [(sum(blocks["mu"], []), np.tile(mu_block, (1, lft.n)))]
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     phi1, phi2 = _phi_blocks(b, sset)
     poly = []
-    _lyapunov_rows(b, poly, zero, lft, lin, gamma, phi1, phi2, policy.epsilon)
+    _lyapunov_rows(b, poly, zero, lft, lam, gamma, phi1, phi2, policy.epsilon, lin)
     _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
     blocks.update(gamma=gamma, phi1=phi1, phi2=phi2)
@@ -257,7 +262,8 @@ def exact_constant_delta(lft, delta0, policy=None):
     with static gain Delta0 exactly."""
     template = ilc.SaturatedStaticGain(delta0)
     rlp = _assemble_gain(lft, template, policy or StrictnessPolicy())
-    _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")
+    if (template.delta0 @ lft.F00).any():      # else I - Delta0 F00 = I
+        _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")
     try:
         return solve_robust(rlp)
     except InfeasibleError:
@@ -294,10 +300,8 @@ def vertex_gain(psys, norm, policy=None):
     b = LpBuilder()
     lam = b.add_vars("lam", psys.n, lower=policy.lambda_floor)
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    for v in range(len(verts)):
-        vertex = plain_lft(a[v], c[v], e[v], f[v], norm)
-        lin = [(lam, np.vstack([vertex.A.T, vertex.E1.T]))]
-        _lyapunov_rows(b, [], (), vertex, lin, gamma, {}, {}, policy.epsilon, f"v{v}_")
+    _lyapunov_rows(b, [], (), plain_lft(a, c, e, f, norm), lam, gamma, {}, {}, policy.epsilon,
+                   prefixes=[f"v{v}_" for v in range(len(verts))])
     try:
         return solve_robust(RobustLinearProgram(b, (), psys.domain, {"lam": lam, "gamma": gamma},
                                                 policy.epsilon))

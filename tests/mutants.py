@@ -75,11 +75,21 @@ MUTANTS = (
      "                margin += 3.0 * u * np.abs(red) + 1e-300\n",
      "margin = np.zeros_like(red)\n",
      "tests/test_lpcore.py::test_certified_pricing_leaves_rounding_order_to_the_gemv"),
-    # the well-posedness check of the loop closed with a constant Delta0
+    # the well-posedness check of the loop closed with a constant Delta0, and the test
+    # that skips it only where Delta0 F00 = 0
     ("poslp/robust.py",
-     '    _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")\n',
-     "    pass\n",
+     '        _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")\n',
+     "        pass\n",
      "tests/test_lft.py::test_singular_constant_delta_keeps_its_message"),
+    ("poslp/robust.py",
+     "    if (template.delta0 @ lft.F00).any():",
+     "    if False:",
+     "tests/test_lft.py::test_singular_constant_delta_keeps_its_message"),
+    # the vertex program's one block of rows: every vertex given vertex 0's C, E and F
+    ("poslp/robust.py",
+     "plain_lft(a, c, e, f, norm)",
+     "plain_lft(a, *(np.broadcast_to(m[:1], m.shape) for m in (c, e, f)), norm)",
+     "tests/test_robust.py::test_vertex_program_matches_the_per_vertex_loop_on_a_seeded_battery"),
     # a grid refutation by structure has no oracle: null in the report, not NaN
     ("poslp/cli.py",
      "        doc.update(grid_max_oracle=None, grid_failure=verdict.failure)\n",
@@ -87,7 +97,7 @@ MUTANTS = (
      "tests/test_cli.py::test_grid_refutation_by_structure_is_named_in_strict_json[l1]"),
     # Linf as the L1 program of the transposed system, decided in `lft` alone
     ("poslp/lft.py",
-     "        a, c, e, f = a.T, e.T, c.T, f.T\n",
+     "        a, c, e, f = (np.swapaxes(m, -1, -2) for m in (a, e, c, f))\n",
      "        pass\n",
      "tests/test_lft.py::test_linf_entry_is_the_l1_entry_on_the_transpose[gain]"),
     ("poslp/lft.py",

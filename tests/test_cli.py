@@ -256,18 +256,30 @@ def test_robust_gain_vertices(capsys, tmp_path):
     assert json.loads(out)["gamma"] == pytest.approx(12.0003, rel=1e-3)
 
 
-def test_robust_gain_vertices_parses_scaling(capsys, tmp_path):
+@pytest.mark.parametrize("flags, name", [
+    pytest.param(["--degree", "7", "--form", "full", "--scaling", "poly:3"], "degree", id="all"),
+    pytest.param(["--degree", "2"], "degree", id="degree"),
+    pytest.param(["--form", "reduced"], "form", id="form"),
+    pytest.param(["--scaling", "saturated"], "scaling", id="scaling"),
+    pytest.param(["--scaling", "bogus"], "scaling", id="bogus-scaling"),
+])
+def test_robust_gain_vertices_refuses_relaxation_flags(capsys, tmp_path, flags, name):
+    # the vertex program has no scaling, product degree or relaxation form to set,
+    # so a flag for one is refused, not ignored (a default value given is a flag too)
     from poslp.cases import gene_expression_system
     path = tmp_path / "gene.json"
     write_polynomial_system(gene_expression_system(0.5), path)
-    argv = ["robust-gain", "--norm", "linf", "--vertices", str(path)]
-    assert cli.main(argv + ["--scaling", "bogus"]) == 1
+    assert cli.main(["robust-gain", "--norm", "linf", "--vertices", str(path), *flags]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: unknown scaling 'bogus' (use const, poly:<d>")
-    reports = {run(capsys, *argv, "--format", "structured", *scaling)
-               for scaling in ([], ["--scaling", "const"], ["--scaling", "saturated:3"])}
-    assert len(reports) == 1 and next(iter(reports))[0] == 0
+    assert (captured.out, captured.err) == \
+        ("", f"error: robust-gain --vertices does not read --{name}\n")
+
+
+def test_robust_gain_relaxation_defaults_to_saturated_and_reduced(capsys, poly_file):
+    argv = ["robust-gain", "--norm", "l1", poly_file, "--grid", "5", "--format", "structured"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["scaling"] == "saturated"
+    assert (code, out) == run(capsys, *argv, "--scaling", "saturated", "--form", "reduced")
 
 
 def test_robust_synth_cli(capsys, tmp_path):

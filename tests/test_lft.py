@@ -367,6 +367,27 @@ def test_closure_without_loop_channels_returns_the_plain_blocks():
         [m.tobytes() for m in _reference_close(l, np.zeros((0, 0)))]
 
 
+def test_plain_lft_of_a_stack_is_the_stack_of_plain_lfts():
+    # the vertex program's one LFT: block by block the LFT of each system, for both norms
+    rng = np.random.Generator(np.random.PCG64(65))
+    a, c, e, f = (rng.uniform(0.0, 1.0, (4, *shape)) for shape in ((3, 3), (2, 3), (3, 1), (2, 1)))
+    names = ("A", "E0", "E1", "C0", "C1", "F00", "F01", "F10", "F11")
+    for norm in ("l1", "linf"):
+        stack = lft.plain_lft(a, c, e, f, norm)
+        for g in range(len(a)):
+            one = lft.plain_lft(a[g], c[g], e[g], f[g], norm)
+            assert (stack.n, stack.n0, stack.p, stack.q) == (one.n, one.n0, one.p, one.q)
+            assert [getattr(stack, name)[g].tobytes() for name in names] == \
+                [getattr(one, name).tobytes() for name in names]
+    # a stack has no uncertainty structure: its loop could not be closed point by point
+    blocks = {name: np.zeros((2, 1, 1)) for name in ("A", "E0", "C0", "F00")}
+    blocks.update(E1=np.zeros((2, 1, 0)), C1=np.zeros((2, 0, 1)), F01=np.zeros((2, 1, 0)),
+                  F10=np.zeros((2, 0, 1)), F11=np.zeros((2, 0, 0)))
+    with pytest.raises(DimensionError, match="a stack of LFTs has no delta_structure"):
+        lft.LftSystem(**blocks, delta_structure=Poly(1, (1, 1), {(1,): np.eye(1)}),
+                      domain=BoxDomain.unit(1))
+
+
 def _close_stack_calls(monkeypatch):
     """The stack length of every `_close_stack` call from here on."""
     calls = []

@@ -3,8 +3,8 @@ import pytest
 
 from poslp import cli, gains, handelman, ilc, lft, robust, synthesis, sysmodel
 from poslp.cases import GENE_TABLE, POLY3_REFERENCE, gene_expression_system, poly3_system
-from poslp.errors import (ClassificationError, CombinatorialCapError,
-                          DegreeError, DimensionError, DomainError, StabilityError)
+from poslp.errors import (ClassificationError, CombinatorialCapError, DegreeError,
+                          DimensionError, DomainError, InfeasibleError, StabilityError)
 from poslp.lpcore import LpBuilder, StrictnessPolicy, lp_to_text, solve_lp
 from poslp.poly import BoxDomain, polynomial_system
 from poslp.synthesis import ControllerSpec
@@ -265,6 +265,15 @@ def delay_pair(seed, stable):
     return a, ah
 
 
+def test_constant_delta_closes_no_loop_when_delta0_f00_is_zero(monkeypatch):
+    # every delay LFT has F00 = 0, so I - Delta0 F00 = I and no loop is closed
+    calls = []
+    monkeypatch.setattr(robust, "_close_stack", lambda *args: calls.append(args))
+    a, ah = delay_pair(3, True)
+    assert robust.exact_constant_delta(lft.delay_lft(a, ah), np.eye(a.shape[0])) is not None
+    assert calls == []
+
+
 @pytest.mark.parametrize("stable", [True, False])
 def test_delay_exactness_matches_direct_test(stable):
     for seed in range(15):
@@ -371,6 +380,105 @@ def test_gene_model_lft_bound_covers_the_vertex_gain(big_n):
                 gamma = robust.solve_robust(program, form=form).gamma
                 assert gamma >= vertex * (1 - 1e-9), (which, sc, form)
                 assert robust.grid_certify_gain(psys, gamma, which, 101).ok, (which, sc, form)
+
+
+
+def _per_vertex_gain(psys, norm, policy):
+    """`vertex_gain` written vertex by vertex: the same precheck, then `plain_lft` and
+    `_lyapunov_rows` at each vertex, solved the same way."""
+    verts = psys.domain.vertices()
+    a, _, c, _, e, f = psys.frozen_stack(verts)
+    positive = sysmodel.positive_stack(a, c, e, f, tol=1e-12)
+    refused = ~(positive & sysmodel.mmatrix_hurwitz(a)[0])
+    if refused.any():
+        v = int(np.argmax(refused))
+        if not positive[v]:
+            report = sysmodel.classify(psys.frozen_at(verts[v]), tol=1e-12)
+            raise ClassificationError(
+                f"vertex system at {verts[v]} is not positive: {report.violations[:3]}")
+        raise StabilityError(f"vertex system at {verts[v]} is not Hurwitz")
+    b = LpBuilder()
+    lam = b.add_vars("lam", psys.n, lower=policy.lambda_floor)
+    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
+    for v in range(len(verts)):
+        robust._lyapunov_rows(b, [], (), lft.plain_lft(a[v], c[v], e[v], f[v], norm), lam, gamma,
+                              {}, {}, policy.epsilon, prefixes=[f"v{v}_"])
+    try:
+        return robust.solve_robust(robust.RobustLinearProgram(
+            b, (), psys.domain, {"lam": lam, "gamma": gamma}, policy.epsilon))
+    except InfeasibleError as err:
+        raise InfeasibleError("vertex program infeasible", err.certificate, err.lp) from None
+
+
+def _affine_system(rng, nparams, n, p, q):
+    """A random affine system on a box with negative lower bounds: positive at the
+    nominal point, with parameter terms that may leave positivity at a vertex and
+    diagonal terms that may leave stability there."""
+    zero = (0,) * nparams
+    a0 = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(a0, -(a0.sum(axis=1) + rng.uniform(0.0, 1.0, n)))
+    terms = {"a": {zero: a0}, "c": {zero: rng.uniform(0.0, 1.0, (q, n))},
+             "e": {zero: rng.uniform(0.0, 1.0, (n, p))},
+             "f": {zero: rng.uniform(0.0, 1.0, (q, p))}}
+    scale = rng.choice([0.02, 0.3])
+    for k in range(nparams):
+        alpha = tuple(int(i == k) for i in range(nparams))
+        for name, shape in (("a", (n, n)), ("c", (q, n)), ("e", (n, p)), ("f", (q, p))):
+            terms[name][alpha] = rng.uniform(-scale, scale, shape)
+        terms["a"][alpha][np.diag_indices(n)] = rng.uniform(-0.6, 0.6, n)
+    box = BoxDomain(-rng.uniform(0.1, 1.0, nparams), rng.uniform(0.1, 1.0, nparams))
+    return polynomial_system(**{f"{name}_terms": t for name, t in terms.items()}, domain=box)
+
+
+def _vertex_outcome(fn, psys, norm, policy):
+    """("optimal", result), or the class and message raised and the LP an infeasible
+    verdict refuted."""
+    try:
+        return ("optimal",), fn(psys, norm, policy)
+    except (ClassificationError, StabilityError) as err:
+        return (type(err), str(err)), None
+    except InfeasibleError as err:
+        return (InfeasibleError, str(err)), err
+
+
+def test_vertex_program_matches_the_per_vertex_loop_on_a_seeded_battery():
+    # one block over all vertices writes the bytes the vertex-by-vertex loop wrote,
+    # and refuses the same vertex with the same message
+    rng = np.random.Generator(np.random.PCG64(2024))
+    policy = StrictnessPolicy()
+    seen = set()
+    for k in range(60):
+        psys = _affine_system(rng, k % 6, 1 + k % 3, int(rng.integers(3)), int(rng.integers(3)))
+        for norm in ("l1", "linf"):
+            got, res = _vertex_outcome(robust.vertex_gain, psys, norm, policy)
+            want, ref = _vertex_outcome(_per_vertex_gain, psys, norm, policy)
+            assert got == want, (k, norm)
+            seen.add(got[0])
+            if res is None:
+                continue
+            assert lp_to_text(res.lp) == lp_to_text(ref.lp), (k, norm)
+            for key in ("row_coeffs", "row_rhs"):
+                assert getattr(res.lp, key).tobytes() == getattr(ref.lp, key).tobytes(), key
+            if got[0] == "optimal":
+                assert np.float64(res.gamma).tobytes() == np.float64(ref.gamma).tobytes()
+                assert res.lam.tobytes() == ref.lam.tobytes()
+            else:
+                assert res.certificate.tobytes() == ref.certificate.tobytes()
+    assert seen == {"optimal", InfeasibleError, ClassificationError, StabilityError}
+
+
+def test_vertex_program_writes_one_block_of_rows(monkeypatch):
+    calls = []
+    rows = robust._lyapunov_rows
+
+    def spy(*args, prefixes):
+        calls.append(prefixes)
+        return rows(*args, prefixes=prefixes)
+    monkeypatch.setattr(robust, "_lyapunov_rows", spy)
+    res = robust.vertex_gain(gene_expression_system(0.5), "linf")
+    assert calls == [[f"v{v}_" for v in range(8)]]
+    assert res.lp.row_names[:3] == ("v0_st0", "v0_st1", "v0_pf0")
+    assert res.lp.row_names[-1] == "v7_pf0"
 
 
 # --- robust synthesis --------------------------------------------------------

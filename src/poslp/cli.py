@@ -321,6 +321,7 @@ def cmd_robust_synth(args):
 # bundled reproductions
 
 def cmd_reproduce(args):
+    require_whole(args.seed, "--seed")
     for key in ("epsilon", "lambda_floor"):
         if args.case in ("table2", "ex72") and getattr(args, key) is not None:
             raise ValidationError(f"reproduce {args.case} does not read "

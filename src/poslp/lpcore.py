@@ -240,8 +240,10 @@ class _Standardizer:
     are shifted out, upper-only variables negated, free variables split in
     two columns; two-sided bounds add an identity block of upper rows,
     inequalities an identity block of slack columns, and rows with a
-    negative rhs are negated.  The matrix is never stored: `write` fills any
-    of its columns from the LP's rows, into the phase-1 tableau or a basis.
+    negative rhs are negated.  Phase 1 appends one artificial column per
+    row in `art_rows`.  The matrix is never stored: `write` fills any of its
+    columns, artificials included, from the LP's rows, into the phase-1
+    tableau or a basis.
     """
 
     def __init__(self, lp):
@@ -262,9 +264,6 @@ class _Standardizer:
         ineq = np.flatnonzero(np.concatenate([~self.is_eq, np.ones(boxed.size, dtype=bool)]))
         self.shape = (m + boxed.size, num_std + ineq.size)
         self.row_coeffs = lp.row_coeffs
-        # the row of each column's unit entry: a boxed variable's upper row, a slack's own row
-        self.unit_row = np.concatenate([np.full(num_std, -1), ineq])
-        self.unit_row[first[boxed]] = m + np.arange(boxed.size)
         self.slack_of_row = np.full(self.shape[0], -1, dtype=int)
         self.slack_of_row[ineq] = num_std + np.arange(ineq.size)
 
@@ -276,6 +275,15 @@ class _Standardizer:
         self.row_sign = np.where(neg, -1.0, 1.0)
         self.cost = np.zeros(self.shape[1])
         self.cost[:num_std] = lp.objective[var] * sign
+
+        # phase 1 starts from each row's slack where it reads +1, else (an equality or negated
+        # row) from an artificial column shape[1] + k, the unit vector of row art_rows[k]
+        self.start_basis = np.where(neg, -1, self.slack_of_row)
+        self.art_rows = (self.start_basis < 0).nonzero()[0]
+        self.start_basis[self.art_rows] = self.shape[1] + np.arange(self.art_rows.size)
+        # the row of each column's unit entry: a boxed variable's upper row, else its own row
+        self.unit_row = np.concatenate([np.full(num_std, -1), ineq, self.art_rows])
+        self.unit_row[first[boxed]] = m + np.arange(boxed.size)
 
     @property
     def a(self):
@@ -291,7 +299,8 @@ class _Standardizer:
     def write(self, out, cols):
         """Write standard-form column cols[j] into column j of the zeroed `out`: the
         signed gather of row_coeffs, the unit entries, then the rows of negative rhs
-        negated (a sign flip, so the bits do not depend on the order of the two signs)."""
+        negated (a sign flip, so the bits do not depend on the order of the two signs)
+        but for the artificial columns, which are negated back to unit vectors."""
         j = (cols < self.num_std).nonzero()[0]
         k = cols[j]
         block = self.row_coeffs[:, self.var[k]]
@@ -301,6 +310,7 @@ class _Standardizer:
         j = (rows >= 0).nonzero()[0]
         out[rows[j], j] = 1.0
         out[self.neg_rows] *= -1.0
+        out[self.neg_rows[:, None], (cols >= self.shape[1]).nonzero()[0]] *= -1.0
 
     def back_substitute(self, x_std):
         return self._add_columns(self.offset.copy(), x_std)
@@ -440,22 +450,6 @@ def _basis_solve(m, rhs):
     return np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
-def _dual_multipliers(std, basis, struct_cost, art_rows, bmat=None):
-    """Simplex multipliers y with B^T y = c_B.  The optimal basis has only standard-form
-    columns and passes its B as `bmat`, shared with the primal solve; phase 1's basis is
-    built here, artificial column ncols + k being the unit vector of row art_rows[k]."""
-    if bmat is not None:
-        return _basis_solve(bmat.T, struct_cost[basis])
-    ncols = std.shape[1]
-    art = basis >= ncols
-    bmat = np.zeros((std.shape[0], basis.size))
-    bmat[:, ~art] = std.columns(basis[~art])
-    bmat[art_rows[basis[art] - ncols], np.flatnonzero(art)] = 1.0
-    cb = np.ones(basis.size)
-    cb[~art] = struct_cost[basis[~art]]
-    return _basis_solve(bmat.T, cb)
-
-
 def solve_lp(lp, max_iterations=1_000_000):
     """Solve the LP with a dense two-phase primal simplex.
 
@@ -468,31 +462,25 @@ def solve_lp(lp, max_iterations=1_000_000):
     """
     std = _Standardizer(lp)
     num_rows, ncols = std.shape
-
-    # a slack with a positive coefficient starts in the basis, other rows
-    # get an artificial column
-    basis = np.where(std.row_sign > 0, std.slack_of_row, -1)
-    art_rows = (basis < 0).nonzero()[0]
-    basis[art_rows] = ncols + np.arange(art_rows.size)
-    shape = (num_rows, ncols + art_rows.size + 1)
+    basis = std.start_basis.copy()
+    shape = (num_rows, ncols + std.art_rows.size + 1)
     size = 8 * shape[0] * shape[1]
     if size > TABLEAU_CAP:
         raise CombinatorialCapError(f"the phase-1 tableau of shape {shape[0]} x {shape[1]} "
                                     f"needs {size} bytes, over the cap of {TABLEAU_CAP}")
     t = np.zeros(shape)
-    std.write(t[:, :ncols], np.arange(ncols))
-    t[art_rows, basis[art_rows]] = 1.0
+    std.write(t[:, :-1], np.arange(shape[1] - 1))
     t[:, -1] = std.b
     iters = 0
 
-    if art_rows.size:
-        cost1 = np.zeros(ncols + art_rows.size)
+    if std.art_rows.size:
+        cost1 = np.zeros(shape[1] - 1)
         cost1[ncols:] = 1.0
         status, iters, _ = _simplex_loop(t, basis, cost1, ncols, max_iterations, 0)
         phase1 = float(cost1[basis] @ t[:, -1])
         if phase1 > _FEAS_TOL * (1.0 + float(np.abs(std.b).max(initial=0.0))):
             del t
-            y = _dual_multipliers(std, basis, np.zeros(ncols), art_rows)
+            y = _basis_solve(std.columns(basis).T, cost1[basis])
             cert = y[:lp.num_rows] * std.row_sign[:lp.num_rows]
             return LpSolution("infeasible", None, np.nan, iters, certificate=cert)
         t, basis = _drive_out_artificials(t, basis, ncols)
@@ -512,7 +500,7 @@ def solve_lp(lp, max_iterations=1_000_000):
     x = std.back_substitute(x_std)
     obj = float(lp.objective @ x)
 
-    y = _dual_multipliers(std, basis, std.cost, art_rows, bmat)
+    y = _basis_solve(bmat.T, std.cost[basis])
     dual = y[:lp.num_rows] * std.row_sign[:lp.num_rows]
     _verify_optimal(lp, std, x, x_std, y, obj)
     return LpSolution("optimal", x, obj, iters, dual=dual)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import handelman, ilc, sysmodel
+from . import handelman, ilc, lpcore, sysmodel
 from .errors import (ClassificationError, CombinatorialCapError, DegreeError, DimensionError,
                      InfeasibleError, ModelError, StabilityError, ValidationError)
 from .lft import (_chain_coefficients, _close_stack, _wellposed_points, channel_layout,
@@ -367,27 +367,37 @@ def _bound_ok(oracle, gamma):
     return oracle <= gamma * (1 + 1e-6) + 1e-6
 
 
-def certification_grid(domain, points):
-    """Sweep points, a (G, N) array: `points` per parameter for one parameter;
-    for several, the per-axis count shrinks so the total stays near `points`,
-    at least 2, so the mesh's end points make every box vertex a point."""
+def _per_axis(n, points):
+    """Sweep points per parameter: `points` for one; for several, fewer so the total stays
+    near `points`, at least 2, so the mesh's end points make every box vertex a point."""
     if points < 0:
         raise ValidationError(f"the certification grid needs points >= 0, got {points}")
-    n = domain.nparams
     if n <= 1:
-        return domain.grid(points)
+        return points
     per_axis = round(points ** (1.0 / n))      # the integer root: the float one may fall short
     while per_axis ** n > points:
         per_axis -= 1
-    return domain.grid(max(2, per_axis))
+    return max(2, per_axis)
+
+
+def certification_grid(domain, points):
+    """Sweep points, a (G, N) array of `_per_axis` points per parameter."""
+    return domain.grid(_per_axis(domain.nparams, points))
 
 
 def grid_certify_gain(psys, gamma, which="l1", points=101, k=None):
-    """Frozen-delta oracle over the certification grid, on the closed loop
-    A + B K, C + D K when a gain K is given: the first point that is not
-    positive (tol 1e-9) or not Hurwitz refutes, otherwise the worst
-    `which`-gain (first occurrence) is compared to gamma."""
-    grid = certification_grid(psys.domain, points)
+    """Frozen-delta oracle over the certification grid, on the closed loop A + B K,
+    C + D K when a gain K is given: the first point that is not positive (tol 1e-9)
+    or not Hurwitz refutes, else the worst `which`-gain (first occurrence) is compared
+    to gamma.  A sweep whose stacks (the mesh, the frozen matrices, A's inverse, the
+    gain) pass `lpcore.TABLEAU_CAP` bytes is refused before the mesh is built."""
+    per_axis, n, q = _per_axis(psys.nparams, points), psys.n, psys.q
+    count = per_axis ** psys.nparams
+    size = 8 * count * (psys.nparams + (n + q) * (n + psys.m + psys.p) + n * n + q * psys.p)
+    if size > lpcore.TABLEAU_CAP:
+        raise CombinatorialCapError(f"the certification grid of {count} points needs {size} "
+                                    f"bytes, over the cap of {lpcore.TABLEAU_CAP}")
+    grid = psys.domain.grid(per_axis)
     if not len(grid):
         return GridVerdict(_bound_ok(-np.inf, gamma), 0, -np.inf, None)
     a, b, c, d, e, f = psys.frozen_stack(grid)

@@ -30,6 +30,12 @@ MUTANTS = (
      "    if gap > 1e-6 * (1.0 + abs(obj)):\n",
      "    if False:\n",
      "tests/test_lpcore.py::test_perturbed_dual_fails_the_duality_gap"),
+    # phase 1's artificial columns: not negated back, an artificial's unit entry, written
+    # before the row negation, reads -1 in a negated row
+    ("poslp/lpcore.py",
+     "        out[self.neg_rows[:, None], (cols >= self.shape[1]).nonzero()[0]] *= -1.0\n",
+     "",
+     "tests/test_lpcore.py::test_basis_matrix_matches_standard_form_columns_bit_for_bit"),
     # the grid check's refutation by gain
     ("poslp/robust.py",
      "    return oracle <= gamma * (1 + 1e-6) + 1e-6\n",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import poslp
-from poslp import cli, gains, robust, synthesis, sysmodel
+from poslp import cli, gains, lpcore, robust, synthesis, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
 from poslp.errors import PoslpError
 from poslp.lpcore import lp_to_text
@@ -665,9 +665,16 @@ def test_structured_report_formats_no_text(monkeypatch, capsys, system_file):
 @pytest.mark.parametrize("case, flag", [(case, flag) for case in ("table2", "ex72")
                                         for flag in ("--epsilon", "--lambda-floor")])
 def test_reproduce_refuses_policy_flags_a_case_does_not_read(capsys, case, flag):
-    assert refused(capsys, ["reproduce", case, flag, "1e-3"]) == \
-        f"error: reproduce {case} does not read {flag}\n"
-    assert capsys.readouterr().out == ""
+    assert cli.main(["reproduce", case, flag, "1e-3"]) == 1
+    assert capsys.readouterr() == ("", f"error: reproduce {case} does not read {flag}\n")
+
+
+@pytest.mark.parametrize("case, seed", [("delay", "-1000"), ("table2", "-100000000"),
+                                        ("delay", "-5"), ("ex72", "-1")])
+def test_reproduce_refuses_a_negative_seed(capsys, case, seed):
+    # the seeded cases' PCG64 takes no negative seed, 911 + seed or DRUG_SEED + seed
+    assert cli.main(["reproduce", case, "--seed", seed]) == 1
+    assert capsys.readouterr() == ("", f"error: --seed is {seed}, not a whole number >= 0\n")
 
 
 @pytest.mark.parametrize("case", ["table2", "table3", "table4", "table5", "ex72", "delay"])
@@ -709,9 +716,19 @@ def test_malformed_spec_file_is_refused(capsys, tmp_path, system_file, poly_file
                                            ("gain", "--lambda-floor"), ("synth", "--epsilon")])
 def test_non_finite_margins_are_refused(capsys, system_file, command, flag):
     norm = ["--norm", "l1"] if command == "gain" else []
-    err = refused(capsys, [command, *norm, system_file, flag, "inf"])
-    assert err.startswith("error: strictness margins epsilon=") and "must be finite" in err
-    assert capsys.readouterr().out == ""
+    assert cli.main([command, *norm, system_file, flag, "inf"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: strictness margins epsilon=")
+    assert "must be finite" in err
+
+
+def test_robust_gain_refuses_a_sweep_too_large_to_hold(monkeypatch, capsys, poly_file):
+    # 10^4 points of 312 bytes over a cap lowered to 10^6, as 10^9 points are over 2 GiB
+    monkeypatch.setattr(lpcore, "TABLEAU_CAP", 10 ** 6)
+    assert cli.main(["robust-gain", "--norm", "l1", poly_file, "--scaling", "const",
+                     "--grid", "10000"]) == 1
+    assert capsys.readouterr() == ("", "error: the certification grid of 10000 points "
+                                       "needs 3120000 bytes, over the cap of 1000000\n")
 
 
 def test_reduced_form_stays_reduced_on_a_shifted_box(capsys, tmp_path):

@@ -298,18 +298,19 @@ def test_basis_matrix_matches_standard_form_columns_bit_for_bit(monkeypatch):
         got = std.columns(cols)
         assert got.tobytes() == a[:, cols].tobytes() == std.a[:, cols].tobytes(), trial
     # the final basis of every tall solve, passed to the primal and the dual
-    # LU solve, and phase 1's basis with artificial columns on infeasible LPs
-    dual, basis_solve, seen = lpcore._dual_multipliers, lpcore._basis_solve, set()
+    # LU solve, and phase 1's basis with artificial columns on infeasible LPs,
+    # passed to the dual LU solve alone
+    columns, basis_solve, seen = _Standardizer.columns, lpcore._basis_solve, set()
     matrices, calls = [], []
 
-    def recording_dual(std, basis, *args):
-        calls.append((std, basis.copy(), args[1]))
-        return dual(std, basis, *args)
+    def recording_columns(std, cols):
+        calls.append((std, cols.copy()))
+        return columns(std, cols)
 
     def recording_solve(m, rhs):
         matrices.append(m)
         return basis_solve(m, rhs)
-    monkeypatch.setattr(lpcore, "_dual_multipliers", recording_dual)
+    monkeypatch.setattr(_Standardizer, "columns", recording_columns)
     monkeypatch.setattr(lpcore, "_basis_solve", recording_solve)
     rng = np.random.default_rng(2029)
     infeasible = [(f"infeasible {trial}", random_lp(rng, "infeasible")) for trial in range(30)]
@@ -317,8 +318,8 @@ def test_basis_matrix_matches_standard_form_columns_bit_for_bit(monkeypatch):
         matrices.clear()
         calls.clear()
         status = solve_lp(lp).status
-        (std, basis, art_rows), = calls
-        want = reference_basis(std, basis, art_rows)
+        (std, basis), = calls
+        want = reference_basis(std, basis, std.art_rows)
         primal = [want.tobytes()] if status == "optimal" else []
         assert [m.tobytes() for m in matrices] == primal + [want.T.tobytes()], name
         seen.add((name.split()[0], status, bool((basis >= std.shape[1]).any())))
@@ -362,14 +363,17 @@ def dense_eliminate(t, leave, enter):
     t[other] -= np.outer(t[other, enter], t[leave])
 
 
-def lstsq_dual_multipliers(std, basis, struct_cost, art_rows, bmat=None):
-    """Reference duals: least squares on B^T y = c_B, with the caller's B if given."""
-    if bmat is None:
-        bmat = reference_basis(std, basis, art_rows)
-    art = basis >= std.shape[1]
-    cb = np.ones(basis.size)
-    cb[~art] = struct_cost[basis[~art]]
-    return np.linalg.lstsq(bmat.T, cb, rcond=None)[0]
+def lstsq_duals(status):
+    """A `_basis_solve` whose dual solve is least squares on B^T y = c_B: an optimal
+    solve makes it second, after the LU solve of B, an infeasible one alone."""
+    basis_solve, calls = lpcore._basis_solve, []
+
+    def solve(m, rhs):
+        calls.append(m)
+        if len(calls) == 1 + (status == "optimal"):
+            return np.linalg.lstsq(m, rhs, rcond=None)[0]
+        return basis_solve(m, rhs)
+    return solve
 
 
 def random_lp(rng, kind):
@@ -425,7 +429,7 @@ def test_sparse_elimination_matches_dense_update_bit_for_bit(monkeypatch):
         got = solve_lp(lp)
         with monkeypatch.context() as patch:
             patch.setattr(lpcore, "_eliminate", dense_eliminate)
-            patch.setattr(lpcore, "_dual_multipliers", lstsq_dual_multipliers)
+            patch.setattr(lpcore, "_basis_solve", lstsq_duals(got.status))
             want = solve_lp(lp)
         seen[kind, got.status] = seen.get((kind, got.status), 0) + 1
         assert (got.status, got.iterations) == (want.status, want.iterations), trial
@@ -1224,9 +1228,14 @@ def test_perturbed_vertex_fails_primal_verification(monkeypatch):
 
 
 def test_perturbed_dual_fails_the_duality_gap(monkeypatch):
-    # y + 1 moves y^T b by 50 + 1 away from the objective 1
-    dual_multipliers = lpcore._dual_multipliers
-    monkeypatch.setattr(lpcore, "_dual_multipliers", lambda *args: dual_multipliers(*args) + 1.0)
+    # y + 1 moves y^T b by 50 + 1 away from the objective 1; the duals' LU solve of
+    # B^T comes after the vertex's
+    basis_solve, calls = lpcore._basis_solve, []
+
+    def perturbed_basis_solve(m, rhs):
+        calls.append(rhs)
+        return basis_solve(m, rhs) + (1.0 if len(calls) == 2 else 0.0)
+    monkeypatch.setattr(lpcore, "_basis_solve", perturbed_basis_solve)
     with pytest.raises(NonConvergenceError) as err:
         solve_lp(verification_lp())
     assert str(err.value) == "duality gap 5.100e+01 exceeds tolerance"

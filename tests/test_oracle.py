@@ -2,13 +2,15 @@
 and against per-point reference loops."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from poslp import cli, gains, numlin, robust, sysmodel
+from poslp import cli, gains, lpcore, numlin, robust, sysmodel
 from poslp.cases import gene_expression_system, poly3_system
-from poslp.errors import SingularMatrixError, StabilityError, ValidationError
+from poslp.errors import (CombinatorialCapError, SingularMatrixError, StabilityError,
+                          ValidationError)
 from poslp.lpcore import lp_to_text
 from poslp.poly import BoxDomain, Poly, polynomial_system
 from poslp.sysmodel import PositiveLtiSystem
@@ -248,6 +250,30 @@ def test_negative_grid_is_refused(psys):
         robust.certification_grid(psys.domain, -1)
     with pytest.raises(ValidationError):
         robust.grid_certify_gain(psys, 1.0, "l1", points=-1)
+
+
+@pytest.mark.parametrize("psys, fits, points, count, size", [
+    (poly3_system(), 3205, 10 ** 4, 10 ** 4, 3120000),
+    (gene_expression_system(0.3), 19 ** 3, 10 ** 4, 21 ** 3, 1259496),
+], ids=["poly3", "gene"])
+def test_sweep_over_the_cap_is_refused_before_its_mesh_is_built(monkeypatch, psys, fits, points,
+                                                                  count, size):
+    # a point of poly3 (N = 1, n = 3, p = q = 2) holds 8 (1 + 5 * 5 + 9 + 4) = 312 bytes
+    # in the mesh, the frozen matrices, A's inverse and the gain, one of the gene model
+    # (N = 3, n = 2, p = q = 1) 8 (3 + 3 * 3 + 4 + 1) = 136 on a mesh of 21 per axis;
+    # `fits` points take 999,960 and 932,824 bytes
+    monkeypatch.setattr(lpcore, "TABLEAU_CAP", 10 ** 6)
+    assert robust.grid_certify_gain(psys, 100.0, "l1", fits).points == fits
+    tracemalloc.start()
+    try:
+        with pytest.raises(CombinatorialCapError) as err:
+            robust.grid_certify_gain(psys, 100.0, "l1", points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"the certification grid of {count} points needs {size} bytes, "
+                              "over the cap of 1000000")
+    assert peak < size / 16, peak
 
 
 @pytest.mark.parametrize("nparams, top", [(1, 12), (2, 12), (3, 12), (4, 12), (6, 5), (7, 4)])

@@ -120,10 +120,12 @@ def relaxation(args):
 
 
 def robust_input(args):
-    """The polynomial system and policy of a robust command, which needs --grid >= 1."""
+    """The polynomial system and policy of a robust command, its --grid sized before any solve."""
     if args.grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {args.grid}")
-    return read_polynomial_system(args.system), policy_from(args)
+    psys = read_polynomial_system(args.system)
+    robust._sweep_axis(psys, args.grid)
+    return psys, policy_from(args)
 
 
 def load_spec(zeros_path, bounds_path):

@@ -19,7 +19,6 @@ restriction on the certified bound.
 from .errors import ClassificationError, InfeasibleError, StabilityError
 from .ilc import FreePolynomial
 from .lft import plain_lft
-from .lpcore import StrictnessPolicy
 from .robust import _assemble_gain, solve_robust
 from .sysmodel import classify
 
@@ -27,7 +26,7 @@ from .sysmodel import classify
 def _program(sys, norm, policy):
     """The robust `norm` program of the system's LFT with no uncertainty channel."""
     lft = plain_lft(sys.A, sys.C, sys.E, sys.F, norm)
-    return _assemble_gain(lft, FreePolynomial(0, saturated=False), policy or StrictnessPolicy())
+    return _assemble_gain(lft, FreePolynomial(0, saturated=False), policy)
 
 
 def gain_lp(sys, norm, policy=None):

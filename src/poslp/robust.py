@@ -164,9 +164,10 @@ def _lyapunov_rows(b, poly, zero, lft, lam, gamma, phi1, phi2, epsilon, lin=(), 
               const.ravel(), epsilon)
 
 
-def _assemble_gain(lft, template, policy, mu_block=None):
-    """The L1 program of `lft`; with `mu_block` (one row per st, ch, pf row)
-    also the controller columns mu_j, j < n, entering every row through it."""
+def _assemble_gain(lft, template, policy=None, mu_block=None, prefixes=("",)):
+    """The L1 program of `lft`, a stack's rows named after `prefixes`; with `mu_block` (one
+    row per st, ch, pf row) also the controller columns mu_j, j < n, entering every row."""
+    policy = policy or StrictnessPolicy()
     sset = ilc.instantiate(template, lft)
     zero = (0,) * sset.nparams
     b = LpBuilder()
@@ -179,7 +180,8 @@ def _assemble_gain(lft, template, policy, mu_block=None):
     gamma = b.add_var("gamma", lower=0.0, objective=1.0)
     phi1, phi2 = _phi_blocks(b, sset)
     poly = []
-    _lyapunov_rows(b, poly, zero, lft, lam, gamma, phi1, phi2, policy.epsilon, lin)
+    _lyapunov_rows(b, poly, zero, lft, lam, gamma, phi1, phi2, policy.epsilon, lin,
+                   prefixes=prefixes)
     _ilc_rows(b, poly, zero, lft.delta_structure, sset, phi1, phi2)
     _scaling_equalities(b, sset, phi1, phi2)
     blocks.update(gamma=gamma, phi1=phi1, phi2=phi2)
@@ -202,7 +204,7 @@ def robust_gain(psys, norm, template, policy=None):
         report = sysmodel.classify(psys.frozen_at(point), tol=1e-9)
         raise ClassificationError(
             f"closed loop is not positive at delta={point}: {report.violations[:3]}")
-    return _assemble_gain(lft_from_polynomial(psys, norm), template, policy or StrictnessPolicy())
+    return _assemble_gain(lft_from_polynomial(psys, norm), template, policy)
 
 
 @dataclass
@@ -261,7 +263,7 @@ def exact_constant_delta(lft, delta0, policy=None):
     scalings phi1 = -Delta0^T phi2 characterize every LTI positive channel
     with static gain Delta0 exactly."""
     template = ilc.SaturatedStaticGain(delta0)
-    rlp = _assemble_gain(lft, template, policy or StrictnessPolicy())
+    rlp = _assemble_gain(lft, template, policy)
     if (template.delta0 @ lft.F00).any():      # else I - Delta0 F00 = I
         _close_stack(lft, template.delta0[None], lambda g: "I - Delta0 F00 is singular")
     try:
@@ -279,7 +281,6 @@ VERTEX_CAP = 20        # parameters: the vertex program replicates its rows 2 **
 def vertex_gain(psys, norm, policy=None):
     """Shared-Lyapunov `norm`-gain bound with the rows replicated at every vertex
     of the box; valid for matrices affine in the parameters (convexity)."""
-    policy = policy or StrictnessPolicy()
     if psys.degree() > 1:
         raise DegreeError("vertex enumeration needs affine parameter dependence")
     if psys.nparams > VERTEX_CAP:
@@ -296,15 +297,10 @@ def vertex_gain(psys, norm, policy=None):
             raise ClassificationError(
                 f"vertex system at {verts[v]} is not positive: {report.violations[:3]}")
         raise StabilityError(f"vertex system at {verts[v]} is not Hurwitz")
-
-    b = LpBuilder()
-    lam = b.add_vars("lam", psys.n, lower=policy.lambda_floor)
-    gamma = b.add_var("gamma", lower=0.0, objective=1.0)
-    _lyapunov_rows(b, [], (), plain_lft(a, c, e, f, norm), lam, gamma, {}, {}, policy.epsilon,
-                   prefixes=[f"v{v}_" for v in range(len(verts))])
+    rlp = _assemble_gain(plain_lft(a, c, e, f, norm), ilc.FreePolynomial(0, saturated=False),
+                         policy, prefixes=[f"v{v}_" for v in range(len(verts))])
     try:
-        return solve_robust(RobustLinearProgram(b, (), psys.domain, {"lam": lam, "gamma": gamma},
-                                                policy.epsilon))
+        return solve_robust(rlp)
     except InfeasibleError as err:
         raise InfeasibleError("vertex program infeasible", err.certificate, err.lp) from None
 
@@ -319,7 +315,6 @@ def robust_stabilize(psys, template, spec=None, policy=None):
     The open loop need not be positive, but E(delta) and F(delta) must be
     nonnegative on the box; rational dependence must be cleared to polynomial
     beforehand."""
-    policy = policy or StrictnessPolicy()
     spec = spec or ControllerSpec()
     if psys.m == 0:
         raise ModelError("synthesis needs control matrices B and D")
@@ -374,9 +369,9 @@ def _per_axis(n, points):
         raise ValidationError(f"the certification grid needs points >= 0, got {points}")
     if n <= 1:
         return points
-    per_axis = round(points ** (1.0 / n))      # the integer root: the float one may fall short
-    while per_axis ** n > points:
-        per_axis -= 1
+    per_axis = 1 << -(-int(points).bit_length() // n)    # >= the root, with no float to overflow
+    while per_axis ** n > points:                          # Newton's steps on ints, down to it
+        per_axis = ((n - 1) * per_axis + int(points) // per_axis ** (n - 1)) // n
     return max(2, per_axis)
 
 
@@ -385,19 +380,23 @@ def certification_grid(domain, points):
     return domain.grid(_per_axis(domain.nparams, points))
 
 
-def grid_certify_gain(psys, gamma, which="l1", points=101, k=None):
-    """Frozen-delta oracle over the certification grid, on the closed loop A + B K,
-    C + D K when a gain K is given: the first point that is not positive (tol 1e-9)
-    or not Hurwitz refutes, else the worst `which`-gain (first occurrence) is compared
-    to gamma.  A sweep whose stacks (the mesh, the frozen matrices, A's inverse, the
-    gain) pass `lpcore.TABLEAU_CAP` bytes is refused before the mesh is built."""
+def _sweep_axis(psys, points):
+    """`_per_axis` for the grid of `psys`, refused when its stacks (the mesh, the frozen
+    matrices, A's inverse, the gain) would pass `lpcore.TABLEAU_CAP` bytes."""
     per_axis, n, q = _per_axis(psys.nparams, points), psys.n, psys.q
     count = per_axis ** psys.nparams
     size = 8 * count * (psys.nparams + (n + q) * (n + psys.m + psys.p) + n * n + q * psys.p)
     if size > lpcore.TABLEAU_CAP:
         raise CombinatorialCapError(f"the certification grid of {count} points needs {size} "
                                     f"bytes, over the cap of {lpcore.TABLEAU_CAP}")
-    grid = psys.domain.grid(per_axis)
+    return per_axis
+
+
+def grid_certify_gain(psys, gamma, which="l1", points=101, k=None):
+    """Frozen-delta oracle over the `_sweep_axis` grid, on the closed loop A + B K, C + D K
+    when a gain K is given: the first point that is not positive (tol 1e-9) or not Hurwitz
+    refutes, else the worst `which`-gain (first occurrence) is compared to gamma."""
+    grid = psys.domain.grid(_sweep_axis(psys, points))
     if not len(grid):
         return GridVerdict(_bound_ok(-np.inf, gamma), 0, -np.inf, None)
     a, b, c, d, e, f = psys.frozen_stack(grid)

@@ -26,6 +26,15 @@ MUTANTS = (
      "def _verify_optimal(lp, std, x, x_std, y, obj):\n",
      "def _verify_optimal(lp, std, x, x_std, y, obj):\n    return\n",
      "tests/test_lpcore.py::test_perturbed_vertex_fails_primal_verification"),
+    # a vertex outside a variable bound, with every row holding
+    ("poslp/lpcore.py",
+     "    if np.any(x < lo - 1e-7 * (1 + np.abs(lo))):\n",
+     "    if False:\n",
+     "tests/test_lpcore.py::test_perturbed_vertex_fails_bound_verification[lower]"),
+    ("poslp/lpcore.py",
+     "    if np.any(x > up + 1e-7 * (1 + np.abs(up))):\n",
+     "    if False:\n",
+     "tests/test_lpcore.py::test_perturbed_vertex_fails_bound_verification[upper]"),
     ("poslp/lpcore.py",
      "    if gap > 1e-6 * (1.0 + abs(obj)):\n",
      "    if False:\n",

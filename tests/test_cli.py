@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +730,53 @@ def test_robust_gain_refuses_a_sweep_too_large_to_hold(monkeypatch, capsys, poly
                      "--grid", "10000"]) == 1
     assert capsys.readouterr() == ("", "error: the certification grid of 10000 points "
                                        "needs 3120000 bytes, over the cap of 1000000\n")
+
+
+@pytest.mark.parametrize("plant, command, point_bytes", [
+    (poly3_system(), ["robust-gain", "--norm", "l1", "--scaling", "const"], 312),
+    (gene_expression_system(0.3), ["robust-gain", "--norm", "l1", "--vertices"], 136),
+    (uncertain_input_plant(), ["robust-synth"], 144),
+], ids=["robust_gain", "vertices", "robust_synth"])
+def test_oversized_sweep_is_refused_before_any_solve(monkeypatch, capsys, tmp_path, plant,
+                                                     command, point_bytes):
+    # a point holds 8 (N + (n + q) (n + m + p) + n n + q p) bytes: 312 for poly3, 136 for
+    # the gene model and 144 for the plant with B and D (N = 1, n = 2, m = p = q = 1)
+    path = tmp_path / "plant.json"
+    write_polynomial_system(plant, path)
+    monkeypatch.setattr(robust, "solve_lp", lambda lp: pytest.fail("solved"))
+    assert cli.main([*command, str(path), "--grid", "1000000000"]) == 1
+    assert capsys.readouterr() == ("", "error: the certification grid of 1000000000 points "
+                                       f"needs {point_bytes * 10 ** 9} bytes, over the cap of "
+                                       "2147483648\n")
+
+
+def two_parameter_plant():
+    return polynomial_system(
+        a_terms={(0, 0): [[-2.0, 0.5], [0.3, -1.5]], (1, 0): [[0.1, 0.2], [0.0, 0.4]],
+                 (0, 1): [[0.2, 0.0], [0.1, 0.1]]},
+        c_terms={(0, 0): [[1.0, 0.0]]}, e_terms={(0, 0): [[1.0], [0.5]]},
+        f_terms={(0, 0): [[0.0]]}, domain=BoxDomain.unit(2))
+
+
+@pytest.mark.parametrize("psys, point_bytes", [
+    (two_parameter_plant(), 128), (gene_expression_system(0.3), 136),
+], ids=["two_parameters", "gene"])
+def test_sweep_of_a_401_digit_grid_is_refused_without_a_float(capsys, tmp_path, psys,
+                                                              point_bytes):
+    # --grid 10^400 overflows a float; the per-axis count is the integer N-th root, 10^200 for
+    # N = 2; a point holds 8 (2 + 3 * 3 + 4 + 1) = 128 bytes here, 136 in the gene model
+    path = tmp_path / "plant.json"
+    write_polynomial_system(psys, path)
+    with localcontext() as ctx:
+        ctx.prec = 300
+        per_axis = int(Decimal(10) ** (Decimal(400) / psys.nparams))
+    count = per_axis ** psys.nparams
+    assert count <= 10 ** 400 < (per_axis + 1) ** psys.nparams
+    assert cli.main(["robust-gain", "--norm", "linf", str(path), "--scaling", "const",
+                     "--grid", str(10 ** 400)]) == 1
+    assert capsys.readouterr() == ("", f"error: the certification grid of {count} points "
+                                       f"needs {point_bytes * count} bytes, over the cap of "
+                                       "2147483648\n")
 
 
 def test_reduced_form_stays_reduced_on_a_shifted_box(capsys, tmp_path):

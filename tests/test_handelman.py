@@ -356,3 +356,10 @@ def test_upsilon_refuses_forms_the_recurrence_cannot_make(terms):
     basis = hd.HandelmanBasis((Poly(2, (), terms),) + good.forms[1:], 2, 2)
     with pytest.raises(PoslpError, match="not a constant plus one theta term"):
         hd.build_upsilon(basis)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_basis_refuses_a_product_degree_below_one(degree):
+    with pytest.raises(DegreeError) as err:
+        hd.HandelmanBasis.from_box(BoxDomain.unit(2), degree)
+    assert str(err.value) == "product degree b must be >= 1"

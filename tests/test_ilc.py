@@ -3,7 +3,7 @@ import pytest
 
 from poslp import ilc, lft
 from poslp.cases import poly3_system
-from poslp.errors import ClassificationError, DomainError
+from poslp.errors import ClassificationError, DimensionError, DomainError
 from poslp.ilc import FreePolynomial, SaturatedStaticGain, TimeVaryingDelay, instantiate
 
 
@@ -145,3 +145,15 @@ def test_equality_coefficients_are_channel_matrices(template, channel):
     for coef in coefs:
         assert isinstance(coef, np.ndarray) and coef.dtype == float
         assert coef.shape == (cset.n0, cset.n0)
+
+
+@pytest.mark.parametrize("template, channel, message", [
+    ("const", delay_channel, "unknown scaling template 'const'"),
+    (SaturatedStaticGain(np.eye(2)), delay_channel, "Delta0 must be 1 x 1, got (2, 2)"),
+    (FreePolynomial(1), delay_channel, "saturated polynomial scalings need Delta(delta)"),
+], ids=["unknown_template", "delta0_shape", "saturated_on_a_delay"])
+def test_instantiate_refuses_a_template_the_channel_cannot_take(template, channel, message):
+    # a delay channel has one loop signal and no Delta(delta) to saturate against
+    with pytest.raises(DimensionError) as err:
+        instantiate(template, channel())
+    assert str(err.value) == message

@@ -487,3 +487,15 @@ def test_delta_parameters_must_match_the_box():
     with pytest.raises(DimensionError) as err:
         lft.LftSystem(**kwargs)
     assert str(err.value) == "delta_structure has 2 parameters, the box 1"
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(A=[[-2.0, 0.1, 0.0], [0.2, -1.0, 0.0]]), "A must be square"),
+    (dict(F01=[[0.2, 0.1]]), "F01 has shape (1, 2), expected (2, 1)"),
+    (dict(delta_structure=Poly(1, (1, 1), {(1,): np.eye(1)})), "delta_structure must be n0 x n0"),
+    (dict(domain=None), "parametric uncertainty needs a box domain"),
+], ids=["a_not_square", "block_shape", "delta_shape", "no_domain"])
+def test_lft_refuses_blocks_of_the_wrong_shape(change, message):
+    with pytest.raises(DimensionError) as err:
+        lft.LftSystem(**dict(_one_parameter_kwargs(np.zeros((2, 2))), **change))
+    assert str(err.value) == message

@@ -1227,6 +1227,29 @@ def test_perturbed_vertex_fails_primal_verification(monkeypatch):
     assert calls[0].tolist() == [50.0, 1.0]
 
 
+@pytest.mark.parametrize("objective, coeff, rhs, lower, upper, shift, which", [
+    (-1.0, 1.0, 1.0, 0.5, np.inf, -0.75, "lower"),
+    (1.0, -1.0, -1.0, 0.0, 1.2, 0.5, "upper"),
+], ids=["lower", "upper"])
+def test_perturbed_vertex_fails_bound_verification(monkeypatch, objective, coeff, rhs, lower,
+                                                   upper, shift, which):
+    # max x0 s.t. x0 <= 1, x0 >= 0.5 and min x0 s.t. -x0 <= -1, x0 <= 1.2, both at x0 = 1:
+    # the vertex's LU solve shifted to 0.25 or to 1.5 keeps the row and leaves the bound
+    def lp():
+        return LinearProgram(np.array([objective]), np.array([[coeff]]), ("<=",),
+                             np.array([rhs]), np.array([lower]), np.array([upper]))
+    assert solve_lp(lp()).x.tolist() == [1.0]
+    basis_solve, calls = lpcore._basis_solve, []
+
+    def perturbed_basis_solve(m, rhs):
+        calls.append(rhs)
+        return basis_solve(m, rhs) + (shift if len(calls) == 1 else 0.0)
+    monkeypatch.setattr(lpcore, "_basis_solve", perturbed_basis_solve)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_lp(lp())
+    assert str(err.value) == f"optimal vertex failed {which}-bound verification"
+
+
 def test_perturbed_dual_fails_the_duality_gap(monkeypatch):
     # y + 1 moves y^T b by 50 + 1 away from the objective 1; the duals' LU solve of
     # B^T comes after the vertex's

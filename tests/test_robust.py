@@ -738,3 +738,12 @@ def test_grid_refutes_a_bound_below_the_oracle():
     assert oracle > 90.0 and robust.grid_certify_gain(psys, oracle).ok
     verdict = robust.grid_certify_gain(psys, 0.5 * oracle)
     assert (verdict.ok, verdict.failure, verdict.max_oracle) == (False, None, oracle)
+
+
+@pytest.mark.parametrize("form", ["dense", "Reduced", None])
+def test_unknown_relaxation_form_is_refused_before_the_solve(monkeypatch, form):
+    rlp = robust.robust_gain(poly3_system(), "l1", ilc.FreePolynomial(0, saturated=False))
+    monkeypatch.setattr(robust, "solve_lp", lambda lp: pytest.fail("solved"))
+    with pytest.raises(DimensionError) as err:
+        robust.solve_robust(rlp, form=form)
+    assert str(err.value) == f"unknown relaxation form {form!r}"

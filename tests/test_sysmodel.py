@@ -190,3 +190,24 @@ def test_system_file_defaults_empty_bd(tmp_path):
     assert '"B"' not in text
     back = sysmodel.read_system(path)
     assert back.m == 0
+
+
+NOT_METZLER = sysmodel.PositiveLtiSystem(A=[[-1.0, -0.5], [0.0, -1.0]], B=None, C=[[1.0, 0.0]],
+                                         D=None, E=[[1.0], [1.0]], F=[[0.0]])
+NO_OUTPUT = sysmodel.PositiveLtiSystem(A=[[-1.0, 0.5], [0.0, -2.0]], B=None, C=np.zeros((0, 2)),
+                                       D=None, E=[[1.0], [1.0]], F=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: sysmodel.oracle_gains(NO_OUTPUT), (0.0, 0.0)),
+    (lambda: sysmodel.metzler_stable(np.zeros((0, 0))), True),
+    (lambda: sysmodel.static_gain(NOT_METZLER),
+     "ClassificationError: the static-gain oracle is only valid for Metzler matrices"),
+], ids=["oracle_gains_of_no_output", "metzler_stable_of_no_state", "static_gain_not_metzler"])
+def test_empty_systems_and_a_static_gain_that_is_not_metzler(call, expected):
+    # q = 0 has an empty static gain, whose norms are 0; n = 0 is stable
+    try:
+        got = call()
+    except ClassificationError as err:
+        got = f"{type(err).__name__}: {err}"
+    assert got == expected
